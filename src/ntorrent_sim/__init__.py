@@ -12,7 +12,6 @@ from .names import (  # noqa: F401
     encode_bitmap,
     parse_name,
     render_name,
-    torrent_of,
 )
 from .scenario import (  # noqa: F401
     ScenarioConfig,

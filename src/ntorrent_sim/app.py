@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .forwarding import EmitData, Effect, Note, OriginateInterest, StartTimer
+from .forwarding import EmitData, Effect, Note, OriginateInterest, StartTimer, jittered
 from .names import (
     Bitmap,
     BitmapAnnounce,
@@ -24,7 +24,6 @@ from .names import (
     beacon_name,
     bitmap_announce_name,
     piece_name,
-    render_name,
 )
 from . import trace as tc
 
@@ -87,7 +86,6 @@ class PeerApp:
         if seeder:
             self.state.completed_at_us = 0
         self._last_bitmap_us: dict[str, int] = {}
-        self.demanded: set[int] = set()
 
     @property
     def completed(self) -> bool:
@@ -108,12 +106,10 @@ class PeerApp:
             return []  # done downloading; stop announcing, keep answering
         name = beacon_name(self.node_id)
         pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
-        spread = self.cfg.beacon_interval_us // 10
-        next_in = self.cfg.beacon_interval_us + (rng.randint(-spread, spread) if spread else 0)
         return [
-            Note(tc.BEACON_TX, render_name(name)),
+            Note(tc.BEACON_TX, name.key),
             OriginateInterest(pkt),
-            StartTimer(TIMER_BEACON, next_in),
+            StartTimer(TIMER_BEACON, jittered(self.cfg.beacon_interval_us, rng)),
         ]
 
     def on_retry_timer(self, now_us: int, rng: random.Random) -> list[Effect]:
@@ -149,7 +145,7 @@ class PeerApp:
         name = bitmap_announce_name(self.torrent, self.node_id, self.state.have)
         pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
         return [
-            Note(tc.BITMAP_TX, render_name(name), f"have={self.state.have.popcount()}"),
+            Note(tc.BITMAP_TX, name.key, f"have={self.state.have.popcount()}"),
             OriginateInterest(pkt),
         ]
 
@@ -180,7 +176,7 @@ class PeerApp:
             return []  # duplicate delivery, idempotent
         self.state.have.set(piece)
         effects: list[Effect] = [
-            Note(tc.PIECE_RX, render_name(piece_name(self.torrent, piece)), f"piece={piece}"),
+            Note(tc.PIECE_RX, piece_name(self.torrent, piece).key, f"piece={piece}"),
         ]
         if self.completed and self.state.completed_at_us is None:
             self.state.completed_at_us = now_us
@@ -190,14 +186,11 @@ class PeerApp:
 
     def on_receive_piece_interest(self, request: PieceInterest, now_us: int,
                                   rng: random.Random) -> list[Effect]:
-        """Serve a held piece through the PIT return path, else note the demand."""
-        if self.state.have.has(request.piece):
-            base = self.data_response_delay_us
-            spread = base // 10
-            delay = base + (rng.randint(-spread, spread) if spread else 0)
-            return [EmitData(piece_name(self.torrent, request.piece), delay)]
-        self.demanded.add(request.piece)
-        return []
+        """Serve a held piece through the PIT return path."""
+        if not self.state.have.has(request.piece):
+            return []
+        delay = jittered(self.data_response_delay_us, rng)
+        return [EmitData(piece_name(self.torrent, request.piece), delay)]
 
     # -- pipeline ----------------------------------------------------------------
 
@@ -206,7 +199,7 @@ class PeerApp:
         name = piece_name(self.torrent, piece)
         pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
         return [
-            Note(tc.PIECE_REQ, render_name(name), f"piece={piece};retry={retries}"),
+            Note(tc.PIECE_REQ, name.key, f"piece={piece};retry={retries}"),
             OriginateInterest(pkt),
         ]
 

@@ -18,16 +18,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .names import (
-    Bitmap,
-    Data,
-    Interest,
-    Name,
-    NameClass,
-    PieceInterest,
-    classify,
-    render_name,
-)
+from .names import Bitmap, Data, Interest, Name, PieceInterest
 from . import trace as tc
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,7 +88,6 @@ class EmitData:
 class AppInterest:
     """Deliver an interest to the local application."""
     packet: Interest
-    cls: NameClass
 
 
 @dataclass(frozen=True)
@@ -206,7 +196,8 @@ def _retire_entry(node: NodeState, key: str, entry: PitEntry, now_us: int) -> No
                                          entry.expiry_us)
 
 
-def _jittered(base_us: int, rng: random.Random) -> int:
+def jittered(base_us: int, rng: random.Random) -> int:
+    """base_us plus a uniform integer offset within +-10% of it."""
     spread = base_us // 10
     if spread == 0:
         return base_us
@@ -216,7 +207,7 @@ def _jittered(base_us: int, rng: random.Random) -> int:
 def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
                          now_us: int, rng: random.Random) -> list[Effect]:
     """PIT dedup, breadcrumb, store check, then the face's forwarding rule."""
-    key = render_name(pkt.name)
+    key = pkt.name.key
     entry = node.pit.get(key)
     if _live(entry, now_us) and pkt.nonce in entry.nonces:
         return [Note(tc.DROP, key, tc.REASON_PIT_DUP)]
@@ -230,9 +221,9 @@ def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
     entry.in_faces.add(face)
     entry.expiry_us = now_us + node.params.pit_lifetime_us
 
-    cls = classify(pkt.name)
+    cls = pkt.name.cls
     if isinstance(cls, PieceInterest) and node.store.has(cls.torrent, cls.piece):
-        delay = _jittered(node.params.data_response_delay_us, rng)
+        delay = jittered(node.params.data_response_delay_us, rng)
         return [
             Note(tc.SATISFY, key, f"piece={cls.piece}"),
             EmitData(pkt.name, delay),
@@ -251,15 +242,15 @@ def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
         effects.append(SendInterest(replace(pkt, hop_count=pkt.hop_count + 1),
                                     action.delay_us))
     elif isinstance(action, DeliverToApp):
-        effects.append(AppInterest(pkt, cls))
+        effects.append(AppInterest(pkt))
     return effects
 
 
 def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
                      rng: random.Random) -> list[Effect]:
     """Consume the PIT breadcrumb for data heard on the radio."""
-    key = render_name(pkt.name)
-    cls = classify(pkt.name)
+    key = pkt.name.key
+    cls = pkt.name.cls
     assert isinstance(cls, PieceInterest)
     entry = node.pit.get(key)
     if not _live(entry, now_us):
@@ -273,7 +264,7 @@ def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
     if FaceId.BROADCAST in entry.in_faces:
         relayed = replace(pkt, hop_count=pkt.hop_count + 1)
         if relayed.hop_count <= node.params.max_hops:
-            delay = _jittered(node.params.data_response_delay_us, rng)
+            delay = jittered(node.params.data_response_delay_us, rng)
             effects.append(SendData(relayed, delay))
         else:
             effects.append(Note(tc.DROP, key, tc.REASON_HOP_CAP))
@@ -298,11 +289,11 @@ def on_data_emission(node: NodeState, name: Name, now_us: int) -> list[Effect]:
     The entry may have been satisfied by a copy from elsewhere in the
     meantime; then there is nothing left to answer.
     """
-    key = render_name(name)
+    key = name.key
     entry = node.pit.get(key)
     if not _live(entry, now_us):
         return [Note(tc.DROP, key, tc.REASON_EMIT_STALE)]
-    cls = classify(name)
+    cls = name.cls
     assert isinstance(cls, PieceInterest)
     if not node.store.has(cls.torrent, cls.piece):
         return [Note(tc.DROP, key, tc.REASON_EMIT_STALE)]

@@ -29,10 +29,6 @@ class GridBounds:
     width: float
     height: float
 
-    def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("grid dimensions must be positive")
-
 
 @dataclass(frozen=True)
 class WalkState:
@@ -46,14 +42,6 @@ class RadioConfig:
     range_m: float
     one_hop_delay_us: int
     loss_prob: float
-
-    def __post_init__(self) -> None:
-        if self.range_m <= 0:
-            raise ValueError("radio range must be positive")
-        if self.one_hop_delay_us <= 0:
-            raise ValueError("one_hop_delay_us must be positive")
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError("loss_prob must be within [0, 1]")
 
 
 def walk_epoch(rng: random.Random, now_us: int) -> WalkState:

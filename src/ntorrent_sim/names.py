@@ -9,6 +9,7 @@ request one piece by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 APP_PREFIX = "ntorrent"
 BEACON_KEYWORD = "beacon"
@@ -26,7 +27,12 @@ class MalformedBitmap(ValueError):
 
 @dataclass(frozen=True)
 class Name:
-    """An ordered tuple of non-empty components, rendered as /a/b/c."""
+    """An ordered tuple of non-empty components, rendered as /a/b/c.
+
+    The rendered text (`key`) and the classification (`cls`) are computed on
+    first use and kept, so a packet relayed hop after hop with the same Name
+    object is rendered and classified once.
+    """
 
     components: tuple[str, ...]
 
@@ -37,8 +43,16 @@ class Name:
             if not comp or "/" in comp:
                 raise MalformedName(f"bad component {comp!r}")
 
-    def __str__(self) -> str:
+    @cached_property
+    def key(self) -> str:
         return render_name(self)
+
+    @cached_property
+    def cls(self) -> NameClass:
+        return classify(self)
+
+    def __str__(self) -> str:
+        return self.key
 
 
 def parse_name(text: str) -> Name:
@@ -79,9 +93,6 @@ class Bitmap:
     @property
     def complete(self) -> bool:
         return self.popcount() == self.n_pieces
-
-    def copy(self) -> "Bitmap":
-        return Bitmap(self.n_pieces, self.bits)
 
     def _check(self, piece: int) -> None:
         if not 0 <= piece < self.n_pieces:
@@ -190,14 +201,6 @@ def classify(name: Name) -> NameClass:
     return Foreign(torrent=torrent)
 
 
-def torrent_of(name: Name) -> str | None:
-    """Torrent id a name belongs to, None for beacons and unknown names."""
-    cls = classify(name)
-    if isinstance(cls, (BitmapAnnounce, PieceInterest, Foreign)):
-        return cls.torrent
-    return None
-
-
 # ---------------------------------------------------------------------------
 # name constructors used by the application
 
@@ -243,12 +246,9 @@ class Data:
     hop_count: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(classify(self.name), PieceInterest):
-            raise ValueError(f"data name must be a piece name: {render_name(self.name)}")
+        if not isinstance(self.name.cls, PieceInterest):
+            raise ValueError(f"data name must be a piece name: {self.name.key}")
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
         if self.hop_count < 0:
             raise ValueError("hop_count must be non-negative")
-
-
-Packet = Interest | Data

@@ -34,6 +34,7 @@ from enum import Enum
 from .app import AppConfig
 from .forwarding import ForwardingParams
 from .mobility import GridBounds, Position, RadioConfig
+from .strategies import StrategyParams
 
 
 class ScenarioError(Exception):
@@ -85,14 +86,6 @@ class NodeSpec:
     mobility: MobilityKind = MobilityKind.STATIC
 
 
-@dataclass(frozen=True)
-class StrategyParams:
-    p_forward: float = 1.0
-    jitter_min_us: int = 2_000
-    jitter_max_us: int = 10_000
-    t_mem_us: int = 30_000_000
-
-
 @dataclass
 class ScenarioConfig:
     nodes: list[NodeSpec]
@@ -126,6 +119,15 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("duration_us must be non-negative")
     if cfg.position_sample_interval_us <= 0:
         raise ValidationError("position_sample_interval_us must be positive")
+    for side in (cfg.grid.width, cfg.grid.height):
+        if not (math.isfinite(side) and side > 0):
+            raise ValidationError("grid dimensions must be positive and finite")
+    if not (math.isfinite(cfg.radio.range_m) and cfg.radio.range_m > 0):
+        raise ValidationError("radio range must be positive and finite")
+    if cfg.radio.one_hop_delay_us <= 0:
+        raise ValidationError("one_hop_delay_us must be positive")
+    if not 0.0 <= cfg.radio.loss_prob <= 1.0:
+        raise ValidationError("loss_prob must be within [0, 1]")
     if cfg.forwarding.pit_lifetime_us <= 0:
         raise ValidationError("pit_lifetime_us must be positive")
     if cfg.forwarding.data_response_delay_us < 0:
@@ -190,7 +192,9 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # JSON loading
 
-def _take(obj: dict, context: str, allowed: dict[str, object]) -> dict:
+def _take(obj: object, context: str, allowed: dict[str, object]) -> dict:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{context} must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValidationError(f"unknown key {sorted(unknown)[0]!r} in {context}")
@@ -211,6 +215,12 @@ def _int_field(value: object, context: str) -> int:
     return value
 
 
+def _bool_field(value: object, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{context} must be true or false")
+    return value
+
+
 def _num_field(value: object, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{context} must be a number")
@@ -219,8 +229,6 @@ def _num_field(value: object, context: str) -> float:
 
 def _node_from_json(obj: object, index: int) -> NodeSpec:
     context = f"nodes[{index}]"
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{context} must be an object")
     merged = _take(obj, context, {
         "id": None, "kind": None, "torrent": None, "position": "random",
         "mobility": "static",
@@ -308,7 +316,7 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
                                              "app.interest_retry_timeout_us"),
         max_retries=None if max_retries is None else _int_field(max_retries, "app.max_retries"),
         bitmap_min_gap_us=_int_field(app_obj["bitmap_min_gap_us"], "app.bitmap_min_gap_us"),
-        keep_seeding=bool(app_obj["keep_seeding"]),
+        keep_seeding=_bool_field(app_obj["keep_seeding"], "app.keep_seeding"),
     )
 
     fwd_defaults = ForwardingParams()
@@ -321,7 +329,8 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
         pit_lifetime_us=_int_field(fwd_obj["pit_lifetime_us"], "forwarding.pit_lifetime_us"),
         data_response_delay_us=_int_field(fwd_obj["data_response_delay_us"],
                                           "forwarding.data_response_delay_us"),
-        cache_overheard_data=bool(fwd_obj["cache_overheard_data"]),
+        cache_overheard_data=_bool_field(fwd_obj["cache_overheard_data"],
+                                         "forwarding.cache_overheard_data"),
         max_hops=_int_field(merged["max_hops"], "max_hops"),
     )
 
@@ -331,8 +340,6 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
     torrents = []
     for i, item in enumerate(torrents_obj):
         context = f"torrents[{i}]"
-        if not isinstance(item, dict):
-            raise ValidationError(f"{context} must be an object")
         titem = _take(item, context, {
             "id": None, "n_pieces": DEFAULT_N_PIECES, "piece_bytes": DEFAULT_PIECE_BYTES})
         torrent_id = _require(titem, context, "id")
@@ -358,7 +365,7 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
         strategy=strategy,
         app=app_cfg,
         forwarding=forwarding,
-        collision_mode=bool(merged["collision_mode"]),
+        collision_mode=_bool_field(merged["collision_mode"], "collision_mode"),
         position_sample_interval_us=_int_field(merged["position_sample_interval_us"],
                                                "position_sample_interval_us"),
     )
@@ -437,16 +444,4 @@ def build_random_field(n_nodes: int, seed: int) -> ScenarioConfig:
 
 def with_p_forward(cfg: ScenarioConfig, p_forward: float) -> ScenarioConfig:
     """Copy of cfg with the pure-forwarding probability replaced."""
-    new_cfg = ScenarioConfig(
-        nodes=list(cfg.nodes),
-        torrents=list(cfg.torrents),
-        grid=cfg.grid,
-        radio=cfg.radio,
-        duration_us=cfg.duration_us,
-        strategy=replace(cfg.strategy, p_forward=p_forward),
-        app=cfg.app,
-        forwarding=cfg.forwarding,
-        collision_mode=cfg.collision_mode,
-        position_sample_interval_us=cfg.position_sample_interval_us,
-    )
-    return validate(new_cfg)
+    return validate(replace(cfg, strategy=replace(cfg.strategy, p_forward=p_forward)))

@@ -12,35 +12,18 @@ import random
 from dataclasses import dataclass, field
 
 from .forwarding import DeliverToApp, Drop, ForwardAction, ForwardInterest
-from .names import Beacon, Interest, Unknown, classify, torrent_of
+from .names import Beacon, Interest, Unknown
 from . import trace as tc
 
 
 @dataclass(frozen=True)
-class PureForwarderConfig:
-    p_forward: float
-    jitter_min_us: int
-    jitter_max_us: int
+class StrategyParams:
+    """Strategy settings shared by every node; scenario.validate checks them."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_forward <= 1.0:
-            raise ValueError("p_forward must be within [0, 1]")
-        if not 0 <= self.jitter_min_us <= self.jitter_max_us:
-            raise ValueError("jitter bounds must satisfy 0 <= min <= max")
-
-
-@dataclass(frozen=True)
-class PeerStrategyConfig:
-    own_torrent: str
-    t_mem_us: int
-    jitter_min_us: int
-    jitter_max_us: int
-
-    def __post_init__(self) -> None:
-        if self.t_mem_us <= 0:
-            raise ValueError("t_mem_us must be positive")
-        if not 0 <= self.jitter_min_us <= self.jitter_max_us:
-            raise ValueError("jitter bounds must satisfy 0 <= min <= max")
+    p_forward: float = 1.0
+    jitter_min_us: int = 2_000
+    jitter_max_us: int = 10_000
+    t_mem_us: int = 30_000_000
 
 
 class OverheardNameTable:
@@ -56,10 +39,8 @@ class OverheardNameTable:
     def touch(self, torrent: str, now_us: int, t_mem_us: int) -> None:
         self._expiry[torrent] = now_us + t_mem_us
 
-    def expiry_of(self, torrent: str) -> int | None:
-        return self._expiry.get(torrent)
-
     def gc(self, now_us: int) -> int:
+        """Drop expired names; expiry exactly at now counts as expired."""
         stale = [t for t, expiry in self._expiry.items() if expiry <= now_us]
         for torrent in stale:
             del self._expiry[torrent]
@@ -69,51 +50,42 @@ class OverheardNameTable:
         return len(self._expiry)
 
 
-def _jitter(jitter_min_us: int, jitter_max_us: int, rng: random.Random) -> int:
-    return rng.randint(jitter_min_us, jitter_max_us)
-
-
-def pure_decide(cfg: PureForwarderConfig, interest: Interest,
+def pure_decide(params: StrategyParams, interest: Interest,
                 rng: random.Random) -> tuple[ForwardAction, str]:
     """One forward-or-not draw; forwards wait a uniform jitter first."""
-    if rng.random() < cfg.p_forward:
-        return ForwardInterest(_jitter(cfg.jitter_min_us, cfg.jitter_max_us, rng)), \
+    if rng.random() < params.p_forward:
+        return ForwardInterest(rng.randint(params.jitter_min_us, params.jitter_max_us)), \
             tc.REASON_PROB_FWD
     return Drop(), tc.REASON_PROB_DROP
 
 
-def peer_decide(cfg: PeerStrategyConfig, table: OverheardNameTable,
+def peer_decide(params: StrategyParams, own_torrent: str, table: OverheardNameTable,
                 interest: Interest, now_us: int,
                 rng: random.Random) -> tuple[ForwardAction, str]:
     """Own traffic to the app; foreign torrents gated by the overheard table."""
-    cls = classify(interest.name)
+    cls = interest.name.cls
     if isinstance(cls, Beacon):
         return DeliverToApp(), tc.REASON_OWN_APP
     if isinstance(cls, Unknown):
         return Drop(), tc.REASON_UNKNOWN_DROP
-    torrent = torrent_of(interest.name)
-    if torrent == cfg.own_torrent:
+    torrent = cls.torrent
+    if torrent == own_torrent:
         return DeliverToApp(), tc.REASON_OWN_APP
     if table.live(torrent, now_us):
-        table.touch(torrent, now_us, cfg.t_mem_us)
-        return ForwardInterest(_jitter(cfg.jitter_min_us, cfg.jitter_max_us, rng)), \
+        table.touch(torrent, now_us, params.t_mem_us)
+        return ForwardInterest(rng.randint(params.jitter_min_us, params.jitter_max_us)), \
             tc.REASON_FOREIGN_FWD
-    table.touch(torrent, now_us, cfg.t_mem_us)
+    table.touch(torrent, now_us, params.t_mem_us)
     return Drop(), tc.REASON_FOREIGN_LEARN
-
-
-def table_gc(table: OverheardNameTable, now_us: int) -> int:
-    """Drop expired names; expiry exactly at now counts as expired."""
-    return table.gc(now_us)
 
 
 @dataclass
 class PureForwarderStrategy:
-    cfg: PureForwarderConfig
+    params: StrategyParams
 
     def decide(self, interest: Interest, now_us: int,
                rng: random.Random) -> tuple[ForwardAction, str]:
-        return pure_decide(self.cfg, interest, rng)
+        return pure_decide(self.params, interest, rng)
 
     def gc(self, now_us: int) -> int:
         return 0
@@ -121,12 +93,13 @@ class PureForwarderStrategy:
 
 @dataclass
 class PeerRelayStrategy:
-    cfg: PeerStrategyConfig
+    params: StrategyParams
+    own_torrent: str
     table: OverheardNameTable = field(default_factory=OverheardNameTable)
 
     def decide(self, interest: Interest, now_us: int,
                rng: random.Random) -> tuple[ForwardAction, str]:
-        return peer_decide(self.cfg, self.table, interest, now_us, rng)
+        return peer_decide(self.params, self.own_torrent, self.table, interest, now_us, rng)
 
     def gc(self, now_us: int) -> int:
-        return table_gc(self.table, now_us)
+        return self.table.gc(now_us)

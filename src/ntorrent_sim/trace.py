@@ -133,7 +133,9 @@ def metrics_from_trace(records: Iterable[TraceRecord],
     """Reduce a trace to the run summary.
 
     leechers maps leecher node id to its torrent (so never-completed leechers
-    still get a row); nodes lists every node for zero-filled counters.
+    still get a row); nodes lists every node for zero-filled counters. An
+    interest, data, drop or decision row from a node not in nodes raises
+    ValueError.
     """
     summary = MetricsSummary(
         per_leecher={nid: LeecherMetrics(torrent) for nid, torrent in sorted(leechers.items())},
@@ -141,6 +143,8 @@ def metrics_from_trace(records: Iterable[TraceRecord],
     )
     for rec in records:
         counters = summary.per_node.get(rec.node)
+        if counters is None and rec.event in (INTEREST_TX, DATA_TX, DROP, DECISION):
+            raise ValueError(f"trace row {rec.event} from unknown node {rec.node!r}")
         if rec.event == INTEREST_TX:
             counters.interests_tx += 1
             summary.total_tx += 1

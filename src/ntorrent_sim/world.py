@@ -20,21 +20,9 @@ from .mobility import (
     position_at,
     walk_epoch,
 )
-from .names import (
-    Beacon,
-    BitmapAnnounce,
-    Data,
-    Interest,
-    PieceInterest,
-    render_name,
-)
+from .names import Beacon, BitmapAnnounce, Data, Interest, PieceInterest
 from .scenario import MobilityKind, NodeKind, ScenarioConfig
-from .strategies import (
-    PeerRelayStrategy,
-    PeerStrategyConfig,
-    PureForwarderConfig,
-    PureForwarderStrategy,
-)
+from .strategies import PeerRelayStrategy, PureForwarderStrategy
 from .trace import MetricsSummary, TraceRecord, metrics_from_trace
 
 GC_INTERVAL_US = 1_000_000
@@ -82,18 +70,9 @@ class World:
             store = fw.PieceStore()
             app = None
             if spec.kind is NodeKind.PURE_FORWARDER:
-                strategy = PureForwarderStrategy(PureForwarderConfig(
-                    p_forward=cfg.strategy.p_forward,
-                    jitter_min_us=cfg.strategy.jitter_min_us,
-                    jitter_max_us=cfg.strategy.jitter_max_us,
-                ))
+                strategy = PureForwarderStrategy(cfg.strategy)
             else:
-                strategy = PeerRelayStrategy(PeerStrategyConfig(
-                    own_torrent=spec.torrent,
-                    t_mem_us=cfg.strategy.t_mem_us,
-                    jitter_min_us=cfg.strategy.jitter_min_us,
-                    jitter_max_us=cfg.strategy.jitter_max_us,
-                ))
+                strategy = PeerRelayStrategy(cfg.strategy, spec.torrent)
                 torrent = cfg.torrent_spec(spec.torrent)
                 have = store.ensure(torrent.torrent_id, torrent.n_pieces, torrent.piece_bytes)
                 app = PeerApp(
@@ -202,7 +181,7 @@ class World:
             return
         now = self.loop.now_us
         rng = self._app_rng(node_id)
-        cls = effect.cls
+        cls = effect.packet.name.cls
         if isinstance(cls, Beacon):
             self._apply(node_id, app.on_receive_beacon(cls.node, now, rng))
         elif isinstance(cls, BitmapAnnounce):
@@ -213,12 +192,12 @@ class World:
     # -- radio ---------------------------------------------------------------------
 
     def _transmit_interest(self, node_id: str, pkt: Interest) -> None:
-        self._note(node_id, tc.INTEREST_TX, render_name(pkt.name),
+        self._note(node_id, tc.INTEREST_TX, pkt.name.key,
                    f"nonce={pkt.nonce:016x};hop={pkt.hop_count};origin={pkt.origin}")
         self._broadcast(node_id, pkt)
 
     def _transmit_data(self, node_id: str, pkt: Data) -> None:
-        self._note(node_id, tc.DATA_TX, render_name(pkt.name),
+        self._note(node_id, tc.DATA_TX, pkt.name.key,
                    f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
         self._broadcast(node_id, pkt)
 
@@ -257,17 +236,17 @@ class World:
         node_id = event.target
         pkt, mark = event.payload
         if mark is not None and mark.collided:
-            self._note(node_id, tc.DROP, render_name(pkt.name), tc.REASON_COLLISION)
+            self._note(node_id, tc.DROP, pkt.name.key, tc.REASON_COLLISION)
             return
         node = self.nodes[node_id]
         now = self.loop.now_us
         if isinstance(pkt, Interest):
-            self._note(node_id, tc.INTEREST_RX, render_name(pkt.name),
+            self._note(node_id, tc.INTEREST_RX, pkt.name.key,
                        f"nonce={pkt.nonce:016x};hop={pkt.hop_count};origin={pkt.origin}")
             effects = fw.on_incoming_interest(node, pkt, fw.FaceId.BROADCAST, now,
                                               self._strategy_rng(node_id))
         else:
-            self._note(node_id, tc.DATA_RX, render_name(pkt.name),
+            self._note(node_id, tc.DATA_RX, pkt.name.key,
                        f"hop={pkt.hop_count};origin={pkt.origin}")
             effects = fw.on_incoming_data(node, pkt, now, self._strategy_rng(node_id))
         self._apply(node_id, effects)

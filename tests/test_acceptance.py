@@ -28,7 +28,7 @@ from ntorrent_sim.scenario import (
     validate,
     with_p_forward,
 )
-from ntorrent_sim.strategies import PureForwarderConfig, pure_decide
+from ntorrent_sim.strategies import pure_decide
 from ntorrent_sim.trace import detail_fields
 from ntorrent_sim.world import run_scenario
 
@@ -222,12 +222,12 @@ def test_criterion_7_forwarding_invariants_hold_across_runs(
 
 
 def test_criterion_8_forwarding_probability_statistics():
-    cfg = PureForwarderConfig(p_forward=0.5, jitter_min_us=2_000, jitter_max_us=10_000)
+    params = StrategyParams(p_forward=0.5, jitter_min_us=2_000, jitter_max_us=10_000)
     rng = random.Random(8)
     interest_pkt = Interest(piece_name("movie1", 0), nonce=1, origin="x")
     forwarded = 0
     for _ in range(100_000):
-        action, _ = pure_decide(cfg, interest_pkt, rng)
+        action, _ = pure_decide(params, interest_pkt, rng)
         if isinstance(action, ForwardInterest):
             forwarded += 1
             assert 2_000 <= action.delay_us <= 10_000

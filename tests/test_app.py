@@ -206,7 +206,7 @@ def test_completion_recorded_once_with_details():
     assert app.state.completed_at_us == 80
 
 
-def test_piece_interest_served_or_remembered():
+def test_piece_interest_served_only_when_held():
     app = make_app()
     app.state.have.set(5)
     effects = app.on_receive_piece_interest(PieceInterest("movie1", 5), 0, rng())
@@ -215,7 +215,6 @@ def test_piece_interest_served_or_remembered():
     assert 900 <= effects[0].delay_us <= 1_100
 
     assert app.on_receive_piece_interest(PieceInterest("movie1", 6), 0, rng()) == []
-    assert app.demanded == {6}
 
 
 def test_retry_resends_stale_requests():

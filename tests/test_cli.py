@@ -106,6 +106,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"app": {"keep_seeding": "false"}}, "app.keep_seeding must be true or false"),
+    ({"collision_mode": 0}, "collision_mode must be true or false"),
+    ({"forwarding": {"cache_overheard_data": "no"}},
+     "forwarding.cache_overheard_data must be true or false"),
+    ({"grid": 5}, "grid must be an object"),
+    ({"radio": []}, "radio must be an object"),
+])
+def test_badly_typed_values_exit_2(tmp_path, capsys, overrides, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TINY_SCENARIO, **overrides)), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_missing_scenario_file_exits_3(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "out")]) == EXIT_IO

@@ -25,9 +25,8 @@ from ntorrent_sim.names import Data, Interest, beacon_name, piece_name, render_n
 from ntorrent_sim.strategies import (
     OverheardNameTable,
     PeerRelayStrategy,
-    PeerStrategyConfig,
-    PureForwarderConfig,
     PureForwarderStrategy,
+    StrategyParams,
 )
 
 PIECE = piece_name("movie1", 3)
@@ -35,14 +34,13 @@ KEY = render_name(PIECE)
 
 
 def forwarder_node(p=1.0, params=None, store=None):
-    strategy = PureForwarderStrategy(PureForwarderConfig(p, 2_000, 10_000))
+    strategy = PureForwarderStrategy(StrategyParams(p_forward=p))
     return NodeState(node_id="f0", strategy=strategy, store=store or PieceStore(),
                      params=params or ForwardingParams())
 
 
 def peer_node(own="movie1", store=None):
-    strategy = PeerRelayStrategy(
-        PeerStrategyConfig(own, 30_000_000, 2_000, 10_000), OverheardNameTable())
+    strategy = PeerRelayStrategy(StrategyParams(), own, OverheardNameTable())
     return NodeState(node_id="p0", strategy=strategy, store=store or PieceStore(),
                      params=ForwardingParams(),
                      app=SimpleNamespace(torrent=own))

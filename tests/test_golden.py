@@ -1,0 +1,107 @@
+"""Frozen output digests: a run must not change unless its behaviour does.
+
+Each case runs through the command line and compares the SHA-256 of the three
+output files with a digest frozen from an earlier commit. A refactor or a
+speed-up must leave every digest unchanged. Only re-freeze a digest together
+with a CHANGES.md entry that explains the change in behaviour.
+
+The collision case pins today's collision-mode behaviour, including its known
+defect: on the five-node line every data packet collides, so no piece is ever
+delivered.
+"""
+import hashlib
+import json
+import random
+
+import pytest
+
+from ntorrent_sim.cli import EXIT_OK, main
+
+OUTPUTS = ("trace.csv", "metrics.csv", "positions.csv")
+
+
+def five_node_document(collision_mode):
+    """The built-in five-node line as a scenario file."""
+    kinds = [("seeder", "movie1"), ("leecher", "movie2"), ("leecher", "movie1"),
+             ("pure_forwarder", None), ("seeder", "movie2")]
+    nodes = []
+    for i, (kind, torrent) in enumerate(kinds):
+        node = {"id": f"n{i}", "kind": kind, "position": [50.0 + 50.0 * i, 150.0]}
+        if torrent is not None:
+            node["torrent"] = torrent
+        nodes.append(node)
+    return {"torrents": [{"id": "movie1"}, {"id": "movie2"}], "nodes": nodes,
+            "collision_mode": collision_mode}
+
+
+def static_layout_document(index):
+    """Layout `index` of acceptance criterion 4, as a scenario file."""
+    rng = random.Random(1000 + index)
+    roles = [("seeder", "movie1"), ("seeder", "movie2"),
+             ("leecher", "movie1"), ("leecher", "movie1"),
+             ("leecher", "movie2"), ("leecher", "movie2"),
+             ("pure_forwarder", None), ("pure_forwarder", None),
+             ("pure_forwarder", None), ("pure_forwarder", None)]
+    rng.shuffle(roles)
+    nodes = []
+    for i, (kind, torrent) in enumerate(roles):
+        position = [round(rng.uniform(0.0, 200.0), 3), round(rng.uniform(0.0, 200.0), 3)]
+        node = {"id": f"n{i}", "kind": kind, "position": position}
+        if torrent is not None:
+            node["torrent"] = torrent
+        nodes.append(node)
+    return {"grid": {"width": 200.0, "height": 200.0}, "duration_us": 240_000_000,
+            "torrents": [{"id": "movie1"}, {"id": "movie2"}], "nodes": nodes,
+            "strategy": {"p_forward": float(index % 2)}, "app": {"keep_seeding": True}}
+
+
+def _scenario_argv(tmp_path, document, seed):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return ["run", "--scenario", str(path), "--seed", str(seed)]
+
+
+# case id -> (argv builder, {output file: sha256})
+FIVE_NODE_POSITIONS = "488c6c8a2fbd130414be65ca4252a94bdf0260a1003ad1695f2e7c33571efb1d"
+CASES = {
+    "five-node-seed1": (
+        lambda tmp: ["five-node", "--seed", "1"],
+        {"trace.csv": "f1aa57c08ac283602ec712cb8ba7c27a758e6d0e1970ea150861a0a2441ffa2d",
+         "metrics.csv": "a662ec4028b7e91f654efd5a72a831b5adef83073e34b0df19889afcf9bd3712",
+         "positions.csv": FIVE_NODE_POSITIONS},
+    ),
+    "five-node-seed3": (
+        lambda tmp: ["five-node", "--seed", "3"],
+        {"trace.csv": "d18f4062ccace622dbdc9286b5672693734de85f8a03db87d8dbc3dbd1ff34c3",
+         "metrics.csv": "9ea426cf1351cefeb8edb26878c4b673e60f521d7efcb83dd11a205976835613",
+         "positions.csv": FIVE_NODE_POSITIONS},
+    ),
+    "five-node-collision-seed1": (
+        lambda tmp: _scenario_argv(tmp, five_node_document(collision_mode=True), 1),
+        {"trace.csv": "402541dbca00c352dd3259bf7fd6925e171d0b36a1cacc51fac79e988e29573c",
+         "metrics.csv": "ada507d6476966262bf2721462d0e27f6e404bf9cf681f56c3af31d7da8ebcd2",
+         "positions.csv": FIVE_NODE_POSITIONS},
+    ),
+    "random-field-n12-seed4": (
+        lambda tmp: ["random-field", "--nodes", "12", "--seed", "4"],
+        {"trace.csv": "15d987758b07ab381528bf6042700c1bddbc91f6bbd146ffd0b287af547e1607",
+         "metrics.csv": "a5d24724414d02c8ac893240380029a2b128e5c98a17baa3353b89177108f42d",
+         "positions.csv": "dec4708c08ce6ddf4154656b2a9dfc2c3cc90faad6bb6bf143afd017e0d6c518"},
+    ),
+    # criterion 4 runs layout i with master seed i
+    "static-layout0-seed0": (
+        lambda tmp: _scenario_argv(tmp, static_layout_document(0), 0),
+        {"trace.csv": "f9f605b2f74ad1786fd43327e701ab9bba996d09b9560b2e9e45e93d8579f4ce",
+         "metrics.csv": "87b7e278c13d3c1e4777760675095677f697c6cbc4c2dc4b59c0f18b3d83924c",
+         "positions.csv": "3cb81330a501d495c546a05c28378b7cd2bc70274947e5d65b70dfefe22a93a8"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_digests_are_frozen(case, tmp_path, capsys):
+    build_argv, expected = CASES[case]
+    out = tmp_path / "out"
+    assert main(build_argv(tmp_path) + ["--out", str(out)]) == EXIT_OK
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    assert got == expected, f"{case}: outputs changed"

@@ -20,6 +20,7 @@ from ntorrent_sim.mobility import (
     walk_epoch,
     _advance_reflect,
 )
+from ntorrent_sim.scenario import ScenarioConfig, ValidationError, validate
 
 
 def test_walk_epoch_draws_lawful_legs():
@@ -112,14 +113,19 @@ def test_positions_stay_in_bounds(heading, speed, x, y, dt_us):
 
 
 def test_grid_and_radio_validation():
-    with pytest.raises(ValueError):
-        GridBounds(0.0, 10.0)
-    with pytest.raises(ValueError):
-        RadioConfig(0.0, 500, 0.0)
-    with pytest.raises(ValueError):
-        RadioConfig(60.0, 0, 0.0)
-    with pytest.raises(ValueError):
-        RadioConfig(60.0, 500, 1.5)
+    # the rules live in scenario.validate, the one place config is checked
+    def check(grid=GridBounds(300.0, 300.0), radio=RadioConfig(60.0, 500, 0.0)):
+        return validate(ScenarioConfig(nodes=[], torrents=[], grid=grid, radio=radio))
+
+    check()
+    with pytest.raises(ValidationError, match="grid"):
+        check(grid=GridBounds(0.0, 10.0))
+    with pytest.raises(ValidationError, match="range"):
+        check(radio=RadioConfig(0.0, 500, 0.0))
+    with pytest.raises(ValidationError, match="one_hop_delay_us"):
+        check(radio=RadioConfig(60.0, 0, 0.0))
+    with pytest.raises(ValidationError, match="loss_prob"):
+        check(radio=RadioConfig(60.0, 500, 1.5))
 
 
 def test_range_disk_is_closed():

@@ -22,7 +22,6 @@ from ntorrent_sim.names import (
     parse_name,
     piece_name,
     render_name,
-    torrent_of,
 )
 
 component = st.text(
@@ -71,14 +70,6 @@ def test_bitmap_bit_operations():
     assert not bm.complete
     full = Bitmap.full(8)
     assert full.complete and full.popcount() == 8
-
-
-def test_bitmap_copy_is_independent():
-    bm = Bitmap(4, 0b0101)
-    other = bm.copy()
-    other.set(1)
-    assert bm.bits == 0b0101
-    assert other.bits == 0b0111
 
 
 def test_bitmap_rejects_bad_construction():
@@ -160,11 +151,15 @@ def test_classify_stable_under_rerender(parts):
     assert classify(parse_name(render_name(name))) == classify(name)
 
 
-def test_torrent_of():
-    assert torrent_of(parse_name("/ntorrent/movie2/data/0")) == "movie2"
-    assert torrent_of(parse_name("/ntorrent/beacon/n1")) is None
-    assert torrent_of(parse_name("/x/y")) is None
-    assert torrent_of(parse_name("/ntorrent/movie9/whatever")) == "movie9"
+def test_name_key_and_class_are_computed_once():
+    name = parse_name("/ntorrent/movie2/bitmap/n1/0a/4")
+    assert name.key == str(name) == "/ntorrent/movie2/bitmap/n1/0a/4"
+    assert name.cls == classify(name)
+    # cached: the same objects come back on every access
+    assert name.key is name.key
+    assert name.cls is name.cls
+    # equality and hashing still follow the components only
+    assert name == parse_name(name.key) and hash(name) == hash(parse_name(name.key))
 
 
 @given(st.integers(min_value=0, max_value=500), component)
@@ -172,7 +167,7 @@ def test_piece_names_agree_on_torrent(piece, torrent):
     name = piece_name(torrent, piece)
     cls = classify(name)
     assert isinstance(cls, PieceInterest)
-    assert cls.torrent == torrent_of(name) == torrent
+    assert cls.torrent == name.cls.torrent == torrent
     assert cls.piece == piece
 
 

@@ -159,6 +159,22 @@ def test_load_scenario_reports_parse_position(tmp_path):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize("section,key,literal", [
+    ("radio", "range_m", "NaN"),
+    ("radio", "range_m", "Infinity"),
+    ("radio", "range_m", "-Infinity"),
+    ("grid", "width", "Infinity"),
+    ("grid", "height", "Infinity"),
+])
+def test_non_finite_radio_and_grid_values_rejected(tmp_path, section, key, literal):
+    # Python's json module accepts these literals, so the loader must refuse them
+    text = json.dumps(doc(**{section: {key: 1.0}})).replace("1.0", literal)
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match="finite"):
+        load_scenario(str(path))
+
+
 def test_load_scenario_round_trips_a_valid_file(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(doc(duration_us=5_000_000)), encoding="utf-8")

@@ -7,13 +7,12 @@ from hypothesis import given, strategies as st
 from ntorrent_sim import trace as tc
 from ntorrent_sim.forwarding import DeliverToApp, Drop, ForwardInterest
 from ntorrent_sim.names import Bitmap, Interest, bitmap_announce_name, beacon_name, parse_name, piece_name
+from ntorrent_sim.scenario import ScenarioConfig, ValidationError, validate
 from ntorrent_sim.strategies import (
     OverheardNameTable,
-    PeerStrategyConfig,
-    PureForwarderConfig,
+    StrategyParams,
     peer_decide,
     pure_decide,
-    table_gc,
 )
 
 T_MEM = 30_000_000
@@ -24,23 +23,24 @@ def interest_for(name, nonce=1):
 
 
 def pure_cfg(p):
-    return PureForwarderConfig(p_forward=p, jitter_min_us=2_000, jitter_max_us=10_000)
+    return StrategyParams(p_forward=p, jitter_min_us=2_000, jitter_max_us=10_000)
 
 
-def peer_cfg(own="movie2"):
-    return PeerStrategyConfig(own_torrent=own, t_mem_us=T_MEM,
-                              jitter_min_us=2_000, jitter_max_us=10_000)
+PEER = StrategyParams(t_mem_us=T_MEM, jitter_min_us=2_000, jitter_max_us=10_000)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PureForwarderConfig(1.5, 0, 10)
-    with pytest.raises(ValueError):
-        PureForwarderConfig(0.5, 10, 5)
-    with pytest.raises(ValueError):
-        PeerStrategyConfig("movie1", 0, 0, 10)
-    with pytest.raises(ValueError):
-        PeerStrategyConfig("movie1", T_MEM, -1, 10)
+    # strategy settings are checked once, by scenario.validate
+    def check(params):
+        return validate(ScenarioConfig(nodes=[], torrents=[], strategy=params))
+
+    check(StrategyParams(p_forward=0.5, jitter_min_us=10, jitter_max_us=10))
+    for bad in (StrategyParams(p_forward=1.5, jitter_min_us=0, jitter_max_us=10),
+                StrategyParams(p_forward=0.5, jitter_min_us=10, jitter_max_us=5),
+                StrategyParams(t_mem_us=0, jitter_min_us=0, jitter_max_us=10),
+                StrategyParams(t_mem_us=T_MEM, jitter_min_us=-1, jitter_max_us=10)):
+        with pytest.raises(ValidationError):
+            check(bad)
 
 
 def test_pure_degenerate_probabilities():
@@ -82,40 +82,43 @@ def test_pure_decide_replays_identically():
 def test_first_foreign_interest_learns_and_drops():
     table = OverheardNameTable()
     pkt = interest_for(piece_name("movie1", 0))
-    action, reason = peer_decide(peer_cfg(), table, pkt, 5_000_000, random.Random(1))
+    action, reason = peer_decide(PEER, "movie2", table, pkt, 5_000_000, random.Random(1))
     assert isinstance(action, Drop)
     assert reason == tc.REASON_FOREIGN_LEARN
-    assert table.expiry_of("movie1") == 5_000_000 + T_MEM
+    # remembered for exactly t_mem from this hearing
+    assert table.live("movie1", 5_000_000 + T_MEM - 1)
+    assert not table.live("movie1", 5_000_000 + T_MEM)
 
 
 def test_second_foreign_interest_within_memory_forwards():
     table = OverheardNameTable()
     rng = random.Random(1)
-    cfg = peer_cfg()
-    peer_decide(cfg, table, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
-    action, reason = peer_decide(cfg, table, interest_for(piece_name("movie1", 1)),
+    own = "movie2"
+    peer_decide(PEER, own, table, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
+    action, reason = peer_decide(PEER, own, table, interest_for(piece_name("movie1", 1)),
                                  6_000_000, rng)
     assert isinstance(action, ForwardInterest)
     assert 2_000 <= action.delay_us <= 10_000
     assert reason == tc.REASON_FOREIGN_FWD
     # forwarding refreshes the memory from the later hearing
-    assert table.expiry_of("movie1") == 6_000_000 + T_MEM
+    assert table.live("movie1", 6_000_000 + T_MEM - 1)
+    assert not table.live("movie1", 6_000_000 + T_MEM)
 
 
 def test_memory_expiry_boundary_relearns():
     table = OverheardNameTable()
     rng = random.Random(1)
-    cfg = peer_cfg()
-    peer_decide(cfg, table, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
+    own = "movie2"
+    peer_decide(PEER, own, table, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
     # at exactly expiry the entry is treated as absent
-    action, reason = peer_decide(cfg, table, interest_for(piece_name("movie1", 1)),
+    action, reason = peer_decide(PEER, own, table, interest_for(piece_name("movie1", 1)),
                                  5_000_000 + T_MEM, rng)
     assert isinstance(action, Drop)
     assert reason == tc.REASON_FOREIGN_LEARN
     # one microsecond earlier it would still forward
     table2 = OverheardNameTable()
-    peer_decide(cfg, table2, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
-    action, _ = peer_decide(cfg, table2, interest_for(piece_name("movie1", 1)),
+    peer_decide(PEER, own, table2, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
+    action, _ = peer_decide(PEER, own, table2, interest_for(piece_name("movie1", 1)),
                             5_000_000 + T_MEM - 1, rng)
     assert isinstance(action, ForwardInterest)
 
@@ -123,13 +126,13 @@ def test_memory_expiry_boundary_relearns():
 def test_beacons_and_own_torrent_reach_the_app():
     table = OverheardNameTable()
     rng = random.Random(1)
-    cfg = peer_cfg(own="movie2")
+    own = "movie2"
     for name in (
         beacon_name("n9"),
         piece_name("movie2", 4),
         bitmap_announce_name("movie2", "n3", Bitmap(8, 0x11)),
     ):
-        action, reason = peer_decide(cfg, table, interest_for(name), 0, rng)
+        action, reason = peer_decide(PEER, own, table, interest_for(name), 0, rng)
         assert isinstance(action, DeliverToApp)
         assert reason == tc.REASON_OWN_APP
     assert len(table) == 0  # own traffic never populates the foreign memory
@@ -138,16 +141,16 @@ def test_beacons_and_own_torrent_reach_the_app():
 def test_foreign_bitmap_announce_uses_the_foreign_gate():
     table = OverheardNameTable()
     rng = random.Random(1)
-    cfg = peer_cfg(own="movie2")
+    own = "movie2"
     announce = interest_for(bitmap_announce_name("movie1", "n3", Bitmap(8, 0x11)))
-    action, reason = peer_decide(cfg, table, announce, 0, rng)
+    action, reason = peer_decide(PEER, own, table, announce, 0, rng)
     assert isinstance(action, Drop) and reason == tc.REASON_FOREIGN_LEARN
-    action, reason = peer_decide(cfg, table, announce, 1_000, rng)
+    action, reason = peer_decide(PEER, own, table, announce, 1_000, rng)
     assert isinstance(action, ForwardInterest) and reason == tc.REASON_FOREIGN_FWD
 
 
 def test_unknown_names_drop():
-    action, reason = peer_decide(peer_cfg(), OverheardNameTable(),
+    action, reason = peer_decide(PEER, "movie2", OverheardNameTable(),
                                  interest_for(parse_name("/x/y")), 0, random.Random(1))
     assert isinstance(action, Drop)
     assert reason == tc.REASON_UNKNOWN_DROP
@@ -159,13 +162,13 @@ def test_unknown_names_drop():
 def test_learn_then_forward_over_interleavings(steps):
     """Whatever the interleaving, a gap under t_mem forwards, over it relearns."""
     table = OverheardNameTable()
-    cfg = peer_cfg(own="movie2")
+    own = "movie2"
     rng = random.Random(9)
     now = 0
     last_heard = {}
     for torrent, gap in steps:
         now += gap
-        action, _ = peer_decide(cfg, table, interest_for(piece_name(torrent, 0)),
+        action, _ = peer_decide(PEER, own, table, interest_for(piece_name(torrent, 0)),
                                 now, rng)
         heard_at = last_heard.get(torrent)
         should_forward = heard_at is not None and now < heard_at + T_MEM
@@ -177,8 +180,8 @@ def test_table_gc_counts_and_boundary():
     table = OverheardNameTable()
     table.touch("a", 0, 10_000_000)
     table.touch("b", 0, 20_000_000)
-    assert table_gc(table, 5_000_000) == 0
-    assert table_gc(table, 10_000_000) == 1  # expiry exactly at now is stale
+    assert table.gc(5_000_000) == 0
+    assert table.gc(10_000_000) == 1  # expiry exactly at now is stale
     assert len(table) == 1
-    assert table_gc(table, 30_000_000) == 1
+    assert table.gc(30_000_000) == 1
     assert len(table) == 0

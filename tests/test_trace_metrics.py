@@ -123,6 +123,17 @@ def test_forwarding_decisions_count_only_drop_reasons():
         tc.REASON_PROB_DROP: 1, tc.REASON_UNKNOWN_DROP: 1}
 
 
+@pytest.mark.parametrize("event,detail", [
+    (tc.INTEREST_TX, "nonce=00000000000000ff;hop=0;origin=ghost"),
+    (tc.DATA_TX, "hop=0;origin=ghost;bytes=1024"),
+    (tc.DROP, tc.REASON_PIT_DUP),
+])
+def test_rows_from_unknown_nodes_are_rejected(event, detail):
+    records = [TraceRecord(0, "ghost", event, "/ntorrent/movie1/data/0", detail)]
+    with pytest.raises(ValueError, match="ghost"):
+        metrics_from_trace(records, leechers={}, nodes=["n0"])
+
+
 def test_metrics_are_a_pure_function_of_the_trace(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), sample_trace())
