@@ -43,7 +43,7 @@ def compute_missing(mine: Bitmap, theirs: Bitmap) -> list[int]:
     return [i for i in range(mine.n_pieces) if want >> i & 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppConfig:
     beacon_interval_us: int = 2_000_000
     pipeline_window: int = 4

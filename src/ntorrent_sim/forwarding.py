@@ -156,7 +156,7 @@ class PieceStore:
         self._bitmaps[torrent].set(piece)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardingParams:
     pit_lifetime_us: int = 2_000_000
     data_response_delay_us: int = 1_000

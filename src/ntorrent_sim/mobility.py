@@ -58,6 +58,12 @@ def _advance_reflect(coord: float, velocity: float, dt_s: float, limit: float) -
         if t_wall >= dt_s:
             coord += velocity * dt_s
             break
+        if abs(velocity) * dt_s > 2.0 * limit:
+            # a full bounce period or more is left: fold the unrolled path, since
+            # on a grid tiny against the leg, dt_s -= t_wall stops shrinking dt_s
+            coord = (coord + velocity * dt_s) % (2.0 * limit)
+            coord = coord if coord <= limit else 2.0 * limit - coord
+            break
         coord = limit if velocity > 0.0 else 0.0
         velocity = -velocity
         dt_s -= t_wall

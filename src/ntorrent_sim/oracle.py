@@ -9,11 +9,13 @@ same-torrent peers fetch then serve).
 
 The verdict matches the simulator only when the interest stream the graph
 argument relies on actually persists.  Peers must keep beaconing after they
-complete (app.keep_seeding true); otherwise a finished leecher falls silent
-and a neighbour that depended on its beacons for bitmap discovery can strand
-even though a relay path exists.  The run must also outlast the convergence
-horizon: with default timing (2 s beacons, 30 s name memory) a 10-node field
-converges in a few seconds, and 240 s leaves two orders of margin.
+complete (app.keep_seeding true), and the oracle refuses scenarios where they
+do not: a finished leecher falls silent, and a neighbour that depended on its
+beacons for bitmap discovery can strand even though a relay path exists.  The
+run must also outlast the convergence horizon: with default timing (2 s
+beacons, 30 s name memory) a 10-node field converges in a few seconds, and
+240 s leaves two orders of margin.  No threshold is defined for it, so this
+one is not checked.
 """
 from __future__ import annotations
 
@@ -33,6 +35,8 @@ def reachability_oracle(cfg: ScenarioConfig) -> dict[str, bool]:
         raise OracleUnsupported("oracle requires loss_prob 0")
     if cfg.strategy.p_forward not in (0.0, 1.0):
         raise OracleUnsupported("oracle requires p_forward 0 or 1")
+    if not cfg.app.keep_seeding:
+        raise OracleUnsupported("oracle requires app.keep_seeding true")
     for node in cfg.nodes:
         if node.mobility is not MobilityKind.STATIC or node.position is None:
             raise OracleUnsupported(f"node {node.node_id} is not statically placed")

@@ -4,20 +4,18 @@ A scenario file is one JSON object. Unknown keys are rejected anywhere in the
 document so typos fail loudly instead of silently running defaults. All
 durations and delays are integer microseconds.
 
-Top-level keys (all optional except nodes and torrents):
+Only torrents and nodes are required:
 
-    grid        {width, height}                       metres
-    radio       {range_m, one_hop_delay_us, loss_prob}
-    duration_us integer run length
     torrents    [{id, n_pieces, piece_bytes}]
     nodes       [{id, kind, torrent, position, mobility}]
-    strategy    {p_forward, jitter_min_us, jitter_max_us, t_mem_us}
-    app         {beacon_interval_us, pipeline_window, interest_retry_timeout_us,
-                 max_retries, bitmap_min_gap_us, keep_seeding}
-    forwarding  {pit_lifetime_us, data_response_delay_us, cache_overheard_data}
-    max_hops    integer safety cap on retransmission chains
-    collision_mode               bool
-    position_sample_interval_us  integer
+
+Every other top-level key is a field of ScenarioConfig, read with that
+field's default and type: the scalars duration_us, collision_mode and
+position_sample_interval_us, and the section objects grid (GridBounds), radio
+(RadioConfig), strategy (StrategyParams), app (AppConfig) and forwarding
+(ForwardingParams). A section's keys, defaults and types are the fields of its
+dataclass. The one top-level key stored in a section is max_hops, the
+ForwardingParams cap on retransmission chains.
 
 node.kind is one of seeder, leecher, pure_forwarder; seeders and leechers
 name a declared torrent, pure forwarders must not. node.position is [x, y]
@@ -28,12 +26,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 
 from .app import AppConfig
 from .forwarding import ForwardingParams
-from .mobility import GridBounds, Position, RadioConfig
+from .mobility import GridBounds, RadioConfig
 from .strategies import StrategyParams
 
 
@@ -86,18 +84,24 @@ class NodeSpec:
     mobility: MobilityKind = MobilityKind.STATIC
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    nodes: list[NodeSpec]
-    torrents: list[TorrentSpec]
-    grid: GridBounds = field(default_factory=lambda: GridBounds(300.0, 300.0))
-    radio: RadioConfig = field(default_factory=lambda: RadioConfig(60.0, 500, 0.0))
+    nodes: tuple[NodeSpec, ...]
+    torrents: tuple[TorrentSpec, ...]
+    grid: GridBounds = GridBounds(300.0, 300.0)
+    radio: RadioConfig = RadioConfig(60.0, 500, 0.0)
     duration_us: int = DEFAULT_DURATION_US
-    strategy: StrategyParams = field(default_factory=StrategyParams)
-    app: AppConfig = field(default_factory=AppConfig)
-    forwarding: ForwardingParams = field(default_factory=ForwardingParams)
+    strategy: StrategyParams = StrategyParams()
+    app: AppConfig = AppConfig()
+    forwarding: ForwardingParams = ForwardingParams()
     collision_mode: bool = False
     position_sample_interval_us: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        # builders, the loader and callers pass lists; hold tuples, so that the
+        # copies replace() makes share nothing mutable
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "torrents", tuple(self.torrents))
 
     def torrent_spec(self, torrent_id: str) -> TorrentSpec:
         for spec in self.torrents:
@@ -195,12 +199,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
 def _take(obj: object, context: str, allowed: dict[str, object]) -> dict:
     if not isinstance(obj, dict):
         raise ValidationError(f"{context} must be an object")
-    unknown = set(obj) - set(allowed)
+    unknown = obj.keys() - allowed.keys()
     if unknown:
         raise ValidationError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-    merged = dict(allowed)
-    merged.update(obj)
-    return merged
+    return {**allowed, **obj}
 
 
 def _require(obj: dict, context: str, key: str) -> object:
@@ -224,15 +226,56 @@ def _bool_field(value: object, context: str) -> bool:
 def _num_field(value: object, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{context} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{context} must be a number within float range") from None
+
+
+# Config fields are read by their annotations, which stay strings because every
+# config module postpones the evaluation of annotations.
+_READERS = {
+    "int": _int_field, "float": _num_field, "bool": _bool_field,
+    "int | None": lambda value, context: None if value is None else _int_field(value, context),
+}
+# ForwardingParams.max_hops is the one section field written at the top level.
+_TOP_LEVEL_FIELDS = {"max_hops": "forwarding"}
+_DEFAULTS = ScenarioConfig(nodes=(), torrents=())
+
+
+def _section_schema(name: str) -> tuple[type, dict[str, object], tuple]:
+    """A section's dataclass, its in-section defaults, and (key, reader, context) per field."""
+    default = getattr(_DEFAULTS, name)
+    reads = tuple((f.name, _READERS[f.type],
+                   f.name if f.name in _TOP_LEVEL_FIELDS else f"{name}.{f.name}")
+                  for f in fields(default))
+    return type(default), {key: getattr(default, key) for key, _, at in reads if at != key}, reads
+
+
+_SECTIONS = {f.name: _section_schema(f.name) for f in fields(ScenarioConfig)
+             if is_dataclass(getattr(_DEFAULTS, f.name))}
+_SCALARS = tuple((f.name, _READERS[f.type]) for f in fields(ScenarioConfig) if f.type in _READERS)
+_TOP_DEFAULTS = {"torrents": None, "nodes": None, **{name: {} for name in _SECTIONS},
+                 **{name: getattr(_DEFAULTS, name) for name, _ in _SCALARS},
+                 **{key: getattr(getattr(_DEFAULTS, section), key)
+                    for key, section in _TOP_LEVEL_FIELDS.items()}}
+
+
+def _section_from_json(top: dict, name: str) -> object:
+    """Section name of the merged document, read into its dataclass."""
+    cls, defaults, reads = _SECTIONS[name]
+    section = _take(top[name], name, defaults)
+    return cls(**{key: read(section[key] if key in defaults else top[key], context)
+                  for key, read, context in reads})
+
+
+_NODE_DEFAULTS = {"id": None, "kind": None, "torrent": None, "position": "random",
+                  "mobility": "static"}
 
 
 def _node_from_json(obj: object, index: int) -> NodeSpec:
     context = f"nodes[{index}]"
-    merged = _take(obj, context, {
-        "id": None, "kind": None, "torrent": None, "position": "random",
-        "mobility": "static",
-    })
+    merged = _take(obj, context, _NODE_DEFAULTS)
     node_id = _require(merged, context, "id")
     if not isinstance(node_id, str):
         raise ValidationError(f"{context}.id must be a string")
@@ -266,73 +309,8 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a decoded JSON object."""
     if not isinstance(obj, dict):
         raise ValidationError("scenario document must be a JSON object")
-    defaults = ScenarioConfig(nodes=[], torrents=[])
-    merged = _take(obj, "scenario", {
-        "grid": {}, "radio": {}, "duration_us": defaults.duration_us,
-        "torrents": None, "nodes": None, "strategy": {}, "app": {},
-        "forwarding": {}, "max_hops": defaults.forwarding.max_hops,
-        "collision_mode": False,
-        "position_sample_interval_us": defaults.position_sample_interval_us,
-    })
-
-    grid_obj = _take(merged["grid"], "grid", {"width": 300.0, "height": 300.0})
-    grid = GridBounds(_num_field(grid_obj["width"], "grid.width"),
-                      _num_field(grid_obj["height"], "grid.height"))
-
-    radio_obj = _take(merged["radio"], "radio", {
-        "range_m": 60.0, "one_hop_delay_us": 500, "loss_prob": 0.0})
-    radio = RadioConfig(_num_field(radio_obj["range_m"], "radio.range_m"),
-                        _int_field(radio_obj["one_hop_delay_us"], "radio.one_hop_delay_us"),
-                        _num_field(radio_obj["loss_prob"], "radio.loss_prob"))
-
-    strategy_defaults = StrategyParams()
-    strategy_obj = _take(merged["strategy"], "strategy", {
-        "p_forward": strategy_defaults.p_forward,
-        "jitter_min_us": strategy_defaults.jitter_min_us,
-        "jitter_max_us": strategy_defaults.jitter_max_us,
-        "t_mem_us": strategy_defaults.t_mem_us,
-    })
-    strategy = StrategyParams(
-        p_forward=_num_field(strategy_obj["p_forward"], "strategy.p_forward"),
-        jitter_min_us=_int_field(strategy_obj["jitter_min_us"], "strategy.jitter_min_us"),
-        jitter_max_us=_int_field(strategy_obj["jitter_max_us"], "strategy.jitter_max_us"),
-        t_mem_us=_int_field(strategy_obj["t_mem_us"], "strategy.t_mem_us"),
-    )
-
-    app_defaults = AppConfig()
-    app_obj = _take(merged["app"], "app", {
-        "beacon_interval_us": app_defaults.beacon_interval_us,
-        "pipeline_window": app_defaults.pipeline_window,
-        "interest_retry_timeout_us": app_defaults.interest_retry_timeout_us,
-        "max_retries": app_defaults.max_retries,
-        "bitmap_min_gap_us": app_defaults.bitmap_min_gap_us,
-        "keep_seeding": app_defaults.keep_seeding,
-    })
-    max_retries = app_obj["max_retries"]
-    app_cfg = AppConfig(
-        beacon_interval_us=_int_field(app_obj["beacon_interval_us"], "app.beacon_interval_us"),
-        pipeline_window=_int_field(app_obj["pipeline_window"], "app.pipeline_window"),
-        interest_retry_timeout_us=_int_field(app_obj["interest_retry_timeout_us"],
-                                             "app.interest_retry_timeout_us"),
-        max_retries=None if max_retries is None else _int_field(max_retries, "app.max_retries"),
-        bitmap_min_gap_us=_int_field(app_obj["bitmap_min_gap_us"], "app.bitmap_min_gap_us"),
-        keep_seeding=_bool_field(app_obj["keep_seeding"], "app.keep_seeding"),
-    )
-
-    fwd_defaults = ForwardingParams()
-    fwd_obj = _take(merged["forwarding"], "forwarding", {
-        "pit_lifetime_us": fwd_defaults.pit_lifetime_us,
-        "data_response_delay_us": fwd_defaults.data_response_delay_us,
-        "cache_overheard_data": fwd_defaults.cache_overheard_data,
-    })
-    forwarding = ForwardingParams(
-        pit_lifetime_us=_int_field(fwd_obj["pit_lifetime_us"], "forwarding.pit_lifetime_us"),
-        data_response_delay_us=_int_field(fwd_obj["data_response_delay_us"],
-                                          "forwarding.data_response_delay_us"),
-        cache_overheard_data=_bool_field(fwd_obj["cache_overheard_data"],
-                                         "forwarding.cache_overheard_data"),
-        max_hops=_int_field(merged["max_hops"], "max_hops"),
-    )
+    merged = _take(obj, "scenario", _TOP_DEFAULTS)
+    sections = {name: _section_from_json(merged, name) for name in _SECTIONS}
 
     torrents_obj = _require(merged, "scenario", "torrents")
     if not isinstance(torrents_obj, list):
@@ -355,21 +333,8 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
     if not isinstance(nodes_obj, list):
         raise ValidationError("nodes must be a list")
     nodes = [_node_from_json(item, i) for i, item in enumerate(nodes_obj)]
-
-    cfg = ScenarioConfig(
-        nodes=nodes,
-        torrents=torrents,
-        grid=grid,
-        radio=radio,
-        duration_us=_int_field(merged["duration_us"], "duration_us"),
-        strategy=strategy,
-        app=app_cfg,
-        forwarding=forwarding,
-        collision_mode=_bool_field(merged["collision_mode"], "collision_mode"),
-        position_sample_interval_us=_int_field(merged["position_sample_interval_us"],
-                                               "position_sample_interval_us"),
-    )
-    return validate(cfg)
+    scalars = {name: read(merged[name], name) for name, read in _SCALARS}
+    return validate(ScenarioConfig(nodes=nodes, torrents=torrents, **sections, **scalars))
 
 
 def load_scenario(path: str) -> ScenarioConfig:

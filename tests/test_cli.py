@@ -16,6 +16,10 @@ TINY_SCENARIO = {
 }
 
 
+# the oracle answers only for peers that keep beaconing after they complete
+ORACLE_SCENARIO = dict(TINY_SCENARIO, app={"keep_seeding": True})
+
+
 @pytest.fixture
 def tiny_scenario(tmp_path):
     path = tmp_path / "tiny.json"
@@ -80,19 +84,27 @@ def test_sweep_row_count_and_order(tiny_scenario, tmp_path, capsys):
     assert all(r[4] == "1" and r[5] != "" for r in body)
 
 
-def test_oracle_subcommand_prints_verdicts(tiny_scenario, capsys):
-    assert main(["oracle", "--scenario", tiny_scenario]) == EXIT_OK
+def test_oracle_subcommand_prints_verdicts(tmp_path, capsys):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(ORACLE_SCENARIO), encoding="utf-8")
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_OK
     assert capsys.readouterr().out == "l,reachable\n"
 
 
 def test_oracle_rejects_mobile_scenarios(tmp_path, capsys):
-    mobile = dict(TINY_SCENARIO)
+    mobile = dict(ORACLE_SCENARIO)
     mobile["nodes"] = [dict(n) for n in TINY_SCENARIO["nodes"]]
     mobile["nodes"][1]["mobility"] = "random_walk"
     path = tmp_path / "mobile.json"
     path.write_text(json.dumps(mobile), encoding="utf-8")
     assert main(["oracle", "--scenario", str(path)]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    assert "not statically placed" in capsys.readouterr().err
+
+
+def test_oracle_refuses_peers_that_stop_seeding(tiny_scenario, capsys):
+    # keep_seeding defaults to false: a finished peer falls silent
+    assert main(["oracle", "--scenario", tiny_scenario]) == EXIT_CONFIG
+    assert "keep_seeding" in capsys.readouterr().err
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -119,6 +131,15 @@ def test_badly_typed_values_exit_2(tmp_path, capsys, overrides, message):
     path.write_text(json.dumps(dict(TINY_SCENARIO, **overrides)), encoding="utf-8")
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    # json reads a 400-digit integer exactly; float() of it overflows
+    huge = dict(ORACLE_SCENARIO, radio={"range_m": 10 ** 400})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(huge), encoding="utf-8")
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_CONFIG
+    assert "radio.range_m" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_exits_3(tmp_path, capsys):

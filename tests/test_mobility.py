@@ -72,6 +72,15 @@ def test_reflection_matches_unfolding_oracle(limit, frac, v, dt_s):
     assert 0.0 <= got <= limit
 
 
+@pytest.mark.parametrize("limit", [1e-3, 1e-300, 5e-324])
+def test_reflection_on_a_tiny_grid_returns(limit):
+    # a 10 m leg crosses the walls 10 / limit times; once a crossing's time is
+    # below dt_s's rounding step, stepping through them never ends
+    got = _advance_reflect(0.3 * limit, 10.0, 1.0, limit)
+    assert 0.0 < got <= limit
+    assert got == pytest.approx(_fold(0.3 * limit, 10.0, 1.0, limit), abs=limit)
+
+
 def test_exact_wall_landing_is_nudged_inside():
     # 2 m/s straight at a wall 10 m away for 5 s lands exactly on it
     got = _advance_reflect(0.0, 2.0, 5.0, 10.0)

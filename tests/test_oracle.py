@@ -1,6 +1,9 @@
 """Closed-form reachability verdicts against hand-analysable topologies."""
+from dataclasses import replace
+
 import pytest
 
+from ntorrent_sim.app import AppConfig
 from ntorrent_sim.mobility import RadioConfig
 from ntorrent_sim.oracle import OracleUnsupported, reachability_oracle
 from ntorrent_sim.scenario import (
@@ -14,7 +17,7 @@ from ntorrent_sim.scenario import (
 )
 
 
-def line_cfg(kinds, p_forward=1.0, spacing=50.0, loss=0.0):
+def line_cfg(kinds, p_forward=1.0, spacing=50.0, loss=0.0, keep_seeding=True):
     """Nodes on a horizontal line, 50 m apart, 60 m radio range."""
     nodes = []
     for i, (kind, torrent) in enumerate(kinds):
@@ -25,6 +28,7 @@ def line_cfg(kinds, p_forward=1.0, spacing=50.0, loss=0.0):
         torrents=[TorrentSpec("movie1"), TorrentSpec("movie2")],
         radio=RadioConfig(60.0, 500, loss),
         strategy=StrategyParams(p_forward=p_forward),
+        app=AppConfig(keep_seeding=keep_seeding),
     ))
 
 
@@ -74,6 +78,7 @@ def test_blocked_vertex_is_not_a_detour():
         torrents=[TorrentSpec("movie1"), TorrentSpec("movie2")],
         radio=RadioConfig(65.0, 500, 0.0),
         strategy=StrategyParams(p_forward=0.0),
+        app=AppConfig(keep_seeding=True),
     ))
     verdicts = reachability_oracle(cfg)
     # s-c and c-l are both about 64 m, inside range: the movie2 peer carries it
@@ -85,13 +90,18 @@ def test_unsupported_configurations():
         reachability_oracle(line_cfg([S1, PF, L1], p_forward=0.5))
     with pytest.raises(OracleUnsupported, match="loss"):
         reachability_oracle(line_cfg([S1, PF, L1], loss=0.1))
-    mobile = line_cfg([S1, L1])
-    mobile.nodes[1] = NodeSpec("n1", NodeKind.LEECHER, "movie1", (60.0, 10.0),
-                               MobilityKind.RANDOM_WALK)
+    line = line_cfg([S1, L1])
+    mobile = replace(line, nodes=(line.nodes[0], NodeSpec(
+        "n1", NodeKind.LEECHER, "movie1", (60.0, 10.0), MobilityKind.RANDOM_WALK)))
     with pytest.raises(OracleUnsupported, match="statically"):
         reachability_oracle(mobile)
-    unplaced = line_cfg([S1, L1])
-    unplaced.nodes[1] = NodeSpec("n1", NodeKind.LEECHER, "movie1", None,
-                                 MobilityKind.STATIC)
+    unplaced = replace(line, nodes=(line.nodes[0], NodeSpec(
+        "n1", NodeKind.LEECHER, "movie1", None, MobilityKind.STATIC)))
     with pytest.raises(OracleUnsupported, match="statically"):
         reachability_oracle(unplaced)
+
+
+def test_peers_that_stop_seeding_are_refused():
+    # a finished leecher would fall silent, so the graph verdict could not hold
+    with pytest.raises(OracleUnsupported, match="keep_seeding"):
+        reachability_oracle(line_cfg([S1, PF, L1], keep_seeding=False))

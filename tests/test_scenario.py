@@ -1,5 +1,7 @@
 """Scenario schema, validation errors, file loading, and the canned builders."""
 import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,19 @@ def test_minimal_document_gets_all_defaults():
     assert cfg.nodes[1].mobility is MobilityKind.STATIC
 
 
+def test_readme_example_shows_the_defaults():
+    # README.md: "All values shown above are the defaults."
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Scenario files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    shown = json.loads(block)
+    loaded = scenario_from_json(shown)
+    minimal = scenario_from_json({"torrents": shown["torrents"], "nodes": shown["nodes"]})
+    keys = [f.name for f in fields(ScenarioConfig) if f.name not in ("torrents", "nodes")]
+    assert sorted(shown) == sorted(keys + ["max_hops", "torrents", "nodes"])
+    for key in keys:
+        assert getattr(loaded, key) == getattr(minimal, key), key
+
+
 def test_unknown_keys_rejected_everywhere():
     with pytest.raises(ValidationError, match="unknown key 'surprise' in scenario"):
         scenario_from_json(doc(surprise=1))
@@ -116,25 +131,28 @@ def base_cfg(**kwargs):
     return ScenarioConfig(**params)
 
 
+def adding(**items):
+    """A copy of the config with each item appended to the tuple field it names."""
+    return lambda c: replace(c, **{key: getattr(c, key) + (item,) for key, item in items.items()})
+
+
 @pytest.mark.parametrize("mutate,message", [
-    (lambda c: c.nodes.append(NodeSpec("s", NodeKind.LEECHER, "movie1", (1.0, 1.0))),
+    (adding(nodes=NodeSpec("s", NodeKind.LEECHER, "movie1", (1.0, 1.0))),
      "node ids must be unique"),
-    (lambda c: c.torrents.append(TorrentSpec("movie1")),
+    (adding(torrents=TorrentSpec("movie1")),
      "torrent ids must be unique"),
-    (lambda c: c.nodes.append(NodeSpec("p", NodeKind.PURE_FORWARDER, "movie1", (1.0, 1.0))),
+    (adding(nodes=NodeSpec("p", NodeKind.PURE_FORWARDER, "movie1", (1.0, 1.0))),
      "must not name a torrent"),
-    (lambda c: c.nodes.append(NodeSpec("x", NodeKind.LEECHER, None, (1.0, 1.0))),
+    (adding(nodes=NodeSpec("x", NodeKind.LEECHER, None, (1.0, 1.0))),
      "must name a torrent"),
-    (lambda c: c.nodes.append(NodeSpec("x", NodeKind.LEECHER, "movie9", (1.0, 1.0))),
+    (adding(nodes=NodeSpec("x", NodeKind.LEECHER, "movie9", (1.0, 1.0))),
      "undeclared torrent"),
-    (lambda c: c.nodes.append(NodeSpec("x", NodeKind.LEECHER, "movie1", (999.0, 0.0))),
+    (adding(nodes=NodeSpec("x", NodeKind.LEECHER, "movie1", (999.0, 0.0))),
      "outside the grid"),
 ])
 def test_cross_field_validation(mutate, message):
-    cfg = base_cfg()
-    mutate(cfg)
     with pytest.raises(ValidationError, match=message):
-        validate(cfg)
+        validate(mutate(base_cfg()))
 
 
 def test_reserved_torrent_name_rejected():

@@ -1,0 +1,124 @@
+"""Fuzzing the scenario loader: any JSON in, a config or a ScenarioError out."""
+import copy
+from dataclasses import replace
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from ntorrent_sim.scenario import ScenarioError, scenario_from_json
+from ntorrent_sim.world import World
+
+# A valid document that writes every key, so every key can be mutated. Only
+# the seeder has a fixed position, at the grid's corner, so any positive grid
+# size keeps the document valid.
+BASE = {
+    "duration_us": 120000000,
+    "grid": {"width": 300.0, "height": 300.0},
+    "radio": {"range_m": 60.0, "one_hop_delay_us": 500, "loss_prob": 0.0},
+    "strategy": {"p_forward": 1.0, "jitter_min_us": 2000, "jitter_max_us": 10000,
+                 "t_mem_us": 30000000},
+    "app": {"beacon_interval_us": 2000000, "pipeline_window": 4,
+            "interest_retry_timeout_us": 1000000, "max_retries": None,
+            "bitmap_min_gap_us": 500000, "keep_seeding": False},
+    "forwarding": {"pit_lifetime_us": 2000000, "data_response_delay_us": 1000,
+                   "cache_overheard_data": False},
+    "max_hops": 64,
+    "collision_mode": False,
+    "position_sample_interval_us": 1000000,
+    "torrents": [{"id": "movie1", "n_pieces": 4, "piece_bytes": 1024}],
+    "nodes": [
+        {"id": "s", "kind": "seeder", "torrent": "movie1", "position": [0.0, 0.0],
+         "mobility": "static"},
+        {"id": "f", "kind": "pure_forwarder", "position": "random"},
+        {"id": "l", "kind": "leecher", "torrent": "movie1", "position": "random",
+         "mobility": "random_walk"},
+    ],
+}
+
+FLOAT_MAX_INT = 2 ** 1024  # the least integer float() cannot represent
+
+numbers = st.one_of(
+    st.integers(),
+    st.integers(min_value=FLOAT_MAX_INT),
+    st.integers(max_value=-FLOAT_MAX_INT),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# words of the schema, so mutations also reach past the type checks
+words = st.text(max_size=6) | st.sampled_from([
+    "random", "static", "random_walk", "seeder", "leecher", "pure_forwarder", "movie1", "s"])
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    numbers,
+    words,
+    st.recursive(st.none() | st.booleans() | numbers | words,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                 max_leaves=6),
+)
+
+
+def _like(value):
+    """Values of value's JSON type, so that a mutated document often still loads."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, (int, float)):
+        return numbers
+    if isinstance(value, str):
+        return words
+    return json_values
+
+
+def _paths(value, prefix=()):
+    """Every key or index path inside value, parents before children."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def documents(draw):
+    doc = copy.deepcopy(BASE)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            parent[draw(st.text(min_size=1, max_size=6))] = draw(json_values)
+        else:
+            parent[path[-1]] = draw(_like(parent[path[-1]]) | json_values)
+    return doc
+
+
+# A run's events grow as 1/interval of its beacon, retry and position-sample
+# timers: at 1 us a 1 s run of three nodes takes minutes. Finer timers are
+# loaded and checked, but not run.
+MIN_RUN_INTERVAL_US = 1_000
+
+
+def _cheap_to_run(cfg) -> bool:
+    return (len(cfg.nodes) <= 6 and all(t.n_pieces <= 64 for t in cfg.torrents)
+            and min(cfg.app.beacon_interval_us, cfg.app.interest_retry_timeout_us,
+                    cfg.position_sample_interval_us) >= MIN_RUN_INTERVAL_US)
+
+
+def _base_with(section, key, value):
+    doc = copy.deepcopy(BASE)
+    doc[section][key] = value
+    return doc
+
+
+@given(documents())
+@example(_base_with("radio", "range_m", 10 ** 400))  # float() of it overflows
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_loader_accepts_or_raises_scenario_error(doc):
+    try:
+        cfg = scenario_from_json(doc)
+    except ScenarioError:
+        return
+    if _cheap_to_run(cfg):
+        World(replace(cfg, duration_us=1_000_000), 0).run()
