@@ -1,15 +1,18 @@
 """Bounded random-walk mobility and the unit-disk broadcast medium.
 
 Walkers pick a fresh heading and speed at fixed 20 s epochs and travel in a
-straight line between epochs, reflecting specularly off the grid walls.
-Radio reception is a closed disk: every node within range hears a broadcast
-after one fixed hop delay, except the sender itself.
+straight line between epochs, reflecting specularly off the grid walls; a
+leg's velocity is computed once. Radio reception is a closed disk: every node
+within range hears a broadcast after one fixed hop delay, except the sender
+itself. The world computes exact positions only for candidate receivers (see
+`World._broadcast`) and then applies the exact disk test to them.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 EPOCH_INTERVAL_US = 20_000_000
 SPEED_MIN_MS = 2.0
@@ -35,6 +38,12 @@ class WalkState:
     heading_rad: float
     speed_ms: float
     next_change_us: int
+
+    @cached_property
+    def velocity(self) -> tuple[float, float]:
+        """(vx, vy) in m/s, computed once per leg."""
+        return (self.speed_ms * math.cos(self.heading_rad),
+                self.speed_ms * math.sin(self.heading_rad))
 
 
 @dataclass(frozen=True)
@@ -84,8 +93,7 @@ def position_at(initial: Position, state: WalkState, t0_us: int, t_us: int,
     if t_us < t0_us:
         raise ValueError("query time precedes leg start")
     dt_s = (t_us - t0_us) / 1e6
-    vx = state.speed_ms * math.cos(state.heading_rad)
-    vy = state.speed_ms * math.sin(state.heading_rad)
+    vx, vy = state.velocity
     return Position(
         _advance_reflect(initial.x, vx, dt_s, bounds.width),
         _advance_reflect(initial.y, vy, dt_s, bounds.height),

@@ -6,7 +6,7 @@ durations and delays are integer microseconds.
 
 Only torrents and nodes are required:
 
-    torrents    [{id, n_pieces, piece_bytes}]
+    torrents    [{id, n_pieces, piece_bytes}], n_pieces at most MAX_PIECES
     nodes       [{id, kind, torrent, position, mobility}]
 
 Every other top-level key is a field of ScenarioConfig, read with that
@@ -63,6 +63,9 @@ class MobilityKind(Enum):
 
 
 DEFAULT_N_PIECES = 32
+# A bitmap announce carries n_pieces/4 hex digits in one name, and a peer holds
+# its bitmaps as integers of n_pieces bits; this bounds both.
+MAX_PIECES = 1 << 16
 DEFAULT_PIECE_BYTES = 1024
 DEFAULT_DURATION_US = 120_000_000
 RANDOM_FIELD_DURATION_US = 600_000_000
@@ -163,8 +166,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ValidationError(f"bad torrent id {torrent.torrent_id!r}")
         if torrent.torrent_id == "beacon":
             raise ValidationError("'beacon' is a reserved name component")
-        if torrent.n_pieces < 1:
-            raise ValidationError("n_pieces must be at least 1")
+        if not 1 <= torrent.n_pieces <= MAX_PIECES:
+            raise ValidationError(f"n_pieces must be within [1, {MAX_PIECES}]")
         if torrent.piece_bytes < 0:
             raise ValidationError("piece_bytes must be non-negative")
 

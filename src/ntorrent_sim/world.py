@@ -6,6 +6,7 @@ from it are the run's result.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import forwarding as fw
@@ -14,9 +15,11 @@ from .app import PeerApp, TIMER_BEACON, TIMER_RETRY
 from .engine import Event, EventLoop, RngStreams, RunReport
 from .mobility import (
     EPOCH_INTERVAL_US,
+    SPEED_MAX_MS,
     Position,
     WalkState,
     broadcast_receivers,
+    in_range,
     position_at,
     walk_epoch,
 )
@@ -38,6 +41,10 @@ class _Motion:
     anchor: Position
     epoch_start_us: int
     walk: WalkState | None  # None for static nodes
+    # a position the node had at seen_us, to within rounding (a static node's
+    # anchor); _broadcast bounds where it can be now from it
+    seen: Position
+    seen_us: int
 
 
 class _DeliveryMark:
@@ -59,6 +66,14 @@ class World:
         self.nodes: dict[str, fw.NodeState] = {}
         self._motion: dict[str, _Motion] = {}
         self._inflight: dict[str, list[_DeliveryMark]] = {}
+        # sender -> (node id, motion) of the nodes that may hear it, built lazily
+        self._candidates: dict[str, list[tuple[str, _Motion]]] = {}
+        # Positions are exact to a few ulps of the largest length in their
+        # arithmetic (a grid side, the range, a 200 m leg), and position_at moves
+        # an anchor on a wall by the smallest step, so this margin on the displacement
+        # bound in _broadcast covers both with room to spare.
+        self._margin_m = 1e-9 * (cfg.grid.width + cfg.grid.height + cfg.radio.range_m
+                                 + SPEED_MAX_MS * EPOCH_INTERVAL_US / 1e6)
         self._build_nodes()
         self._schedule_initial()
 
@@ -106,7 +121,8 @@ class World:
                 walk = walk_epoch(mob_rng, 0)
                 self._note(spec.node_id, tc.WALK_EPOCH, "",
                            f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
-            self._motion[spec.node_id] = _Motion(anchor=anchor, epoch_start_us=0, walk=walk)
+            self._motion[spec.node_id] = _Motion(anchor=anchor, epoch_start_us=0, walk=walk,
+                                                 seen=anchor, seen_us=0)
 
     def _schedule_initial(self) -> None:
         cfg = self.cfg
@@ -134,8 +150,10 @@ class World:
         motion = self._motion[node_id]
         if motion.walk is None:
             return motion.anchor
-        return position_at(motion.anchor, motion.walk, motion.epoch_start_us,
-                           t_us, self.cfg.grid)
+        motion.seen = position_at(motion.anchor, motion.walk, motion.epoch_start_us,
+                                  t_us, self.cfg.grid)
+        motion.seen_us = t_us
+        return motion.seen
 
     # -- effect application ------------------------------------------------------
 
@@ -201,9 +219,35 @@ class World:
                    f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
         self._broadcast(node_id, pkt)
 
+    def _candidates_of(self, sender: str) -> list[tuple[str, _Motion]]:
+        """The nodes that may hear sender, in insertion order: every other node
+        for a walking sender; the walkers and the static nodes in range for a
+        static one, whose static neighbours never change."""
+        found = self._candidates.get(sender)
+        if found is None:
+            own = self._motion[sender]
+            found = [(node_id, motion) for node_id, motion in self._motion.items()
+                     if node_id != sender and (
+                         own.walk is not None or motion.walk is not None
+                         or in_range(own.anchor, motion.anchor, self.cfg.radio))]
+            self._candidates[sender] = found
+        return found
+
     def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
         now = self.loop.now_us
-        positions = {nid: self.position_of(nid, now) for nid in self.nodes}
+        origin = self.position_of(sender, now)
+        reach = self.cfg.radio.range_m + self._margin_m
+        # Only candidates that may be in range get an exact position; the exact
+        # disk test in broadcast_receivers then decides, in insertion order.
+        positions = {sender: origin}
+        for node_id, motion in self._candidates_of(sender):
+            seen = motion.seen
+            # reflection only folds a walker's path, so it is now at most
+            # speed * elapsed from where it was last seen
+            slack = 0.0 if motion.walk is None else (
+                motion.walk.speed_ms * (now - motion.seen_us) / 1e6)
+            if math.hypot(seen.x - origin.x, seen.y - origin.y) <= reach + slack:
+                positions[node_id] = self.position_of(node_id, now)
         receivers = broadcast_receivers(sender, positions, self.cfg.radio,
                                         self.rngs.stream("medium", sender))
         arrival = now + self.cfg.radio.one_hop_delay_us
@@ -283,8 +327,8 @@ class World:
         for node_id, motion in self._motion.items():
             if motion.walk is None:
                 continue
-            motion.anchor = position_at(motion.anchor, motion.walk,
-                                        motion.epoch_start_us, now, self.cfg.grid)
+            # the old leg's end is the new leg's start and its last seen position
+            motion.anchor = self.position_of(node_id, now)
             motion.epoch_start_us = now
             motion.walk = walk_epoch(self.rngs.stream("mobility", node_id), now)
             self._note(node_id, tc.WALK_EPOCH, "",

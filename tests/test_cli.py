@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ntorrent_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from ntorrent_sim.scenario import MAX_PIECES
 
 TINY_SCENARIO = {
     "duration_us": 10_000_000,
@@ -140,6 +141,15 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(huge), encoding="utf-8")
     assert main(["oracle", "--scenario", str(path)]) == EXIT_CONFIG
     assert "radio.range_m" in capsys.readouterr().err
+
+
+def test_piece_count_above_the_bound_exits_2(tmp_path, capsys):
+    # a seeder's bitmap holds one bit per piece; an unbounded count ran out of memory
+    big = dict(TINY_SCENARIO, torrents=[{"id": "movie1", "n_pieces": MAX_PIECES + 1}])
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "n_pieces must be within [1, 65536]" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_exits_3(tmp_path, capsys):

@@ -55,6 +55,33 @@ def static_layout_document(index):
             "strategy": {"p_forward": float(index % 2)}, "app": {"keep_seeding": True}}
 
 
+def readme_example_document():
+    """The README's example scenario (static seeder and forwarder, walking
+    leecher) with 10% radio loss; every other value is the default it shows."""
+    return {"radio": {"loss_prob": 0.1},
+            "torrents": [{"id": "movie1", "n_pieces": 32, "piece_bytes": 1024}],
+            "nodes": [
+                {"id": "s", "kind": "seeder", "torrent": "movie1", "position": [50.0, 150.0]},
+                {"id": "f", "kind": "pure_forwarder", "position": [100.0, 150.0]},
+                {"id": "l", "kind": "leecher", "torrent": "movie1", "position": "random",
+                 "mobility": "random_walk"},
+            ]}
+
+
+def walls_document():
+    """Two walkers that start on the walls of a small grid, one of them in a
+    corner, and a static forwarder on a wall."""
+    return {"grid": {"width": 100.0, "height": 100.0}, "duration_us": 30_000_000,
+            "torrents": [{"id": "movie1", "n_pieces": 8}],
+            "nodes": [
+                {"id": "s", "kind": "seeder", "torrent": "movie1", "position": [0.0, 0.0],
+                 "mobility": "random_walk"},
+                {"id": "f", "kind": "pure_forwarder", "position": [50.0, 100.0]},
+                {"id": "l", "kind": "leecher", "torrent": "movie1", "position": [100.0, 37.5],
+                 "mobility": "random_walk"},
+            ]}
+
+
 def _scenario_argv(tmp_path, document, seed):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -94,6 +121,20 @@ CASES = {
         {"trace.csv": "f9f605b2f74ad1786fd43327e701ab9bba996d09b9560b2e9e45e93d8579f4ce",
          "metrics.csv": "87b7e278c13d3c1e4777760675095677f697c6cbc4c2dc4b59c0f18b3d83924c",
          "positions.csv": "3cb81330a501d495c546a05c28378b7cd2bc70274947e5d65b70dfefe22a93a8"},
+    ),
+    "walkers-on-walls-seed1": (
+        lambda tmp: _scenario_argv(tmp, walls_document(), 1),
+        {"trace.csv": "76665614a7e9ed5021112d8f598e8055022ff5936cf6ff69116ac13c037b88c0",
+         "metrics.csv": "e2e9860528a7f3c41ebb64c6b4fd61550bc63e2397526f96dd7dd8c2ee906e7c",
+         "positions.csv": "f56bb38558f6bd6d4494272049f2b09c15112d0ba06b0c433d39c8a9114c3d9a"},
+    ),
+    # mixed static and walking nodes on a lossy radio: the walker is in range of the static pair from
+    # about 92 s to 94 s
+    "readme-example-loss0.1-seed3": (
+        lambda tmp: _scenario_argv(tmp, readme_example_document(), 3),
+        {"trace.csv": "1a99cb6bd84867edbfcce8883ac715464fb94596c535d132aa94d3cd2e4dbffc",
+         "metrics.csv": "349f257e8dddb3689b24678fcd673d023f093694bf5fabf966e81940a06e96d9",
+         "positions.csv": "f88a4538362aa7584047d0bbb7d5d3a44584089ea8ccfe1d33d6f86fc00e35c8"},
     ),
 }
 

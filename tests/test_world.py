@@ -1,8 +1,19 @@
-"""Whole-simulation behaviour: wiring, determinism, collisions, bookkeeping."""
+"""Whole-simulation behaviour: wiring, determinism, radio pruning, collisions,
+bookkeeping."""
+import itertools
+import random
+
 import pytest
 
 from ntorrent_sim import trace as tc
-from ntorrent_sim.mobility import RadioConfig
+from ntorrent_sim import world as world_module
+from ntorrent_sim.mobility import (
+    EPOCH_INTERVAL_US,
+    GridBounds,
+    RadioConfig,
+    broadcast_receivers,
+    position_at,
+)
 from ntorrent_sim.names import Interest, piece_name
 from ntorrent_sim.scenario import (
     MobilityKind,
@@ -67,6 +78,26 @@ def test_zero_duration_produces_no_protocol_activity():
     assert events <= {tc.POSITION, tc.END}
 
 
+def test_walkers_placed_on_a_wall_start_just_inside_it():
+    # position_at moves a walker's coordinate that lies on a wall one step
+    # inside the grid, from the first sample on; a static node stays as placed
+    cfg = validate(ScenarioConfig(
+        nodes=[
+            NodeSpec("s", NodeKind.SEEDER, "movie1", (0.0, 0.0), MobilityKind.RANDOM_WALK),
+            NodeSpec("f", NodeKind.PURE_FORWARDER, None, (50.0, 300.0)),
+            NodeSpec("l", NodeKind.LEECHER, "movie1", (300.0, 37.5), MobilityKind.RANDOM_WALK),
+        ],
+        torrents=[TorrentSpec("movie1", n_pieces=8)],
+        duration_us=0,
+    ))
+    trace, _ = run_scenario(cfg, master_seed=1)
+    assert [(rec.node, rec.detail) for rec in trace if rec.event == tc.POSITION] == [
+        ("s", "x=5e-324;y=5e-324"),
+        ("f", "x=50.0;y=300.0"),
+        ("l", "x=299.99999999999994;y=37.5"),
+    ]
+
+
 def test_identical_seeds_replay_identically():
     cfg = three_node_relay()
     first = run_scenario(cfg, master_seed=7)
@@ -98,6 +129,87 @@ def test_metrics_recompute_from_own_trace():
     world = World(three_node_relay(), master_seed=5)
     world.run()
     assert world.metrics() == world.metrics()
+
+
+# -- radio pruning ---------------------------------------------------------------
+
+ROLES = [(NodeKind.SEEDER, "movie1"), (NodeKind.LEECHER, "movie1"), (NodeKind.PURE_FORWARDER, None),
+         (NodeKind.SEEDER, "movie2"), (NodeKind.LEECHER, "movie2"), (NodeKind.PURE_FORWARDER, None)]
+
+
+def radio_field(static, walkers, side=300.0, range_m=60.0, loss_prob=0.1,
+                sample_us=1_000_000):
+    """Static nodes at the given positions, then walkers placed at random."""
+    places = [(pos, MobilityKind.STATIC) for pos in static]
+    places += [(None, MobilityKind.RANDOM_WALK)] * walkers
+    return validate(ScenarioConfig(
+        nodes=[NodeSpec(f"n{i}", kind, torrent, pos, mobility)
+               for i, ((pos, mobility), (kind, torrent))
+               in enumerate(zip(places, itertools.cycle(ROLES)))],
+        torrents=[TorrentSpec("movie1", n_pieces=8), TorrentSpec("movie2", n_pieces=8)],
+        grid=GridBounds(side, 0.75 * side),
+        radio=RadioConfig(range_m, 500, loss_prob),
+        duration_us=120_000_000,
+        position_sample_interval_us=sample_us,
+    ))
+
+
+_place_rng = random.Random(7)
+# n0 and n1 are exactly range_m apart
+STATIC_PLACES = [(10.0, 50.0), (70.0, 50.0)] + [
+    (round(_place_rng.uniform(0.0, 300.0), 3), round(_place_rng.uniform(0.0, 225.0), 3))
+    for _ in range(8)]
+
+PRUNING_CASES = {
+    "walking": radio_field([], 12),
+    # positions are sampled only at the start and the end, so epochs and
+    # transmissions alone refresh the last exact positions
+    "walking-sparse-samples": radio_field([], 12, sample_us=120_000_000),
+    "static": radio_field(STATIC_PLACES, 0, loss_prob=0.2),
+    "mixed": radio_field(STATIC_PLACES[:5], 7),
+    # a 200 m leg folds many times on a 20 x 15 m grid
+    "tiny-grid": radio_field([], 8, side=20.0, range_m=6.0, loss_prob=0.2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypatch):
+    cfg = PRUNING_CASES[case]
+    world = World(cfg, master_seed=3)
+    picked = []
+
+    def recording_receivers(*args):
+        picked.append(broadcast_receivers(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(world_module, "broadcast_receivers", recording_receivers)
+    pruned_broadcast = world._broadcast
+    covered = {"tx": 0, "after_epoch": 0, "exact_range_pair": 0}
+
+    def checked_broadcast(sender, pkt):
+        now = world.loop.now_us
+        positions = {
+            node_id: motion.anchor if motion.walk is None else position_at(
+                motion.anchor, motion.walk, motion.epoch_start_us, now, cfg.grid)
+            for node_id, motion in world._motion.items()}
+        medium = world.rngs.stream("medium", sender)
+        scan_rng = random.Random()
+        scan_rng.setstate(medium.getstate())
+        expected = broadcast_receivers(sender, positions, cfg.radio, scan_rng)
+        pruned_broadcast(sender, pkt)
+        assert picked.pop() == expected, (case, now, sender)
+        assert medium.getstate() == scan_rng.getstate(), (case, now, sender)
+        covered["tx"] += 1
+        covered["after_epoch"] += now >= EPOCH_INTERVAL_US and now % EPOCH_INTERVAL_US < 50_000
+        covered["exact_range_pair"] += {sender, *expected} >= {"n0", "n1"}
+
+    world._broadcast = checked_broadcast
+    world.run()
+    assert covered["tx"] > 200
+    walkers = any(spec.mobility is MobilityKind.RANDOM_WALK for spec in cfg.nodes)
+    assert covered["after_epoch"] > 0 or not walkers
+    if case == "static":
+        assert covered["exact_range_pair"] > 0
 
 
 # -- collision mode ------------------------------------------------------------
