@@ -18,6 +18,7 @@ import sys
 
 from .oracle import OracleUnsupported, reachability_oracle
 from .scenario import (
+    MAX_NODES,
     ScenarioConfig,
     ScenarioError,
     build_five_node,
@@ -67,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     five.add_argument("--out", required=True, metavar="DIR")
 
     rand = sub.add_parser("random-field", help="run a mobile random field")
-    rand.add_argument("--nodes", type=int, required=True, metavar="N")
+    rand.add_argument("--nodes", type=int, required=True, metavar="N",
+                      help=f"node count, 5 to {MAX_NODES}")
     rand.add_argument("--seed", type=_u64, default=1, metavar="N")
     rand.add_argument("--out", required=True, metavar="DIR")
 

@@ -45,7 +45,6 @@ class EventLoop:
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Event]] = []
         self._next_seq = 0
-        self._scheduled = 0
         self._dispatched = 0
         self.now_us = 0
 
@@ -56,7 +55,6 @@ class EventLoop:
         event = Event(time_us, self._next_seq, kind, target, payload)
         heapq.heappush(self._heap, (time_us, self._next_seq, event))
         self._next_seq += 1
-        self._scheduled += 1
         return event
 
     def run_until(self, t_end_us: int, handler: Callable[[Event], None]) -> RunReport:
@@ -72,7 +70,7 @@ class EventLoop:
         self.now_us = t_end_us
         return RunReport(
             events_dispatched=self._dispatched,
-            events_scheduled=self._scheduled,
+            events_scheduled=self._next_seq,
             events_remaining=len(self._heap),
             final_time_us=self.now_us,
         )

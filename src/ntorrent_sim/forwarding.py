@@ -2,14 +2,18 @@
 
 Every node, peer or not, runs the same plane. Incoming interests pass nonce
 deduplication, leave a PIT breadcrumb for the return path, are answered from
-the local piece store when possible, and otherwise go to the node's strategy.
-Returning data consumes the breadcrumb: rebroadcast once toward the radio if
-the interest came from there, hand to the local application if the node peers
-on that torrent.
+the local piece store when possible, and otherwise go to a relay rule: a
+pure forwarder (no app) calls strategies.pure_decide, a peer calls
+strategies.peer_decide with its own torrent and its overheard-name table. The
+rule's reason code is noted as the DECISION; a forward becomes a Send after
+the rule's delay, OWN_APP hands the interest to the app, and the drop
+reasons emit nothing more. Returning data consumes the breadcrumb: rebroadcast
+once toward the radio if the interest came from there, hand to the local
+application if the node peers on that torrent.
 
 Handlers are pure with respect to the world: they mutate only the given node
 state and return a list of effects (sends, emissions, timers, trace notes)
-for the caller to apply.
+for the caller to apply. Interests and data leave through the one Send effect.
 """
 from __future__ import annotations
 
@@ -19,37 +23,16 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .names import Bitmap, Data, Interest, Name, PieceInterest
+from .strategies import OverheardNameTable, StrategyParams, peer_decide, pure_decide
 from . import trace as tc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .app import PeerApp
-    from .strategies import PeerRelayStrategy, PureForwarderStrategy
 
 
 class FaceId(Enum):
     BROADCAST = "broadcast"
     APP = "app"
-
-
-# ---------------------------------------------------------------------------
-# strategy verdicts
-
-@dataclass(frozen=True)
-class ForwardInterest:
-    delay_us: int
-
-
-@dataclass(frozen=True)
-class DeliverToApp:
-    pass
-
-
-@dataclass(frozen=True)
-class Drop:
-    pass
-
-
-ForwardAction = ForwardInterest | DeliverToApp | Drop
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +47,9 @@ class Note:
 
 
 @dataclass(frozen=True)
-class SendInterest:
-    """Broadcast an interest after delay_us."""
-    packet: Interest
-    delay_us: int = 0
-
-
-@dataclass(frozen=True)
-class SendData:
-    """Broadcast a data packet after delay_us."""
-    packet: Data
+class Send:
+    """Broadcast an interest or a data packet after delay_us."""
+    packet: Interest | Data
     delay_us: int = 0
 
 
@@ -111,8 +87,7 @@ class StartTimer:
 
 
 Effect = (
-    Note | SendInterest | SendData | EmitData | AppInterest | AppPiece
-    | OriginateInterest | StartTimer
+    Note | Send | EmitData | AppInterest | AppPiece | OriginateInterest | StartTimer
 )
 
 
@@ -167,10 +142,12 @@ class ForwardingParams:
 @dataclass
 class NodeState:
     node_id: str
-    strategy: "PureForwarderStrategy | PeerRelayStrategy"
+    strategy: StrategyParams
     store: PieceStore
     params: ForwardingParams
     app: "PeerApp | None" = None
+    # torrents overheard recently; only a peer's decisions fill it
+    table: OverheardNameTable = field(default_factory=OverheardNameTable)
     pit: dict[str, PitEntry] = field(default_factory=dict)
     # nonces of satisfied entries, kept until the entry would have expired, so
     # late flood copies stay duplicates instead of re-seeding the PIT
@@ -231,17 +208,21 @@ def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
 
     if face is FaceId.APP:
         # own interests always hit the radio; the strategy governs relaying only
-        return [SendInterest(pkt, 0)]
+        return [Send(pkt, 0)]
 
     if pkt.hop_count + 1 > node.params.max_hops:
         return [Note(tc.DROP, key, tc.REASON_HOP_CAP)]
 
-    action, reason = node.strategy.decide(pkt, now_us, rng)
+    # a pure forwarder has no app; a peer relays by its own torrent
+    if node.app is None:
+        reason, delay = pure_decide(node.strategy, pkt, rng)
+    else:
+        reason, delay = peer_decide(node.strategy, node.app.torrent, node.table, pkt,
+                                    now_us, rng)
     effects: list[Effect] = [Note(tc.DECISION, key, reason)]
-    if isinstance(action, ForwardInterest):
-        effects.append(SendInterest(replace(pkt, hop_count=pkt.hop_count + 1),
-                                    action.delay_us))
-    elif isinstance(action, DeliverToApp):
+    if delay is not None:
+        effects.append(Send(replace(pkt, hop_count=pkt.hop_count + 1), delay))
+    elif reason == tc.REASON_OWN_APP:
         effects.append(AppInterest(pkt))
     return effects
 
@@ -265,7 +246,7 @@ def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
         relayed = replace(pkt, hop_count=pkt.hop_count + 1)
         if relayed.hop_count <= node.params.max_hops:
             delay = jittered(node.params.data_response_delay_us, rng)
-            effects.append(SendData(relayed, delay))
+            effects.append(Send(relayed, delay))
         else:
             effects.append(Note(tc.DROP, key, tc.REASON_HOP_CAP))
     effects.extend(_absorb_piece(node, cls))
@@ -306,14 +287,14 @@ def on_data_emission(node: NodeState, name: Name, now_us: int) -> list[Effect]:
     )
     effects: list[Effect] = []
     if FaceId.BROADCAST in entry.in_faces:
-        effects.append(SendData(pkt, 0))
+        effects.append(Send(pkt, 0))
     if FaceId.APP in entry.in_faces:
         effects.extend(_absorb_piece(node, cls))
     return effects
 
 
 def pit_gc(node: NodeState, now_us: int) -> int:
-    """Drop entries with expiry <= now; returns how many were removed."""
+    """Remove entries with expiry <= now; returns how many were removed."""
     stale = [key for key, entry in node.pit.items() if entry.expiry_us <= now_us]
     for key in stale:
         del node.pit[key]

@@ -7,7 +7,7 @@ durations and delays are integer microseconds.
 Only torrents and nodes are required:
 
     torrents    [{id, n_pieces, piece_bytes}], n_pieces at most MAX_PIECES
-    nodes       [{id, kind, torrent, position, mobility}]
+    nodes       [{id, kind, torrent, position, mobility}], at most MAX_NODES
 
 Every other top-level key is a field of ScenarioConfig, read with that
 field's default and type: the scalars duration_us, collision_mode and
@@ -66,6 +66,9 @@ DEFAULT_N_PIECES = 32
 # A bitmap announce carries n_pieces/4 hex digits in one name, and a peer holds
 # its bitmaps as integers of n_pieces bits; this bounds both.
 MAX_PIECES = 1 << 16
+# Every walking sender scans the other n-1 nodes per transmission, and the
+# flooding grows faster than n: a 60-node field already runs for about 45 s.
+MAX_NODES = 1024
 DEFAULT_PIECE_BYTES = 1024
 DEFAULT_DURATION_US = 120_000_000
 RANDOM_FIELD_DURATION_US = 600_000_000
@@ -171,6 +174,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         if torrent.piece_bytes < 0:
             raise ValidationError("piece_bytes must be non-negative")
 
+    if len(cfg.nodes) > MAX_NODES:
+        raise ValidationError(f"at most {MAX_NODES} nodes are supported, got {len(cfg.nodes)}")
     node_ids = [n.node_id for n in cfg.nodes]
     if len(set(node_ids)) != len(node_ids):
         raise ValidationError("node ids must be unique")
@@ -348,6 +353,8 @@ def load_scenario(path: str) -> ScenarioConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: nesting too deep") from None
     return scenario_from_json(obj)
 
 
@@ -388,6 +395,8 @@ def build_random_field(n_nodes: int, seed: int) -> ScenarioConfig:
     """
     if n_nodes < 5:
         raise TooFewNodes(f"random field needs at least 5 nodes, got {n_nodes}")
+    if n_nodes > MAX_NODES:
+        raise ValidationError(f"at most {MAX_NODES} nodes are supported, got {n_nodes}")
     per_torrent = n_nodes // 3
     roles: list[tuple[NodeKind, str | None]] = [
         (NodeKind.SEEDER, "movie1"),

@@ -5,13 +5,16 @@ after a short random wait. A peer relays interests for torrents other than
 its own only while the torrent's name is fresh in its overheard-name table:
 the first hearing within the memory window learns the name and drops the
 interest, later hearings forward it and refresh the window.
+
+Each rule is one function returning (reason, delay_us). The reason is the
+trace's DECISION code and is itself the verdict; delay_us is the jitter wait
+of a forward (PROB_FWD, FOREIGN_FWD) and None for every other reason.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .forwarding import DeliverToApp, Drop, ForwardAction, ForwardInterest
 from .names import Beacon, Interest, Unknown
 from . import trace as tc
 
@@ -40,7 +43,7 @@ class OverheardNameTable:
         self._expiry[torrent] = now_us + t_mem_us
 
     def gc(self, now_us: int) -> int:
-        """Drop expired names; expiry exactly at now counts as expired."""
+        """Forget expired names; expiry exactly at now counts as expired."""
         stale = [t for t, expiry in self._expiry.items() if expiry <= now_us]
         for torrent in stale:
             del self._expiry[torrent]
@@ -51,55 +54,27 @@ class OverheardNameTable:
 
 
 def pure_decide(params: StrategyParams, interest: Interest,
-                rng: random.Random) -> tuple[ForwardAction, str]:
-    """One forward-or-not draw; forwards wait a uniform jitter first."""
+                rng: random.Random) -> tuple[str, int | None]:
+    """One forward-or-not draw; a forward waits a uniform jitter first."""
     if rng.random() < params.p_forward:
-        return ForwardInterest(rng.randint(params.jitter_min_us, params.jitter_max_us)), \
-            tc.REASON_PROB_FWD
-    return Drop(), tc.REASON_PROB_DROP
+        return tc.REASON_PROB_FWD, rng.randint(params.jitter_min_us, params.jitter_max_us)
+    return tc.REASON_PROB_DROP, None
 
 
 def peer_decide(params: StrategyParams, own_torrent: str, table: OverheardNameTable,
                 interest: Interest, now_us: int,
-                rng: random.Random) -> tuple[ForwardAction, str]:
+                rng: random.Random) -> tuple[str, int | None]:
     """Own traffic to the app; foreign torrents gated by the overheard table."""
     cls = interest.name.cls
     if isinstance(cls, Beacon):
-        return DeliverToApp(), tc.REASON_OWN_APP
+        return tc.REASON_OWN_APP, None
     if isinstance(cls, Unknown):
-        return Drop(), tc.REASON_UNKNOWN_DROP
+        return tc.REASON_UNKNOWN_DROP, None
     torrent = cls.torrent
     if torrent == own_torrent:
-        return DeliverToApp(), tc.REASON_OWN_APP
+        return tc.REASON_OWN_APP, None
     if table.live(torrent, now_us):
         table.touch(torrent, now_us, params.t_mem_us)
-        return ForwardInterest(rng.randint(params.jitter_min_us, params.jitter_max_us)), \
-            tc.REASON_FOREIGN_FWD
+        return tc.REASON_FOREIGN_FWD, rng.randint(params.jitter_min_us, params.jitter_max_us)
     table.touch(torrent, now_us, params.t_mem_us)
-    return Drop(), tc.REASON_FOREIGN_LEARN
-
-
-@dataclass
-class PureForwarderStrategy:
-    params: StrategyParams
-
-    def decide(self, interest: Interest, now_us: int,
-               rng: random.Random) -> tuple[ForwardAction, str]:
-        return pure_decide(self.params, interest, rng)
-
-    def gc(self, now_us: int) -> int:
-        return 0
-
-
-@dataclass
-class PeerRelayStrategy:
-    params: StrategyParams
-    own_torrent: str
-    table: OverheardNameTable = field(default_factory=OverheardNameTable)
-
-    def decide(self, interest: Interest, now_us: int,
-               rng: random.Random) -> tuple[ForwardAction, str]:
-        return peer_decide(self.params, self.own_torrent, self.table, interest, now_us, rng)
-
-    def gc(self, now_us: int) -> int:
-        return self.table.gc(now_us)
+    return tc.REASON_FOREIGN_LEARN, None

@@ -25,7 +25,6 @@ from .mobility import (
 )
 from .names import Beacon, BitmapAnnounce, Data, Interest, PieceInterest
 from .scenario import MobilityKind, NodeKind, ScenarioConfig
-from .strategies import PeerRelayStrategy, PureForwarderStrategy
 from .trace import MetricsSummary, TraceRecord, metrics_from_trace
 
 GC_INTERVAL_US = 1_000_000
@@ -84,10 +83,7 @@ class World:
         for spec in cfg.nodes:
             store = fw.PieceStore()
             app = None
-            if spec.kind is NodeKind.PURE_FORWARDER:
-                strategy = PureForwarderStrategy(cfg.strategy)
-            else:
-                strategy = PeerRelayStrategy(cfg.strategy, spec.torrent)
+            if spec.kind is not NodeKind.PURE_FORWARDER:
                 torrent = cfg.torrent_spec(spec.torrent)
                 have = store.ensure(torrent.torrent_id, torrent.n_pieces, torrent.piece_bytes)
                 app = PeerApp(
@@ -105,7 +101,7 @@ class World:
                     store.ensure(torrent.torrent_id, torrent.n_pieces, torrent.piece_bytes)
             self.nodes[spec.node_id] = fw.NodeState(
                 node_id=spec.node_id,
-                strategy=strategy,
+                strategy=cfg.strategy,
                 store=store,
                 params=cfg.forwarding,
                 app=app,
@@ -166,18 +162,13 @@ class World:
             elif isinstance(effect, fw.OriginateInterest):
                 self._apply(node_id, fw.on_incoming_interest(
                     node, effect.packet, fw.FaceId.APP, now, self._strategy_rng(node_id)))
-            elif isinstance(effect, fw.SendInterest):
+            elif isinstance(effect, fw.Send):
+                # a delay-0 send goes out now, before the next effect
                 if effect.delay_us > 0:
                     self.loop.schedule(now + effect.delay_us, EV_TIMER, node_id,
-                                       ("tx_interest", effect.packet))
+                                       ("tx", effect.packet))
                 else:
-                    self._transmit_interest(node_id, effect.packet)
-            elif isinstance(effect, fw.SendData):
-                if effect.delay_us > 0:
-                    self.loop.schedule(now + effect.delay_us, EV_TIMER, node_id,
-                                       ("tx_data", effect.packet))
-                else:
-                    self._transmit_data(node_id, effect.packet)
+                    self._transmit(node_id, effect.packet)
             elif isinstance(effect, fw.EmitData):
                 self.loop.schedule(now + effect.delay_us, EV_TIMER, node_id,
                                    ("emit", effect.name))
@@ -209,14 +200,13 @@ class World:
 
     # -- radio ---------------------------------------------------------------------
 
-    def _transmit_interest(self, node_id: str, pkt: Interest) -> None:
-        self._note(node_id, tc.INTEREST_TX, pkt.name.key,
-                   f"nonce={pkt.nonce:016x};hop={pkt.hop_count};origin={pkt.origin}")
-        self._broadcast(node_id, pkt)
-
-    def _transmit_data(self, node_id: str, pkt: Data) -> None:
-        self._note(node_id, tc.DATA_TX, pkt.name.key,
-                   f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
+    def _transmit(self, node_id: str, pkt: Interest | Data) -> None:
+        if isinstance(pkt, Interest):
+            self._note(node_id, tc.INTEREST_TX, pkt.name.key,
+                       f"nonce={pkt.nonce:016x};hop={pkt.hop_count};origin={pkt.origin}")
+        else:
+            self._note(node_id, tc.DATA_TX, pkt.name.key,
+                       f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
         self._broadcast(node_id, pkt)
 
     def _candidates_of(self, sender: str) -> list[tuple[str, _Motion]]:
@@ -309,10 +299,8 @@ class World:
             return
         node_id = event.target
         node = self.nodes[node_id]
-        if tag == "tx_interest":
-            self._transmit_interest(node_id, payload[1])
-        elif tag == "tx_data":
-            self._transmit_data(node_id, payload[1])
+        if tag == "tx":
+            self._transmit(node_id, payload[1])
         elif tag == "emit":
             self._apply(node_id, fw.on_data_emission(node, payload[1], now))
         elif tag == TIMER_BEACON:
@@ -341,7 +329,7 @@ class World:
         now = self.loop.now_us
         for node in self.nodes.values():
             fw.pit_gc(node, now)
-            node.strategy.gc(now)
+            node.table.gc(now)
         nxt = now + GC_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_GC)

@@ -12,7 +12,6 @@ import pytest
 from ntorrent_sim import trace as tc
 from ntorrent_sim.app import AppConfig
 from ntorrent_sim.cli import main
-from ntorrent_sim.forwarding import ForwardInterest
 from ntorrent_sim.mobility import GridBounds
 from ntorrent_sim.names import Interest, piece_name
 from ntorrent_sim.oracle import reachability_oracle
@@ -227,10 +226,10 @@ def test_criterion_8_forwarding_probability_statistics():
     interest_pkt = Interest(piece_name("movie1", 0), nonce=1, origin="x")
     forwarded = 0
     for _ in range(100_000):
-        action, _ = pure_decide(params, interest_pkt, rng)
-        if isinstance(action, ForwardInterest):
+        reason, delay = pure_decide(params, interest_pkt, rng)
+        if reason == tc.REASON_PROB_FWD:
             forwarded += 1
-            assert 2_000 <= action.delay_us <= 10_000
+            assert 2_000 <= delay <= 10_000
     assert 49_000 <= forwarded <= 51_000, f"forwarded {forwarded} of 100000"
 
 

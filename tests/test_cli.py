@@ -152,6 +152,16 @@ def test_piece_count_above_the_bound_exits_2(tmp_path, capsys):
     assert "n_pieces must be within [1, 65536]" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # json.loads recurses once per level and raised RecursionError here
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"grid": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:" in err and "nesting too deep" in err
+
+
 def test_missing_scenario_file_exits_3(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "out")]) == EXIT_IO

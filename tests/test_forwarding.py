@@ -1,5 +1,7 @@
 """Per-node forwarding plane: PIT dedup, breadcrumbs, store answers, hop caps."""
+import copy
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -14,34 +16,26 @@ from ntorrent_sim.forwarding import (
     NodeState,
     Note,
     PieceStore,
-    SendData,
-    SendInterest,
+    Send,
     on_data_emission,
     on_incoming_data,
     on_incoming_interest,
     pit_gc,
 )
-from ntorrent_sim.names import Data, Interest, beacon_name, piece_name, render_name
-from ntorrent_sim.strategies import (
-    OverheardNameTable,
-    PeerRelayStrategy,
-    PureForwarderStrategy,
-    StrategyParams,
-)
+from ntorrent_sim.names import Data, Interest, beacon_name, parse_name, piece_name, render_name
+from ntorrent_sim.strategies import StrategyParams, peer_decide, pure_decide
 
 PIECE = piece_name("movie1", 3)
 KEY = render_name(PIECE)
 
 
 def forwarder_node(p=1.0, params=None, store=None):
-    strategy = PureForwarderStrategy(StrategyParams(p_forward=p))
-    return NodeState(node_id="f0", strategy=strategy, store=store or PieceStore(),
-                     params=params or ForwardingParams())
+    return NodeState(node_id="f0", strategy=StrategyParams(p_forward=p),
+                     store=store or PieceStore(), params=params or ForwardingParams())
 
 
 def peer_node(own="movie1", store=None):
-    strategy = PeerRelayStrategy(StrategyParams(), own, OverheardNameTable())
-    return NodeState(node_id="p0", strategy=strategy, store=store or PieceStore(),
+    return NodeState(node_id="p0", strategy=StrategyParams(), store=store or PieceStore(),
                      params=ForwardingParams(),
                      app=SimpleNamespace(torrent=own))
 
@@ -57,7 +51,7 @@ def interest(nonce=1, hop=0, name=PIECE):
 def test_duplicate_nonce_drops_and_leaves_pit_alone():
     node = forwarder_node()
     first = on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
-    assert any(isinstance(e, SendInterest) for e in first)
+    assert any(isinstance(e, Send) for e in first)
     entry = node.pit[KEY]
     again = on_incoming_interest(node, interest(), FaceId.BROADCAST, 100, rng())
     assert again == [Note(tc.DROP, KEY, tc.REASON_PIT_DUP)]
@@ -86,7 +80,7 @@ def test_store_holder_schedules_data_instead_of_forwarding():
     assert isinstance(effects[1], EmitData)
     assert effects[1].name == PIECE
     assert 900 <= effects[1].delay_us <= 1_100
-    assert not any(isinstance(e, SendInterest) for e in effects)
+    assert not any(isinstance(e, Send) for e in effects)
 
 
 def test_app_face_bypasses_the_strategy():
@@ -94,7 +88,7 @@ def test_app_face_bypasses_the_strategy():
     # would have dropped (p=0)
     node = forwarder_node(p=0.0)
     effects = on_incoming_interest(node, interest(), FaceId.APP, 0, rng())
-    assert effects == [SendInterest(interest(), 0)]
+    assert effects == [Send(interest(), 0)]
 
 
 def test_hop_cap_drops_before_the_strategy_runs():
@@ -103,7 +97,7 @@ def test_hop_cap_drops_before_the_strategy_runs():
     assert effects == [Note(tc.DROP, KEY, tc.REASON_HOP_CAP)]
     effects = on_incoming_interest(node, interest(nonce=2, hop=3), FaceId.BROADCAST,
                                    0, rng())
-    assert any(isinstance(e, SendInterest) and e.packet.hop_count == 4
+    assert any(isinstance(e, Send) and e.packet.hop_count == 4
                for e in effects)
 
 
@@ -112,7 +106,7 @@ def test_forward_increments_hops_and_jitters():
     effects = on_incoming_interest(node, interest(hop=2), FaceId.BROADCAST, 0, rng())
     note, send = effects
     assert note == Note(tc.DECISION, KEY, tc.REASON_PROB_FWD)
-    assert isinstance(send, SendInterest)
+    assert isinstance(send, Send)
     assert send.packet.hop_count == 3
     assert send.packet.nonce == 1
     assert 2_000 <= send.delay_us <= 10_000
@@ -127,6 +121,45 @@ def test_peer_delivers_beacon_to_app():
     assert effects[1].packet == beacon
 
 
+def learned_peer(own, heard):
+    node = peer_node(own=own)
+    node.table.touch(heard, 0, node.strategy.t_mem_us)
+    return node
+
+
+# reason -> (node that reaches it, interest name, what follows the DECISION note)
+DECISIONS = {
+    tc.REASON_PROB_FWD: (lambda: forwarder_node(p=1.0), PIECE, "send"),
+    tc.REASON_PROB_DROP: (lambda: forwarder_node(p=0.0), PIECE, "nothing"),
+    tc.REASON_OWN_APP: (lambda: peer_node(own="movie1"), PIECE, "app"),
+    tc.REASON_FOREIGN_LEARN: (lambda: peer_node(own="movie2"), PIECE, "nothing"),
+    tc.REASON_FOREIGN_FWD: (lambda: learned_peer("movie2", "movie1"), PIECE, "send"),
+    tc.REASON_UNKNOWN_DROP: (lambda: peer_node(own="movie1"), parse_name("/x/y"), "nothing"),
+}
+
+
+@pytest.mark.parametrize("reason", list(DECISIONS))
+def test_each_decision_reason_emits_its_effect(reason):
+    make_node, name, then = DECISIONS[reason]
+    node = make_node()
+    pkt = interest(hop=2, name=name)
+    # the rule itself, on copies of the table and the rng the plane will use
+    if node.app is None:
+        expected = pure_decide(node.strategy, pkt, rng())
+    else:
+        expected = peer_decide(node.strategy, node.app.torrent, copy.deepcopy(node.table),
+                               pkt, 0, rng())
+    assert expected[0] == reason
+    effects = on_incoming_interest(node, pkt, FaceId.BROADCAST, 0, rng())
+    assert effects[0] == Note(tc.DECISION, name.key, reason)
+    if then == "send":
+        assert effects[1:] == [Send(replace(pkt, hop_count=3), expected[1])]
+    elif then == "app":
+        assert effects[1:] == [AppInterest(pkt)]
+    else:
+        assert effects[1:] == []
+
+
 # -- data path -----------------------------------------------------------------
 
 def data_pkt(hop=0):
@@ -137,7 +170,7 @@ def test_data_follows_broadcast_breadcrumb():
     node = forwarder_node(p=1.0)
     on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
     effects = on_incoming_data(node, data_pkt(hop=1), 5_000, rng())
-    sends = [e for e in effects if isinstance(e, SendData)]
+    sends = [e for e in effects if isinstance(e, Send)]
     assert len(sends) == 1
     assert sends[0].packet.hop_count == 2
     assert 900 <= sends[0].delay_us <= 1_100
@@ -150,7 +183,7 @@ def test_data_for_app_breadcrumb_reaches_the_peer():
     effects = on_incoming_data(node, data_pkt(), 5_000, rng())
     assert AppPiece("movie1", 3) in effects
     # nothing to send back: the radio never asked
-    assert not any(isinstance(e, SendData) for e in effects)
+    assert not any(isinstance(e, Send) for e in effects)
 
 
 def test_data_for_both_faces_delivers_locally_and_relays_once():
@@ -158,7 +191,7 @@ def test_data_for_both_faces_delivers_locally_and_relays_once():
     on_incoming_interest(node, interest(nonce=1), FaceId.APP, 0, rng())
     on_incoming_interest(node, interest(nonce=2), FaceId.BROADCAST, 10, rng())
     effects = on_incoming_data(node, data_pkt(hop=1), 5_000, rng())
-    sends = [e for e in effects if isinstance(e, SendData)]
+    sends = [e for e in effects if isinstance(e, Send)]
     assert len(sends) == 1
     assert AppPiece("movie1", 3) in effects
 
@@ -187,7 +220,7 @@ def test_satisfied_entry_still_suppresses_its_nonces():
     assert late == [Note(tc.DROP, KEY, tc.REASON_PIT_DUP)]
     # a genuinely new nonce is a fresh request and forwards again
     fresh = on_incoming_interest(node, interest(nonce=10), FaceId.BROADCAST, 7_000, rng())
-    assert any(isinstance(e, SendInterest) for e in fresh)
+    assert any(isinstance(e, Send) for e in fresh)
 
 
 def test_nonce_suppression_survives_multiple_rounds():
@@ -217,7 +250,7 @@ def test_data_hop_cap():
     on_incoming_interest(node, interest(hop=0), FaceId.BROADCAST, 0, rng())
     effects = on_incoming_data(node, data_pkt(hop=2), 1_000, rng())
     assert Note(tc.DROP, KEY, tc.REASON_HOP_CAP) in effects
-    assert not any(isinstance(e, SendData) for e in effects)
+    assert not any(isinstance(e, Send) for e in effects)
 
 
 # -- deferred emission ------------------------------------------------------------
@@ -235,7 +268,7 @@ def test_emission_answers_the_recorded_faces():
     effects = on_data_emission(node, PIECE, 1_000)
     assert len(effects) == 1
     send = effects[0]
-    assert isinstance(send, SendData)
+    assert isinstance(send, Send)
     assert send.packet.payload_bytes == 512
     assert send.packet.origin == "f0"
     assert send.packet.hop_count == 0
@@ -295,7 +328,7 @@ def test_pit_gc_boundary_and_dead_nonce_purge():
     # with the dead record gone the old nonce is accepted as new again
     effects = on_incoming_interest(node, interest(nonce=6), FaceId.BROADCAST,
                                    2 * lifetime, rng())
-    assert any(isinstance(e, SendInterest) for e in effects)
+    assert any(isinstance(e, Send) for e in effects)
 
 
 def test_piece_store_ensure_is_idempotent():

@@ -7,6 +7,7 @@ import pytest
 
 from ntorrent_sim.mobility import GridBounds
 from ntorrent_sim.scenario import (
+    MAX_NODES,
     MobilityKind,
     NodeKind,
     NodeSpec,
@@ -262,6 +263,17 @@ def test_random_field_shuffle_is_seeded():
 def test_random_field_minimum_size():
     with pytest.raises(TooFewNodes):
         build_random_field(4, seed=1)
+
+
+def test_node_count_is_bounded():
+    assert len(build_random_field(MAX_NODES, seed=1).nodes) == MAX_NODES
+    with pytest.raises(ValidationError, match="at most 1024 nodes"):
+        build_random_field(MAX_NODES + 1, seed=1)
+    static = [NodeSpec(f"f{i}", NodeKind.PURE_FORWARDER, position=(0.0, 0.0))
+              for i in range(MAX_NODES + 1)]
+    validate(ScenarioConfig(nodes=static[:-1], torrents=[]))
+    with pytest.raises(ValidationError, match="at most 1024 nodes"):
+        validate(ScenarioConfig(nodes=static, torrents=[]))
 
 
 def test_with_p_forward_copies():

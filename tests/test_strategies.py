@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ntorrent_sim import trace as tc
-from ntorrent_sim.forwarding import DeliverToApp, Drop, ForwardInterest
 from ntorrent_sim.names import Bitmap, Interest, bitmap_announce_name, beacon_name, parse_name, piece_name
 from ntorrent_sim.scenario import ScenarioConfig, ValidationError, validate
 from ntorrent_sim.strategies import (
@@ -47,13 +46,11 @@ def test_pure_degenerate_probabilities():
     rng = random.Random(1)
     pkt = interest_for(piece_name("movie1", 0))
     for _ in range(200):
-        action, reason = pure_decide(pure_cfg(1.0), pkt, rng)
-        assert isinstance(action, ForwardInterest)
+        reason, delay = pure_decide(pure_cfg(1.0), pkt, rng)
         assert reason == tc.REASON_PROB_FWD
+        assert 2_000 <= delay <= 10_000
     for _ in range(200):
-        action, reason = pure_decide(pure_cfg(0.0), pkt, rng)
-        assert isinstance(action, Drop)
-        assert reason == tc.REASON_PROB_DROP
+        assert pure_decide(pure_cfg(0.0), pkt, rng) == (tc.REASON_PROB_DROP, None)
 
 
 def test_pure_half_probability_monte_carlo():
@@ -61,10 +58,10 @@ def test_pure_half_probability_monte_carlo():
     pkt = interest_for(piece_name("movie1", 0))
     forwarded = 0
     for _ in range(100_000):
-        action, _ = pure_decide(pure_cfg(0.5), pkt, rng)
-        if isinstance(action, ForwardInterest):
+        _, delay = pure_decide(pure_cfg(0.5), pkt, rng)
+        if delay is not None:
             forwarded += 1
-            assert 2_000 <= action.delay_us <= 10_000
+            assert 2_000 <= delay <= 10_000
     assert 49_000 <= forwarded <= 51_000
 
 
@@ -82,9 +79,8 @@ def test_pure_decide_replays_identically():
 def test_first_foreign_interest_learns_and_drops():
     table = OverheardNameTable()
     pkt = interest_for(piece_name("movie1", 0))
-    action, reason = peer_decide(PEER, "movie2", table, pkt, 5_000_000, random.Random(1))
-    assert isinstance(action, Drop)
-    assert reason == tc.REASON_FOREIGN_LEARN
+    assert peer_decide(PEER, "movie2", table, pkt, 5_000_000, random.Random(1)) == (
+        tc.REASON_FOREIGN_LEARN, None)
     # remembered for exactly t_mem from this hearing
     assert table.live("movie1", 5_000_000 + T_MEM - 1)
     assert not table.live("movie1", 5_000_000 + T_MEM)
@@ -95,10 +91,9 @@ def test_second_foreign_interest_within_memory_forwards():
     rng = random.Random(1)
     own = "movie2"
     peer_decide(PEER, own, table, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
-    action, reason = peer_decide(PEER, own, table, interest_for(piece_name("movie1", 1)),
-                                 6_000_000, rng)
-    assert isinstance(action, ForwardInterest)
-    assert 2_000 <= action.delay_us <= 10_000
+    reason, delay = peer_decide(PEER, own, table, interest_for(piece_name("movie1", 1)),
+                                6_000_000, rng)
+    assert 2_000 <= delay <= 10_000
     assert reason == tc.REASON_FOREIGN_FWD
     # forwarding refreshes the memory from the later hearing
     assert table.live("movie1", 6_000_000 + T_MEM - 1)
@@ -111,16 +106,14 @@ def test_memory_expiry_boundary_relearns():
     own = "movie2"
     peer_decide(PEER, own, table, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
     # at exactly expiry the entry is treated as absent
-    action, reason = peer_decide(PEER, own, table, interest_for(piece_name("movie1", 1)),
-                                 5_000_000 + T_MEM, rng)
-    assert isinstance(action, Drop)
-    assert reason == tc.REASON_FOREIGN_LEARN
+    assert peer_decide(PEER, own, table, interest_for(piece_name("movie1", 1)),
+                       5_000_000 + T_MEM, rng) == (tc.REASON_FOREIGN_LEARN, None)
     # one microsecond earlier it would still forward
     table2 = OverheardNameTable()
     peer_decide(PEER, own, table2, interest_for(piece_name("movie1", 0)), 5_000_000, rng)
-    action, _ = peer_decide(PEER, own, table2, interest_for(piece_name("movie1", 1)),
-                            5_000_000 + T_MEM - 1, rng)
-    assert isinstance(action, ForwardInterest)
+    reason, delay = peer_decide(PEER, own, table2, interest_for(piece_name("movie1", 1)),
+                                5_000_000 + T_MEM - 1, rng)
+    assert reason == tc.REASON_FOREIGN_FWD and delay is not None
 
 
 def test_beacons_and_own_torrent_reach_the_app():
@@ -132,9 +125,8 @@ def test_beacons_and_own_torrent_reach_the_app():
         piece_name("movie2", 4),
         bitmap_announce_name("movie2", "n3", Bitmap(8, 0x11)),
     ):
-        action, reason = peer_decide(PEER, own, table, interest_for(name), 0, rng)
-        assert isinstance(action, DeliverToApp)
-        assert reason == tc.REASON_OWN_APP
+        assert peer_decide(PEER, own, table, interest_for(name), 0, rng) == (
+            tc.REASON_OWN_APP, None)
     assert len(table) == 0  # own traffic never populates the foreign memory
 
 
@@ -143,17 +135,15 @@ def test_foreign_bitmap_announce_uses_the_foreign_gate():
     rng = random.Random(1)
     own = "movie2"
     announce = interest_for(bitmap_announce_name("movie1", "n3", Bitmap(8, 0x11)))
-    action, reason = peer_decide(PEER, own, table, announce, 0, rng)
-    assert isinstance(action, Drop) and reason == tc.REASON_FOREIGN_LEARN
-    action, reason = peer_decide(PEER, own, table, announce, 1_000, rng)
-    assert isinstance(action, ForwardInterest) and reason == tc.REASON_FOREIGN_FWD
+    assert peer_decide(PEER, own, table, announce, 0, rng) == (tc.REASON_FOREIGN_LEARN, None)
+    reason, delay = peer_decide(PEER, own, table, announce, 1_000, rng)
+    assert reason == tc.REASON_FOREIGN_FWD and delay is not None
 
 
 def test_unknown_names_drop():
-    action, reason = peer_decide(PEER, "movie2", OverheardNameTable(),
-                                 interest_for(parse_name("/x/y")), 0, random.Random(1))
-    assert isinstance(action, Drop)
-    assert reason == tc.REASON_UNKNOWN_DROP
+    assert peer_decide(PEER, "movie2", OverheardNameTable(),
+                       interest_for(parse_name("/x/y")), 0, random.Random(1)) == (
+        tc.REASON_UNKNOWN_DROP, None)
 
 
 @given(st.lists(st.tuples(st.sampled_from(["movieA", "movieB", "movieC"]),
@@ -168,11 +158,11 @@ def test_learn_then_forward_over_interleavings(steps):
     last_heard = {}
     for torrent, gap in steps:
         now += gap
-        action, _ = peer_decide(PEER, own, table, interest_for(piece_name(torrent, 0)),
-                                now, rng)
+        _, delay = peer_decide(PEER, own, table, interest_for(piece_name(torrent, 0)),
+                               now, rng)
         heard_at = last_heard.get(torrent)
         should_forward = heard_at is not None and now < heard_at + T_MEM
-        assert isinstance(action, ForwardInterest) == should_forward
+        assert (delay is not None) == should_forward
         last_heard[torrent] = now
 
 
