@@ -41,12 +41,18 @@ def _u64(text: str) -> int:
     return value
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return _nonempty([float(part) for part in text.split(",") if part])
 
 
 def _seed_list(text: str) -> list[int]:
-    return [_u64(part) for part in text.split(",") if part]
+    return _nonempty([_u64(part) for part in text.split(",") if part])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,15 @@
 """Per-node forwarding plane: faces, PIT, piece store, and dispatch.
 
 Every node, peer or not, runs the same plane. Incoming interests pass nonce
-deduplication, leave a PIT breadcrumb for the return path, are answered from
-the local piece store when possible, and otherwise go to a relay rule: a
-pure forwarder (no app) calls strategies.pure_decide, a peer calls
-strategies.peer_decide with its own torrent and its overheard-name table. The
-rule's reason code is noted as the DECISION; a forward becomes a Send after
-the rule's delay, OWN_APP hands the interest to the app, and the drop
-reasons emit nothing more. Returning data consumes the breadcrumb: rebroadcast
-once toward the radio if the interest came from there, hand to the local
-application if the node peers on that torrent.
+deduplication (is_duplicate), leave a PIT breadcrumb for the return path, are
+answered from the local piece store when possible, and otherwise go to a
+relay rule: a pure forwarder (no app) calls strategies.pure_decide, a peer
+calls strategies.peer_decide with its own torrent and its overheard-name
+table. The rule's reason code is noted as the DECISION; a forward becomes a
+Send after the rule's delay, OWN_APP hands the interest to the app, and the
+drop reasons emit nothing more. Returning data consumes the breadcrumb:
+rebroadcast once toward the radio if the interest came from there, hand to
+the local application if the node peers on that torrent.
 
 Handlers are pure with respect to the world: they mutate only the given node
 state and return a list of effects (sends, emissions, timers, trace notes)
@@ -181,16 +181,25 @@ def jittered(base_us: int, rng: random.Random) -> int:
     return base_us + rng.randint(-spread, spread)
 
 
+def is_duplicate(node: NodeState, pkt: Interest, now_us: int) -> bool:
+    """Whether the node already holds pkt's nonce for its name, in a live PIT
+    entry or a live dead-nonce record. A duplicate is dropped with PIT_DUP
+    and changes no state."""
+    key = pkt.name.key
+    entry = node.pit.get(key)
+    if _live(entry, now_us) and pkt.nonce in entry.nonces:
+        return True
+    dead = node.dead_nonces.get(key)
+    return _live(dead, now_us) and pkt.nonce in dead.nonces
+
+
 def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
                          now_us: int, rng: random.Random) -> list[Effect]:
     """PIT dedup, breadcrumb, store check, then the face's forwarding rule."""
     key = pkt.name.key
+    if is_duplicate(node, pkt, now_us):
+        return [Note(tc.DROP, key, tc.REASON_PIT_DUP)]
     entry = node.pit.get(key)
-    if _live(entry, now_us) and pkt.nonce in entry.nonces:
-        return [Note(tc.DROP, key, tc.REASON_PIT_DUP)]
-    dead = node.dead_nonces.get(key)
-    if _live(dead, now_us) and pkt.nonce in dead.nonces:
-        return [Note(tc.DROP, key, tc.REASON_PIT_DUP)]
     if not _live(entry, now_us):
         entry = PitEntry(pkt.name)
         node.pit[key] = entry

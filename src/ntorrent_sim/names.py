@@ -235,6 +235,13 @@ class Interest:
         if self.hop_count < 0:
             raise ValueError("hop_count must be non-negative")
 
+    @cached_property
+    def wire(self) -> str:
+        """Nonce, hop count and origin as the trace detail of this packet's
+        transmission and of each of its receptions, which share the one
+        string. A relayed copy is a new Interest with its own."""
+        return f"nonce={self.nonce:016x};hop={self.hop_count};origin={self.origin}"
+
 
 @dataclass(frozen=True)
 class Data:

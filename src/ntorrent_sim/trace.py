@@ -4,11 +4,17 @@ The trace is the single source of truth for a run: metrics are recomputed
 from it, and positions.csv is a projection of its POSITION rows. Files are
 UTF-8 with LF line endings and stable column order, so equal runs produce
 byte-identical output.
+
+trace.csv and positions.csv hold one row per record, so their writer skips
+csv.writer's per-row cost: it formats rows with one format string and
+writes them a chunk at a time, and hands a chunk to csv.writer only when
+some field in it could need quoting. The bytes are csv.writer's either way.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 # wire-level events
@@ -52,6 +58,7 @@ REASON_COLLISION = "COLLISION"
 DROP_DECISIONS = frozenset({REASON_PROB_DROP, REASON_FOREIGN_LEARN, REASON_UNKNOWN_DROP})
 
 TRACE_COLUMNS = ("time_us", "node", "event", "name", "detail")
+POSITION_COLUMNS = ("time_us", "node", "x", "y")
 
 
 class TraceRecord(NamedTuple):
@@ -62,12 +69,42 @@ class TraceRecord(NamedTuple):
     detail: str
 
 
-def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
+# rows formatted, joined and checked together; 1,024 trace rows are about 80 kB
+_CHUNK_ROWS = 1024
+
+
+def _unquoted(text: str, lines: int, commas: int) -> bool:
+    """Whether text, `lines` formatted lines of `commas` commas each, is what
+    csv.writer writes for their rows: no field holds a comma, a quote, a
+    carriage return or a newline. csv.writer quotes a lone carriage return
+    only from CPython 3.13 on, so rows holding one are left to it."""
+    return (text.count(",") == commas * lines and text.count("\n") == lines
+            and '"' not in text and "\r" not in text)
+
+
+def _write_rows(path: str, header: tuple[str, ...], line_format: str,
+                rows: Iterable[tuple]) -> None:
+    """Write header and rows as csv.writer(fh, lineterminator="\\n") does.
+
+    line_format renders one row as one line, fields joined by commas. A chunk
+    of rows whose lines need no quoting is written as the joined lines; any
+    other chunk goes through csv.writer.
+    """
+    commas = line_format.count(",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for rec in records:
-            writer.writerow((rec.time_us, rec.node, rec.event, rec.name, rec.detail))
+        writer.writerow(header)
+        rows = iter(rows)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            text = "".join([line_format % row for row in chunk])
+            if _unquoted(text, len(chunk), commas):
+                fh.write(text)
+            else:
+                writer.writerows(chunk)
+
+
+def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
+    _write_rows(path, TRACE_COLUMNS, "%d,%s,%s,%s,%s\n", records)
 
 
 def read_trace_csv(path: str) -> list[TraceRecord]:
@@ -90,15 +127,15 @@ def detail_fields(detail: str) -> dict[str, str]:
     return fields
 
 
-def write_positions_csv(path: str, records: Iterable[TraceRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("time_us", "node", "x", "y"))
-        for rec in records:
-            if rec.event != POSITION:
-                continue
+def _position_rows(records: Iterable[TraceRecord]):
+    for rec in records:
+        if rec.event == POSITION:
             fields = detail_fields(rec.detail)
-            writer.writerow((rec.time_us, rec.node, fields["x"], fields["y"]))
+            yield rec.time_us, rec.node, fields["x"], fields["y"]
+
+
+def write_positions_csv(path: str, records: Iterable[TraceRecord]) -> None:
+    _write_rows(path, POSITION_COLUMNS, "%d,%s,%s,%s\n", _position_rows(records))
 
 
 # ---------------------------------------------------------------------------

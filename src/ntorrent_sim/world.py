@@ -202,8 +202,7 @@ class World:
 
     def _transmit(self, node_id: str, pkt: Interest | Data) -> None:
         if isinstance(pkt, Interest):
-            self._note(node_id, tc.INTEREST_TX, pkt.name.key,
-                       f"nonce={pkt.nonce:016x};hop={pkt.hop_count};origin={pkt.origin}")
+            self._note(node_id, tc.INTEREST_TX, pkt.name.key, pkt.wire)
         else:
             self._note(node_id, tc.DATA_TX, pkt.name.key,
                        f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
@@ -275,8 +274,12 @@ class World:
         node = self.nodes[node_id]
         now = self.loop.now_us
         if isinstance(pkt, Interest):
-            self._note(node_id, tc.INTEREST_RX, pkt.name.key,
-                       f"nonce={pkt.nonce:016x};hop={pkt.hop_count};origin={pkt.origin}")
+            key = pkt.name.key
+            self._note(node_id, tc.INTEREST_RX, key, pkt.wire)
+            # most flood copies are duplicates; they end here, with no effect list
+            if fw.is_duplicate(node, pkt, now):
+                self._note(node_id, tc.DROP, key, tc.REASON_PIT_DUP)
+                return
             effects = fw.on_incoming_interest(node, pkt, fw.FaceId.BROADCAST, now,
                                               self._strategy_rng(node_id))
         else:

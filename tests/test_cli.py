@@ -85,6 +85,17 @@ def test_sweep_row_count_and_order(tiny_scenario, tmp_path, capsys):
     assert all(r[4] == "1" and r[5] != "" for r in body)
 
 
+@pytest.mark.parametrize("p_list, seed_list", [("", "1"), (",", "1"), ("1.0", ""), ("1.0", ",")])
+def test_empty_sweep_list_exits_2(tiny_scenario, tmp_path, capsys, p_list, seed_list):
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", tiny_scenario, "--p", p_list,
+              "--seeds", seed_list, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "needs at least one value" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_oracle_subcommand_prints_verdicts(tmp_path, capsys):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps(ORACLE_SCENARIO), encoding="utf-8")

@@ -82,6 +82,22 @@ def walls_document():
             ]}
 
 
+def csv_hostile_document():
+    """A relay scenario whose ids need CSV quoting: the torrent id holds a
+    comma, a quote and a newline, and the node ids hold a quote, a CRLF, a
+    newline and a comma. No id holds a lone carriage return, which csv.writer
+    quotes only from CPython 3.13 on."""
+    torrent = 'mo,"vie\n1'
+    return {"duration_us": 20_000_000,
+            "torrents": [{"id": torrent, "n_pieces": 4}],
+            "nodes": [
+                {"id": 's"1', "kind": "seeder", "torrent": torrent, "position": [50.0, 150.0]},
+                {"id": "f\r\n2", "kind": "pure_forwarder", "position": [100.0, 150.0]},
+                {"id": "l\n3", "kind": "leecher", "torrent": torrent, "position": [150.0, 150.0]},
+                {"id": "x,4", "kind": "pure_forwarder", "position": [100.0, 100.0]},
+            ]}
+
+
 def _scenario_argv(tmp_path, document, seed):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -135,6 +151,12 @@ CASES = {
         {"trace.csv": "1a99cb6bd84867edbfcce8883ac715464fb94596c535d132aa94d3cd2e4dbffc",
          "metrics.csv": "349f257e8dddb3689b24678fcd673d023f093694bf5fabf966e81940a06e96d9",
          "positions.csv": "f88a4538362aa7584047d0bbb7d5d3a44584089ea8ccfe1d33d6f86fc00e35c8"},
+    ),
+    "csv-hostile-ids-seed1": (
+        lambda tmp: _scenario_argv(tmp, csv_hostile_document(), 1),
+        {"trace.csv": "b9841632bc574d9e0cabd944946bb35961eded47f21cf684fa9bf5133d9c35eb",
+         "metrics.csv": "e1f26b896fe32771c2600ff30cc7a3c67b7a0bc09d77f05dfeeb7b9d1931bc4b",
+         "positions.csv": "d841dfbc131b4f6a83bf5416caa0f894eeb5056f63c71b1f3ef6da5768c98087"},
     ),
 }
 

@@ -1,5 +1,6 @@
 """Trace CSV round trips and the metrics reduction over traces."""
 import csv
+import sys
 
 import pytest
 
@@ -70,6 +71,38 @@ def test_detail_fields():
     assert detail_fields("") == {}
     assert detail_fields("PIT_DUP") == {}
     assert detail_fields("x=1=2") == {"x": "1=2"}
+
+
+# ids from a scenario file may hold any character but "/"
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\r\n"])
+def test_writers_quote_exactly_as_csv_writer_does(char, tmp_path):
+    node = f"n{char}1"
+    records = [
+        TraceRecord(0, node, tc.POSITION, "", "x=1.5;y=2.0"),
+        TraceRecord(10, "n0", tc.INTEREST_TX, f"/ntorrent/mo{char}vie/data/0",
+                    "nonce=00000000000000ff;hop=0;origin=n0"),
+        TraceRecord(20, node, tc.INTEREST_RX, "/ntorrent/beacon/n0",
+                    f"nonce=00000000000000ff;hop=0;origin=n0{char}"),
+        TraceRecord(30, "n0", tc.POSITION, "", "x=3.0;y=4.25"),
+        TraceRecord(40, "", tc.END, "", ""),
+    ]
+    positions = [(0, node, "1.5", "2.0"), (30, "n0", "3.0", "4.25")]
+    for writer, header, rows in (
+            (write_trace_csv, tc.TRACE_COLUMNS, records),
+            (write_positions_csv, ("time_us", "node", "x", "y"), positions)):
+        path = tmp_path / "out.csv"
+        writer(str(path), records)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            reference = csv.writer(fh, lineterminator="\n")
+            reference.writerow(header)
+            reference.writerows(rows)
+        assert path.read_bytes() == expected.read_bytes(), writer.__name__
+    write_trace_csv(str(path), records)
+    # csv.writer quotes a lone carriage return only from CPython 3.13 on; before
+    # that, csv.reader reads one as a line end
+    if char != "\r" or sys.version_info >= (3, 13):
+        assert read_trace_csv(str(path)) == records
 
 
 def test_positions_csv_projects_position_records(tmp_path):

@@ -1,10 +1,12 @@
 """Whole-simulation behaviour: wiring, determinism, radio pruning, collisions,
 bookkeeping."""
+import copy
 import itertools
 import random
 
 import pytest
 
+from ntorrent_sim import forwarding as fw
 from ntorrent_sim import trace as tc
 from ntorrent_sim import world as world_module
 from ntorrent_sim.mobility import (
@@ -264,3 +266,27 @@ def test_collisions_ignored_when_mode_off():
     fc_rx = [rec for rec in world.trace
              if rec.node == "fc" and rec.event == tc.INTEREST_RX]
     assert len(fc_rx) == 2
+
+
+# -- duplicate receptions ------------------------------------------------------
+
+@pytest.mark.parametrize("record", ["pit", "dead_nonces"])
+def test_duplicate_reception_notes_the_drop_and_leaves_the_pit_alone(record):
+    world = World(forwarder_field(collision_mode=False), master_seed=1)
+    pkt = packet("fa", 0)
+    fc = world.nodes["fc"]
+    # fc already holds the nonce, in a live PIT entry or a dead-nonce record
+    getattr(fc, record)[pkt.name.key] = fw.PitEntry(pkt.name, {pkt.nonce},
+                                                    {fw.FaceId.BROADCAST}, 2_000_000)
+    before = copy.deepcopy((fc.pit, fc.dead_nonces))
+    world._transmit("fa", pkt)
+    world.run()
+    [tx] = [rec for rec in world.trace if rec.event == tc.INTEREST_TX]
+    fc_rows = [(rec.event, rec.detail) for rec in world.trace
+               if rec.node == "fc" and rec.event != tc.POSITION]
+    assert fc_rows == [(tc.INTEREST_RX, tx.detail), (tc.DROP, tc.REASON_PIT_DUP)]
+    assert (fc.pit, fc.dead_nonces) == before
+    # the transmission's detail text is built once and shared by every reception
+    rx = [rec for rec in world.trace if rec.event == tc.INTEREST_RX]
+    assert {rec.node for rec in rx} == {"fb", "fc"}
+    assert all(rec.detail is tx.detail for rec in rx)
