@@ -7,15 +7,17 @@ through a fixed-size pipeline with periodic retransmission of stale requests.
 Seeders start complete and only answer; leechers record completion the moment
 the last piece arrives.
 
-Handlers mutate only the application state and return effects; all sends go
-back through the forwarding plane so the PIT records the app as in-face.
+Handlers change only the application state and act on the world through
+`out`, the World. Every interest the app creates enters the forwarding plane
+through `out.originate`, so the PIT records the app as in-face.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .forwarding import EmitData, Effect, Note, OriginateInterest, StartTimer, jittered
+from .forwarding import jittered
 from .names import (
     Bitmap,
     BitmapAnnounce,
@@ -26,6 +28,9 @@ from .names import (
     piece_name,
 )
 from . import trace as tc
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .world import World
 
 TIMER_BEACON = "beacon"
 TIMER_RETRY = "retry"
@@ -91,31 +96,27 @@ class PeerApp:
     def completed(self) -> bool:
         return self.state.have.complete
 
-    def start(self, rng: random.Random) -> list[Effect]:
+    def start(self, rng: random.Random, out: World) -> None:
         """Initial timers: a desynchronising beacon offset, retries for leechers."""
         offset = rng.randint(1, max(1, self.cfg.beacon_interval_us // 10))
-        effects: list[Effect] = [StartTimer(TIMER_BEACON, offset)]
+        out.timer(self.node_id, TIMER_BEACON, offset)
         if not self.seeder:
-            effects.append(StartTimer(TIMER_RETRY, self.cfg.interest_retry_timeout_us))
-        return effects
+            out.timer(self.node_id, TIMER_RETRY, self.cfg.interest_retry_timeout_us)
 
     # -- timers --------------------------------------------------------------
 
-    def on_beacon_timer(self, now_us: int, rng: random.Random) -> list[Effect]:
+    def on_beacon_timer(self, now_us: int, rng: random.Random, out: World) -> None:
         if self.completed and not self.seeder and not self.cfg.keep_seeding:
-            return []  # done downloading; stop announcing, keep answering
+            return  # done downloading; stop announcing, keep answering
         name = beacon_name(self.node_id)
         pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
-        return [
-            Note(tc.BEACON_TX, name.key),
-            OriginateInterest(pkt),
-            StartTimer(TIMER_BEACON, jittered(self.cfg.beacon_interval_us, rng)),
-        ]
+        out.note(self.node_id, tc.BEACON_TX, name.key)
+        out.originate(self.node_id, pkt)
+        out.timer(self.node_id, TIMER_BEACON, jittered(self.cfg.beacon_interval_us, rng))
 
-    def on_retry_timer(self, now_us: int, rng: random.Random) -> list[Effect]:
+    def on_retry_timer(self, now_us: int, rng: random.Random, out: World) -> None:
         if self.completed:
-            return []
-        effects: list[Effect] = []
+            return
         abandoned: list[int] = []
         for piece, req in sorted(self.state.pending.items()):
             if now_us - req.last_sent_us < self.cfg.interest_retry_timeout_us:
@@ -125,94 +126,83 @@ class PeerApp:
                 continue
             req.last_sent_us = now_us
             req.retries += 1
-            effects.extend(self._request_piece(piece, req.retries, rng))
+            self._request_piece(piece, req.retries, rng, out)
         for piece in abandoned:
             del self.state.pending[piece]
         # abandoned pieces rejoin the unrequested pool, but not within this tick
-        effects.extend(self._fill_pipeline(now_us, rng, exclude=frozenset(abandoned)))
-        effects.append(StartTimer(TIMER_RETRY, self.cfg.interest_retry_timeout_us))
-        return effects
+        self._fill_pipeline(now_us, rng, out, exclude=frozenset(abandoned))
+        out.timer(self.node_id, TIMER_RETRY, self.cfg.interest_retry_timeout_us)
 
     # -- receive paths ---------------------------------------------------------
 
-    def _announce_bitmap(self, remote: str, now_us: int,
-                         rng: random.Random) -> list[Effect]:
+    def _announce_bitmap(self, remote: str, now_us: int, rng: random.Random,
+                         out: World) -> None:
         """Broadcast our bitmap, at most once per bitmap_min_gap per remote node."""
         last = self._last_bitmap_us.get(remote)
         if last is not None and now_us - last < self.cfg.bitmap_min_gap_us:
-            return []
+            return
         self._last_bitmap_us[remote] = now_us
         name = bitmap_announce_name(self.torrent, self.node_id, self.state.have)
         pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
-        return [
-            Note(tc.BITMAP_TX, name.key, f"have={self.state.have.popcount()}"),
-            OriginateInterest(pkt),
-        ]
+        out.note(self.node_id, tc.BITMAP_TX, name.key, f"have={self.state.have.popcount()}")
+        out.originate(self.node_id, pkt)
 
-    def on_receive_beacon(self, sender: str, now_us: int,
-                          rng: random.Random) -> list[Effect]:
-        if sender == self.node_id:
-            return []
-        return self._announce_bitmap(sender, now_us, rng)
+    def on_receive_beacon(self, sender: str, now_us: int, rng: random.Random,
+                          out: World) -> None:
+        if sender != self.node_id:
+            self._announce_bitmap(sender, now_us, rng, out)
 
     def on_receive_bitmap(self, announce: BitmapAnnounce, now_us: int,
-                          rng: random.Random) -> list[Effect]:
+                          rng: random.Random, out: World) -> None:
         if announce.node == self.node_id:
-            return []
+            return
         if announce.bits.n_pieces != self.n_pieces:
-            return []
+            return
         self.state.known_remote.bits |= announce.bits.bits
-        effects = self._fill_pipeline(now_us, rng)
+        self._fill_pipeline(now_us, rng, out)
         # The exchange is two-way: if the announcer lacks pieces we hold, reply
         # with our own bitmap so it can start requesting them.
         if self.state.have.bits & ~announce.bits.bits:
-            effects.extend(self._announce_bitmap(announce.node, now_us, rng))
-        return effects
+            self._announce_bitmap(announce.node, now_us, rng, out)
 
-    def on_receive_piece(self, piece: int, now_us: int,
-                         rng: random.Random) -> list[Effect]:
+    def on_receive_piece(self, piece: int, now_us: int, rng: random.Random,
+                         out: World) -> None:
         self.state.pending.pop(piece, None)
         if self.state.have.has(piece):
-            return []  # duplicate delivery, idempotent
+            return  # duplicate delivery, idempotent
         self.state.have.set(piece)
-        effects: list[Effect] = [
-            Note(tc.PIECE_RX, piece_name(self.torrent, piece).key, f"piece={piece}"),
-        ]
+        out.note(self.node_id, tc.PIECE_RX, piece_name(self.torrent, piece).key,
+                 f"piece={piece}")
         if self.completed and self.state.completed_at_us is None:
             self.state.completed_at_us = now_us
-            effects.append(Note(tc.COMPLETED, "", f"torrent={self.torrent};pieces={self.n_pieces}"))
-        effects.extend(self._fill_pipeline(now_us, rng))
-        return effects
+            out.note(self.node_id, tc.COMPLETED, "",
+                     f"torrent={self.torrent};pieces={self.n_pieces}")
+        self._fill_pipeline(now_us, rng, out)
 
     def on_receive_piece_interest(self, request: PieceInterest, now_us: int,
-                                  rng: random.Random) -> list[Effect]:
+                                  rng: random.Random, out: World) -> None:
         """Serve a held piece through the PIT return path."""
-        if not self.state.have.has(request.piece):
-            return []
-        delay = jittered(self.data_response_delay_us, rng)
-        return [EmitData(piece_name(self.torrent, request.piece), delay)]
+        if self.state.have.has(request.piece):
+            delay = jittered(self.data_response_delay_us, rng)
+            out.emit(self.node_id, piece_name(self.torrent, request.piece), delay)
 
     # -- pipeline ----------------------------------------------------------------
 
-    def _request_piece(self, piece: int, retries: int,
-                       rng: random.Random) -> list[Effect]:
+    def _request_piece(self, piece: int, retries: int, rng: random.Random,
+                       out: World) -> None:
         name = piece_name(self.torrent, piece)
         pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
-        return [
-            Note(tc.PIECE_REQ, name.key, f"piece={piece};retry={retries}"),
-            OriginateInterest(pkt),
-        ]
+        out.note(self.node_id, tc.PIECE_REQ, name.key, f"piece={piece};retry={retries}")
+        out.originate(self.node_id, pkt)
 
-    def _fill_pipeline(self, now_us: int, rng: random.Random,
-                       exclude: frozenset[int] = frozenset()) -> list[Effect]:
+    def _fill_pipeline(self, now_us: int, rng: random.Random, out: World,
+                       exclude: frozenset[int] = frozenset()) -> None:
         if self.completed:
-            return []
-        effects: list[Effect] = []
+            return
         for piece in compute_missing(self.state.have, self.state.known_remote):
             if len(self.state.pending) >= self.cfg.pipeline_window:
                 break
             if piece in self.state.pending or piece in exclude:
                 continue
             self.state.pending[piece] = PendingRequest(last_sent_us=now_us)
-            effects.extend(self._request_piece(piece, 0, rng))
-        return effects
+            self._request_piece(piece, 0, rng, out)

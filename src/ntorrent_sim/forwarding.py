@@ -5,15 +5,15 @@ deduplication (is_duplicate), leave a PIT breadcrumb for the return path, are
 answered from the local piece store when possible, and otherwise go to a
 relay rule: a pure forwarder (no app) calls strategies.pure_decide, a peer
 calls strategies.peer_decide with its own torrent and its overheard-name
-table. The rule's reason code is noted as the DECISION; a forward becomes a
-Send after the rule's delay, OWN_APP hands the interest to the app, and the
-drop reasons emit nothing more. Returning data consumes the breadcrumb:
-rebroadcast once toward the radio if the interest came from there, hand to
-the local application if the node peers on that torrent.
+table. The rule's reason code is noted as the DECISION; a forward is sent
+after the rule's delay, OWN_APP hands the interest to the app, and the drop
+reasons do nothing more. Returning data consumes the breadcrumb: rebroadcast
+once toward the radio if the interest came from there, hand to the local
+application if the node peers on that torrent.
 
-Handlers are pure with respect to the world: they mutate only the given node
-state and return a list of effects (sends, emissions, timers, trace notes)
-for the caller to apply. Interests and data leave through the one Send effect.
+Handlers change only the given node's state and act on the world through
+`out`, the World: they note trace rows, send packets, schedule emissions and
+hand packets to the node's app. Interests and data leave through `out.send`.
 """
 from __future__ import annotations
 
@@ -28,67 +28,12 @@ from . import trace as tc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .app import PeerApp
+    from .world import World
 
 
 class FaceId(Enum):
     BROADCAST = "broadcast"
     APP = "app"
-
-
-# ---------------------------------------------------------------------------
-# effects returned to the world
-
-@dataclass(frozen=True)
-class Note:
-    """Trace record to append at the current time."""
-    code: str
-    name_text: str
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class Send:
-    """Broadcast an interest or a data packet after delay_us."""
-    packet: Interest | Data
-    delay_us: int = 0
-
-
-@dataclass(frozen=True)
-class EmitData:
-    """Produce data for a satisfiable name after delay_us (PIT-driven)."""
-    name: Name
-    delay_us: int
-
-
-@dataclass(frozen=True)
-class AppInterest:
-    """Deliver an interest to the local application."""
-    packet: Interest
-
-
-@dataclass(frozen=True)
-class AppPiece:
-    """Deliver an arrived piece to the local application."""
-    torrent: str
-    piece: int
-
-
-@dataclass(frozen=True)
-class OriginateInterest:
-    """Application-created interest entering the plane on the App face."""
-    packet: Interest
-
-
-@dataclass(frozen=True)
-class StartTimer:
-    """(Re)arm an application timer after delay_us."""
-    tag: str
-    delay_us: int
-
-
-Effect = (
-    Note | Send | EmitData | AppInterest | AppPiece | OriginateInterest | StartTimer
-)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +139,12 @@ def is_duplicate(node: NodeState, pkt: Interest, now_us: int) -> bool:
 
 
 def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
-                         now_us: int, rng: random.Random) -> list[Effect]:
+                         now_us: int, rng: random.Random, out: World) -> None:
     """PIT dedup, breadcrumb, store check, then the face's forwarding rule."""
     key = pkt.name.key
     if is_duplicate(node, pkt, now_us):
-        return [Note(tc.DROP, key, tc.REASON_PIT_DUP)]
+        out.note(node.node_id, tc.DROP, key, tc.REASON_PIT_DUP)
+        return
     entry = node.pit.get(key)
     if not _live(entry, now_us):
         entry = PitEntry(pkt.name)
@@ -210,17 +156,18 @@ def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
     cls = pkt.name.cls
     if isinstance(cls, PieceInterest) and node.store.has(cls.torrent, cls.piece):
         delay = jittered(node.params.data_response_delay_us, rng)
-        return [
-            Note(tc.SATISFY, key, f"piece={cls.piece}"),
-            EmitData(pkt.name, delay),
-        ]
+        out.note(node.node_id, tc.SATISFY, key, f"piece={cls.piece}")
+        out.emit(node.node_id, pkt.name, delay)
+        return
 
     if face is FaceId.APP:
         # own interests always hit the radio; the strategy governs relaying only
-        return [Send(pkt, 0)]
+        out.send(node.node_id, pkt, 0)
+        return
 
     if pkt.hop_count + 1 > node.params.max_hops:
-        return [Note(tc.DROP, key, tc.REASON_HOP_CAP)]
+        out.note(node.node_id, tc.DROP, key, tc.REASON_HOP_CAP)
+        return
 
     # a pure forwarder has no app; a peer relays by its own torrent
     if node.app is None:
@@ -228,52 +175,47 @@ def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
     else:
         reason, delay = peer_decide(node.strategy, node.app.torrent, node.table, pkt,
                                     now_us, rng)
-    effects: list[Effect] = [Note(tc.DECISION, key, reason)]
+    out.note(node.node_id, tc.DECISION, key, reason)
     if delay is not None:
-        effects.append(Send(replace(pkt, hop_count=pkt.hop_count + 1), delay))
+        out.send(node.node_id, replace(pkt, hop_count=pkt.hop_count + 1), delay)
     elif reason == tc.REASON_OWN_APP:
-        effects.append(AppInterest(pkt))
-    return effects
+        out.to_app(node.node_id, pkt)
 
 
 def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
-                     rng: random.Random) -> list[Effect]:
+                     rng: random.Random, out: World) -> None:
     """Consume the PIT breadcrumb for data heard on the radio."""
     key = pkt.name.key
     cls = pkt.name.cls
     assert isinstance(cls, PieceInterest)
     entry = node.pit.get(key)
     if not _live(entry, now_us):
-        effects: list[Effect] = []
         if node.params.cache_overheard_data:
-            effects.extend(_absorb_piece(node, cls))
-        effects.append(Note(tc.DROP, key, tc.REASON_UNSOLICITED))
-        return effects
+            _absorb_piece(node, cls, out)
+        out.note(node.node_id, tc.DROP, key, tc.REASON_UNSOLICITED)
+        return
     _retire_entry(node, key, entry, now_us)
-    effects = []
     if FaceId.BROADCAST in entry.in_faces:
         relayed = replace(pkt, hop_count=pkt.hop_count + 1)
         if relayed.hop_count <= node.params.max_hops:
             delay = jittered(node.params.data_response_delay_us, rng)
-            effects.append(Send(relayed, delay))
+            out.send(node.node_id, relayed, delay)
         else:
-            effects.append(Note(tc.DROP, key, tc.REASON_HOP_CAP))
-    effects.extend(_absorb_piece(node, cls))
-    return effects
+            out.note(node.node_id, tc.DROP, key, tc.REASON_HOP_CAP)
+    _absorb_piece(node, cls, out)
 
 
-def _absorb_piece(node: NodeState, cls: PieceInterest) -> list[Effect]:
+def _absorb_piece(node: NodeState, cls: PieceInterest, out: World) -> None:
     # peers get the piece through the app (which tracks completion);
     # other nodes only store it when the overheard-data cache is enabled
     if node.peers_on(cls.torrent):
-        return [AppPiece(cls.torrent, cls.piece)]
-    if node.params.cache_overheard_data:
+        out.app_piece(node.node_id, cls.piece)
+    elif node.params.cache_overheard_data:
         if node.store.bitmap(cls.torrent) is not None:
             node.store.add(cls.torrent, cls.piece)
-    return []
 
 
-def on_data_emission(node: NodeState, name: Name, now_us: int) -> list[Effect]:
+def on_data_emission(node: NodeState, name: Name, now_us: int, out: World) -> None:
     """Produce data for a previously satisfied interest, consuming its entry.
 
     The entry may have been satisfied by a copy from elsewhere in the
@@ -281,25 +223,22 @@ def on_data_emission(node: NodeState, name: Name, now_us: int) -> list[Effect]:
     """
     key = name.key
     entry = node.pit.get(key)
-    if not _live(entry, now_us):
-        return [Note(tc.DROP, key, tc.REASON_EMIT_STALE)]
     cls = name.cls
     assert isinstance(cls, PieceInterest)
-    if not node.store.has(cls.torrent, cls.piece):
-        return [Note(tc.DROP, key, tc.REASON_EMIT_STALE)]
+    if not _live(entry, now_us) or not node.store.has(cls.torrent, cls.piece):
+        out.note(node.node_id, tc.DROP, key, tc.REASON_EMIT_STALE)
+        return
     _retire_entry(node, key, entry, now_us)
-    pkt = Data(
-        name=name,
-        payload_bytes=node.store.piece_bytes(cls.torrent),
-        origin=node.node_id,
-        hop_count=0,
-    )
-    effects: list[Effect] = []
     if FaceId.BROADCAST in entry.in_faces:
-        effects.append(Send(pkt, 0))
+        pkt = Data(
+            name=name,
+            payload_bytes=node.store.piece_bytes(cls.torrent),
+            origin=node.node_id,
+            hop_count=0,
+        )
+        out.send(node.node_id, pkt, 0)
     if FaceId.APP in entry.in_faces:
-        effects.extend(_absorb_piece(node, cls))
-    return effects
+        _absorb_piece(node, cls, out)
 
 
 def pit_gc(node: NodeState, now_us: int) -> int:

@@ -123,6 +123,16 @@ class ScenarioConfig:
                 if n.kind is NodeKind.SEEDER and n.torrent == torrent_id]
 
 
+def _check_id(kind: str, text: str) -> None:
+    if not text or "/" in text:
+        raise ValidationError(f"bad {kind} id {text!r}")
+    # csv.writer leaves a lone carriage return unquoted before CPython 3.13, and
+    # a reader then splits the trace row there
+    if "\r" in text.replace("\r\n", ""):
+        raise ValidationError(f"{kind} id {text!r} holds a carriage return not followed by "
+                              "a newline")
+
+
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check cross-field invariants; raises ValidationError naming the violation."""
     if cfg.duration_us < 0:
@@ -165,8 +175,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if len(set(torrent_ids)) != len(torrent_ids):
         raise ValidationError("torrent ids must be unique")
     for torrent in cfg.torrents:
-        if not torrent.torrent_id or "/" in torrent.torrent_id:
-            raise ValidationError(f"bad torrent id {torrent.torrent_id!r}")
+        _check_id("torrent", torrent.torrent_id)
         if torrent.torrent_id == "beacon":
             raise ValidationError("'beacon' is a reserved name component")
         if not 1 <= torrent.n_pieces <= MAX_PIECES:
@@ -181,8 +190,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("node ids must be unique")
     declared = set(torrent_ids)
     for node in cfg.nodes:
-        if not node.node_id or "/" in node.node_id:
-            raise ValidationError(f"bad node id {node.node_id!r}")
+        _check_id("node", node.node_id)
         if node.kind is NodeKind.PURE_FORWARDER:
             if node.torrent is not None:
                 raise ValidationError(f"pure forwarder {node.node_id} must not name a torrent")

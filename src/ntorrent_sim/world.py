@@ -1,8 +1,10 @@
 """Run loop: wires nodes, radio medium, mobility, and timers to the engine.
 
-One World owns the event loop and all per-node state for a single run. Every
-observable action lands in the trace, and the trace plus the metrics reduced
-from it are the run's result.
+One World owns the event loop and all per-node state for a single run. The
+forwarding and app handlers get it as `out` and call its note, send, emit,
+timer, originate, to_app and app_piece methods, which act at the current
+time. Every observable action lands in the trace, and the trace plus the
+metrics reduced from it are the run's result.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .mobility import (
     position_at,
     walk_epoch,
 )
-from .names import Beacon, BitmapAnnounce, Data, Interest, PieceInterest
+from .names import Beacon, BitmapAnnounce, Data, Interest, Name, PieceInterest
 from .scenario import MobilityKind, NodeKind, ScenarioConfig
 from .trace import MetricsSummary, TraceRecord, metrics_from_trace
 
@@ -115,8 +117,8 @@ class World:
             walk = None
             if spec.mobility is MobilityKind.RANDOM_WALK:
                 walk = walk_epoch(mob_rng, 0)
-                self._note(spec.node_id, tc.WALK_EPOCH, "",
-                           f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
+                self.note(spec.node_id, tc.WALK_EPOCH, "",
+                          f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
             self._motion[spec.node_id] = _Motion(anchor=anchor, epoch_start_us=0, walk=walk,
                                                  seen=anchor, seen_us=0)
 
@@ -129,12 +131,9 @@ class World:
                 self.loop.schedule(min(EPOCH_INTERVAL_US, cfg.duration_us), EV_MOBILITY)
         for node in self.nodes.values():
             if node.app is not None:
-                self._apply(node.node_id, node.app.start(self._app_rng(node.node_id)))
+                node.app.start(self._app_rng(node.node_id), self)
 
     # -- helpers --------------------------------------------------------------
-
-    def _note(self, node_id: str, code: str, name_text: str, detail: str = "") -> None:
-        self.trace.append(TraceRecord(self.loop.now_us, node_id, code, name_text, detail))
 
     def _app_rng(self, node_id: str):
         return self.rngs.stream("app", node_id)
@@ -151,61 +150,58 @@ class World:
         motion.seen_us = t_us
         return motion.seen
 
-    # -- effect application ------------------------------------------------------
+    # -- what the handlers call ---------------------------------------------------
 
-    def _apply(self, node_id: str, effects: list[fw.Effect]) -> None:
-        now = self.loop.now_us
-        node = self.nodes[node_id]
-        for effect in effects:
-            if isinstance(effect, fw.Note):
-                self._note(node_id, effect.code, effect.name_text, effect.detail)
-            elif isinstance(effect, fw.OriginateInterest):
-                self._apply(node_id, fw.on_incoming_interest(
-                    node, effect.packet, fw.FaceId.APP, now, self._strategy_rng(node_id)))
-            elif isinstance(effect, fw.Send):
-                # a delay-0 send goes out now, before the next effect
-                if effect.delay_us > 0:
-                    self.loop.schedule(now + effect.delay_us, EV_TIMER, node_id,
-                                       ("tx", effect.packet))
-                else:
-                    self._transmit(node_id, effect.packet)
-            elif isinstance(effect, fw.EmitData):
-                self.loop.schedule(now + effect.delay_us, EV_TIMER, node_id,
-                                   ("emit", effect.name))
-            elif isinstance(effect, fw.AppInterest):
-                self._deliver_to_app(node_id, effect)
-            elif isinstance(effect, fw.AppPiece):
-                self._apply(node_id, node.app.on_receive_piece(
-                    effect.piece, now, self._app_rng(node_id)))
-            elif isinstance(effect, fw.StartTimer):
-                self.loop.schedule(now + effect.delay_us, EV_TIMER, node_id,
-                                   (effect.tag,))
-            else:  # pragma: no cover
-                raise TypeError(f"unhandled effect {effect!r}")
+    def note(self, node_id: str, code: str, name_text: str, detail: str = "") -> None:
+        """Append a trace row at the current time."""
+        self.trace.append(TraceRecord(self.loop.now_us, node_id, code, name_text, detail))
 
-    def _deliver_to_app(self, node_id: str, effect: fw.AppInterest) -> None:
-        node = self.nodes[node_id]
-        app = node.app
-        if app is None:
-            return
+    def send(self, node_id: str, pkt: Interest | Data, delay_us: int) -> None:
+        """Broadcast pkt after delay_us; a delay-0 send goes out before this returns."""
+        if delay_us > 0:
+            self.loop.schedule(self.loop.now_us + delay_us, EV_TIMER, node_id, ("tx", pkt))
+        else:
+            self._transmit(node_id, pkt)
+
+    def emit(self, node_id: str, name: Name, delay_us: int) -> None:
+        """Produce data for a satisfied name after delay_us (PIT-driven)."""
+        self.loop.schedule(self.loop.now_us + delay_us, EV_TIMER, node_id, ("emit", name))
+
+    def timer(self, node_id: str, tag: str, delay_us: int) -> None:
+        """(Re)arm an application timer after delay_us."""
+        self.loop.schedule(self.loop.now_us + delay_us, EV_TIMER, node_id, (tag,))
+
+    def originate(self, node_id: str, pkt: Interest) -> None:
+        """An app-created interest enters its node's plane on the App face."""
+        fw.on_incoming_interest(self.nodes[node_id], pkt, fw.FaceId.APP, self.loop.now_us,
+                                self._strategy_rng(node_id), self)
+
+    def to_app(self, node_id: str, pkt: Interest) -> None:
+        """Hand an interest for the node's own torrent, or a beacon, to its app."""
+        app = self.nodes[node_id].app
         now = self.loop.now_us
         rng = self._app_rng(node_id)
-        cls = effect.packet.name.cls
+        cls = pkt.name.cls
         if isinstance(cls, Beacon):
-            self._apply(node_id, app.on_receive_beacon(cls.node, now, rng))
+            app.on_receive_beacon(cls.node, now, rng, self)
         elif isinstance(cls, BitmapAnnounce):
-            self._apply(node_id, app.on_receive_bitmap(cls, now, rng))
+            app.on_receive_bitmap(cls, now, rng, self)
         elif isinstance(cls, PieceInterest):
-            self._apply(node_id, app.on_receive_piece_interest(cls, now, rng))
+            app.on_receive_piece_interest(cls, now, rng, self)
+
+    def app_piece(self, node_id: str, piece: int) -> None:
+        """Hand an arrived piece of the node's own torrent to its app."""
+        self.nodes[node_id].app.on_receive_piece(piece, self.loop.now_us,
+                                                 self._app_rng(node_id), self)
 
     # -- radio ---------------------------------------------------------------------
 
     def _transmit(self, node_id: str, pkt: Interest | Data) -> None:
         if isinstance(pkt, Interest):
-            self._note(node_id, tc.INTEREST_TX, pkt.name.key, pkt.wire)
+            self.note(node_id, tc.INTEREST_TX, pkt.name.key, pkt.wire)
         else:
-            self._note(node_id, tc.DATA_TX, pkt.name.key,
-                       f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
+            self.note(node_id, tc.DATA_TX, pkt.name.key,
+                      f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
         self._broadcast(node_id, pkt)
 
     def _candidates_of(self, sender: str) -> list[tuple[str, _Motion]]:
@@ -269,24 +265,23 @@ class World:
         node_id = event.target
         pkt, mark = event.payload
         if mark is not None and mark.collided:
-            self._note(node_id, tc.DROP, pkt.name.key, tc.REASON_COLLISION)
+            self.note(node_id, tc.DROP, pkt.name.key, tc.REASON_COLLISION)
             return
         node = self.nodes[node_id]
         now = self.loop.now_us
         if isinstance(pkt, Interest):
             key = pkt.name.key
-            self._note(node_id, tc.INTEREST_RX, key, pkt.wire)
-            # most flood copies are duplicates; they end here, with no effect list
+            self.note(node_id, tc.INTEREST_RX, key, pkt.wire)
+            # most flood copies are duplicates; they end here, before the handler
             if fw.is_duplicate(node, pkt, now):
-                self._note(node_id, tc.DROP, key, tc.REASON_PIT_DUP)
+                self.note(node_id, tc.DROP, key, tc.REASON_PIT_DUP)
                 return
-            effects = fw.on_incoming_interest(node, pkt, fw.FaceId.BROADCAST, now,
-                                              self._strategy_rng(node_id))
+            fw.on_incoming_interest(node, pkt, fw.FaceId.BROADCAST, now,
+                                    self._strategy_rng(node_id), self)
         else:
-            self._note(node_id, tc.DATA_RX, pkt.name.key,
-                       f"hop={pkt.hop_count};origin={pkt.origin}")
-            effects = fw.on_incoming_data(node, pkt, now, self._strategy_rng(node_id))
-        self._apply(node_id, effects)
+            self.note(node_id, tc.DATA_RX, pkt.name.key,
+                      f"hop={pkt.hop_count};origin={pkt.origin}")
+            fw.on_incoming_data(node, pkt, now, self._strategy_rng(node_id), self)
 
     def _on_timer(self, event: Event) -> None:
         payload = event.payload
@@ -295,7 +290,7 @@ class World:
         if tag == "sample":
             for node_id in self.nodes:
                 pos = self.position_of(node_id, now)
-                self._note(node_id, tc.POSITION, "", f"x={pos.x!r};y={pos.y!r}")
+                self.note(node_id, tc.POSITION, "", f"x={pos.x!r};y={pos.y!r}")
             nxt = now + self.cfg.position_sample_interval_us
             if nxt <= self.cfg.duration_us:
                 self.loop.schedule(nxt, EV_TIMER, None, ("sample",))
@@ -305,11 +300,11 @@ class World:
         if tag == "tx":
             self._transmit(node_id, payload[1])
         elif tag == "emit":
-            self._apply(node_id, fw.on_data_emission(node, payload[1], now))
+            fw.on_data_emission(node, payload[1], now, self)
         elif tag == TIMER_BEACON:
-            self._apply(node_id, node.app.on_beacon_timer(now, self._app_rng(node_id)))
+            node.app.on_beacon_timer(now, self._app_rng(node_id), self)
         elif tag == TIMER_RETRY:
-            self._apply(node_id, node.app.on_retry_timer(now, self._app_rng(node_id)))
+            node.app.on_retry_timer(now, self._app_rng(node_id), self)
         else:  # pragma: no cover
             raise ValueError(f"unknown timer tag {tag!r}")
 
@@ -322,8 +317,8 @@ class World:
             motion.anchor = self.position_of(node_id, now)
             motion.epoch_start_us = now
             motion.walk = walk_epoch(self.rngs.stream("mobility", node_id), now)
-            self._note(node_id, tc.WALK_EPOCH, "",
-                       f"heading={motion.walk.heading_rad!r};speed={motion.walk.speed_ms!r}")
+            self.note(node_id, tc.WALK_EPOCH, "",
+                      f"heading={motion.walk.heading_rad!r};speed={motion.walk.speed_ms!r}")
         nxt = now + EPOCH_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_MOBILITY)
@@ -343,7 +338,7 @@ class World:
         report = self.loop.run_until(self.cfg.duration_us, self._dispatch)
         # the boundary marker always closes the trace, after anything that
         # fired exactly at the horizon
-        self._note("", tc.END, "", "")
+        self.note("", tc.END, "", "")
         return report
 
     def metrics(self) -> MetricsSummary:

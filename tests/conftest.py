@@ -1,0 +1,42 @@
+"""Shared fixtures."""
+import pytest
+
+
+class Recorder:
+    """Stands in for the World as a handler's `out`: each call of one of the
+    World's seven handler-facing methods is kept, in order, as a tuple of the
+    method name and its arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def take(self):
+        """The calls recorded since the last take, oldest first."""
+        calls, self.calls = self.calls, []
+        return calls
+
+    def note(self, node_id, code, name_text, detail=""):
+        self.calls.append(("note", node_id, code, name_text, detail))
+
+    def send(self, node_id, pkt, delay_us):
+        self.calls.append(("send", node_id, pkt, delay_us))
+
+    def emit(self, node_id, name, delay_us):
+        self.calls.append(("emit", node_id, name, delay_us))
+
+    def timer(self, node_id, tag, delay_us):
+        self.calls.append(("timer", node_id, tag, delay_us))
+
+    def originate(self, node_id, pkt):
+        self.calls.append(("originate", node_id, pkt))
+
+    def to_app(self, node_id, pkt):
+        self.calls.append(("to_app", node_id, pkt))
+
+    def app_piece(self, node_id, piece):
+        self.calls.append(("app_piece", node_id, piece))
+
+
+@pytest.fixture
+def out():
+    return Recorder()

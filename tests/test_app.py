@@ -13,7 +13,6 @@ from ntorrent_sim.app import (
     PeerApp,
     compute_missing,
 )
-from ntorrent_sim.forwarding import EmitData, Note, OriginateInterest, StartTimer
 from ntorrent_sim.names import Bitmap, BitmapAnnounce, PieceInterest
 
 
@@ -29,8 +28,12 @@ def rng(seed=3):
     return random.Random(seed)
 
 
-def originated(effects):
-    return [e.packet for e in effects if isinstance(e, OriginateInterest)]
+def originated(calls):
+    return [call[2] for call in calls if call[0] == "originate"]
+
+
+def notes(calls, code):
+    return [call[4] for call in calls if call[0] == "note" and call[2] == code]
 
 
 def test_compute_missing_matches_bit_scan():
@@ -56,71 +59,81 @@ def test_seeder_starts_complete():
     assert app.state.completed_at_us == 0
 
 
-def test_start_timers():
+def test_start_timers(out):
     app = make_app()
-    effects = app.start(rng())
-    tags = [(e.tag, e.delay_us) for e in effects if isinstance(e, StartTimer)]
+    app.start(rng(), out)
+    tags = [(call[2], call[3]) for call in out.take() if call[0] == "timer"]
     assert [t for t, _ in tags] == [TIMER_BEACON, TIMER_RETRY]
     beacon_delay = tags[0][1]
     assert 1 <= beacon_delay <= AppConfig().beacon_interval_us // 10
     assert tags[1][1] == AppConfig().interest_retry_timeout_us
 
-    seeder_tags = [e.tag for e in make_app(seeder=True).start(rng())
-                   if isinstance(e, StartTimer)]
+    make_app(seeder=True).start(rng(), out)
+    seeder_tags = [call[2] for call in out.take() if call[0] == "timer"]
     assert seeder_tags == [TIMER_BEACON]
 
 
-def test_beacon_timer_emits_and_reschedules():
+def test_beacon_timer_emits_and_reschedules(out):
     app = make_app()
-    effects = app.on_beacon_timer(1_000_000, rng())
-    assert effects[0] == Note(tc.BEACON_TX, "/ntorrent/beacon/n1")
-    pkt = originated(effects)[0]
+    app.on_beacon_timer(1_000_000, rng(), out)
+    calls = out.take()
+    assert calls[0] == ("note", "n1", tc.BEACON_TX, "/ntorrent/beacon/n1", "")
+    pkt = originated(calls)[0]
     assert str(pkt.name) == "/ntorrent/beacon/n1"
     assert pkt.origin == "n1"
-    timer = effects[-1]
-    assert isinstance(timer, StartTimer) and timer.tag == TIMER_BEACON
+    kind, _, tag, delay = calls[-1]
+    assert kind == "timer" and tag == TIMER_BEACON
     interval = AppConfig().beacon_interval_us
-    assert interval - interval // 10 <= timer.delay_us <= interval + interval // 10
+    assert interval - interval // 10 <= delay <= interval + interval // 10
 
 
-def test_completed_leecher_goes_quiet_unless_kept_seeding():
+def test_completed_leecher_goes_quiet_unless_kept_seeding(out):
     app = make_app(n_pieces=2)
     app.state.known_remote.bits = 0b11
-    app.on_receive_piece(0, 10, rng())
-    app.on_receive_piece(1, 20, rng())
+    app.on_receive_piece(0, 10, rng(), out)
+    app.on_receive_piece(1, 20, rng(), out)
     assert app.completed
-    assert app.on_beacon_timer(2_000_000, rng()) == []
+    out.take()
+    app.on_beacon_timer(2_000_000, rng(), out)
+    assert out.take() == []
 
     kept = make_app(n_pieces=2, cfg=AppConfig(keep_seeding=True))
     kept.state.have.bits = 0b11
-    assert kept.on_beacon_timer(2_000_000, rng()) != []
+    kept.on_beacon_timer(2_000_000, rng(), out)
+    assert out.take() != []
     # seeders always keep announcing themselves
-    assert make_app(seeder=True).on_beacon_timer(2_000_000, rng()) != []
+    make_app(seeder=True).on_beacon_timer(2_000_000, rng(), out)
+    assert out.take() != []
 
 
-def test_beacon_reply_is_rate_limited_per_remote():
+def test_beacon_reply_is_rate_limited_per_remote(out):
     app = make_app(seeder=True)
-    first = app.on_receive_beacon("n2", 1_000, rng())
-    assert any(isinstance(e, Note) and e.code == tc.BITMAP_TX for e in first)
-    assert app.on_receive_beacon("n2", 2_000, rng()) == []
+    app.on_receive_beacon("n2", 1_000, rng(), out)
+    assert notes(out.take(), tc.BITMAP_TX) != []
+    app.on_receive_beacon("n2", 2_000, rng(), out)
+    assert out.take() == []
     # a different remote is tracked separately
-    assert app.on_receive_beacon("n3", 3_000, rng()) != []
+    app.on_receive_beacon("n3", 3_000, rng(), out)
+    assert out.take() != []
     # and the same remote unlocks after the gap passes
     later = 1_000 + AppConfig().bitmap_min_gap_us
-    assert app.on_receive_beacon("n2", later, rng()) != []
+    app.on_receive_beacon("n2", later, rng(), out)
+    assert out.take() != []
 
 
-def test_own_beacon_is_ignored():
+def test_own_beacon_is_ignored(out):
     app = make_app()
-    assert app.on_receive_beacon("n1", 0, rng()) == []
+    app.on_receive_beacon("n1", 0, rng(), out)
+    assert out.take() == []
 
 
-def test_bitmap_announce_widens_knowledge_and_fills_pipeline():
+def test_bitmap_announce_widens_knowledge_and_fills_pipeline(out):
     app = make_app()
     announce = BitmapAnnounce("movie1", "n9", Bitmap(8, 0b1111_0110))
-    effects = app.on_receive_bitmap(announce, 5_000, rng())
+    app.on_receive_bitmap(announce, 5_000, rng(), out)
+    calls = out.take()
     assert app.state.known_remote.bits == 0b1111_0110
-    pkts = originated(effects)
+    pkts = originated(calls)
     # window of 4 requests, lowest missing indices first
     assert [str(p.name) for p in pkts] == [
         "/ntorrent/movie1/data/1",
@@ -129,137 +142,146 @@ def test_bitmap_announce_widens_knowledge_and_fills_pipeline():
         "/ntorrent/movie1/data/5",
     ]
     assert set(app.state.pending) == {1, 2, 4, 5}
-    reqs = [e for e in effects if isinstance(e, Note) and e.code == tc.PIECE_REQ]
-    assert [r.detail for r in reqs] == ["piece=1;retry=0", "piece=2;retry=0",
-                                        "piece=4;retry=0", "piece=5;retry=0"]
+    assert notes(calls, tc.PIECE_REQ) == ["piece=1;retry=0", "piece=2;retry=0",
+                                          "piece=4;retry=0", "piece=5;retry=0"]
 
 
-def test_repeat_bitmap_adds_no_requests_while_the_window_is_full():
+def test_repeat_bitmap_adds_no_requests_while_the_window_is_full(out):
     app = make_app()
     announce = BitmapAnnounce("movie1", "n9", Bitmap(8, 0b1111_0110))
-    app.on_receive_bitmap(announce, 5_000, rng())
+    app.on_receive_bitmap(announce, 5_000, rng(), out)
     assert len(app.state.pending) == 4
-    again = app.on_receive_bitmap(announce, 6_000, rng())
-    assert originated(again) == []
+    out.take()
+    app.on_receive_bitmap(announce, 6_000, rng(), out)
+    assert originated(out.take()) == []
     assert set(app.state.pending) == {1, 2, 4, 5}
 
 
-def test_bitmap_announce_ignores_self_and_mismatched_length():
+def test_bitmap_announce_ignores_self_and_mismatched_length(out):
     app = make_app()
     own = BitmapAnnounce("movie1", "n1", Bitmap(8, 0xFF))
-    assert app.on_receive_bitmap(own, 0, rng()) == []
+    app.on_receive_bitmap(own, 0, rng(), out)
+    assert out.take() == []
     odd = BitmapAnnounce("movie1", "n9", Bitmap(4, 0xF))
-    assert app.on_receive_bitmap(odd, 0, rng()) == []
+    app.on_receive_bitmap(odd, 0, rng(), out)
+    assert out.take() == []
     assert app.state.known_remote.bits == 0
 
 
-def test_bitmap_exchange_replies_when_the_announcer_is_behind():
+def test_bitmap_exchange_replies_when_the_announcer_is_behind(out):
     app = make_app(seeder=True)
-    effects = app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap(8, 0)),
-                                    1_000, rng())
-    announces = [e for e in effects if isinstance(e, Note) and e.code == tc.BITMAP_TX]
-    assert len(announces) == 1
-    assert announces[0].detail == "have=8"
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap(8, 0)), 1_000, rng(), out)
+    assert notes(out.take(), tc.BITMAP_TX) == ["have=8"]
     # no reply when the announcer already holds everything we do
     app2 = make_app(seeder=True)
-    effects = app2.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap.full(8)),
-                                     1_000, rng())
-    assert effects == []
+    app2.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap.full(8)), 1_000, rng(), out)
+    assert out.take() == []
 
 
-def test_bitmap_exchange_reply_shares_the_beacon_rate_limit():
+def test_bitmap_exchange_reply_shares_the_beacon_rate_limit(out):
     app = make_app(seeder=True)
-    app.on_receive_beacon("n2", 1_000, rng())
-    effects = app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap(8, 0)),
-                                    2_000, rng())
-    assert effects == []  # still inside the per-remote gap
+    app.on_receive_beacon("n2", 1_000, rng(), out)
+    out.take()
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap(8, 0)), 2_000, rng(), out)
+    assert out.take() == []  # still inside the per-remote gap
 
 
-def test_piece_arrival_updates_state_and_requests_more():
+def test_piece_arrival_updates_state_and_requests_more(out):
     app = make_app(cfg=AppConfig(pipeline_window=2))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng())
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng(), out)
     assert set(app.state.pending) == {0, 1}
-    effects = app.on_receive_piece(0, 100, rng())
-    assert Note(tc.PIECE_RX, "/ntorrent/movie1/data/0", "piece=0") in effects
+    out.take()
+    app.on_receive_piece(0, 100, rng(), out)
+    assert ("note", "n1", tc.PIECE_RX, "/ntorrent/movie1/data/0", "piece=0") in out.take()
     assert set(app.state.pending) == {1, 2}
     assert app.state.have.has(0)
 
 
-def test_duplicate_piece_is_idempotent():
+def test_duplicate_piece_is_idempotent(out):
     app = make_app()
     app.state.known_remote = Bitmap.full(8)
-    app.on_receive_piece(0, 100, rng())
-    assert app.on_receive_piece(0, 200, rng()) == []
+    app.on_receive_piece(0, 100, rng(), out)
+    out.take()
+    app.on_receive_piece(0, 200, rng(), out)
+    assert out.take() == []
     assert app.state.have.popcount() == 1
 
 
-def test_completion_recorded_once_with_details():
+def test_completion_recorded_once_with_details(out):
     app = make_app(n_pieces=2)
     app.state.known_remote = Bitmap.full(2)
-    app.on_receive_piece(1, 50, rng())
-    effects = app.on_receive_piece(0, 80, rng())
-    done = [e for e in effects if isinstance(e, Note) and e.code == tc.COMPLETED]
-    assert done == [Note(tc.COMPLETED, "", "torrent=movie1;pieces=2")]
+    app.on_receive_piece(1, 50, rng(), out)
+    out.take()
+    app.on_receive_piece(0, 80, rng(), out)
+    done = [call for call in out.take() if call[0] == "note" and call[2] == tc.COMPLETED]
+    assert done == [("note", "n1", tc.COMPLETED, "", "torrent=movie1;pieces=2")]
     assert app.state.completed_at_us == 80
     # a late duplicate cannot record completion again
-    assert app.on_receive_piece(1, 90, rng()) == []
+    app.on_receive_piece(1, 90, rng(), out)
+    assert out.take() == []
     assert app.state.completed_at_us == 80
 
 
-def test_piece_interest_served_only_when_held():
+def test_piece_interest_served_only_when_held(out):
     app = make_app()
     app.state.have.set(5)
-    effects = app.on_receive_piece_interest(PieceInterest("movie1", 5), 0, rng())
-    assert len(effects) == 1 and isinstance(effects[0], EmitData)
-    assert str(effects[0].name) == "/ntorrent/movie1/data/5"
-    assert 900 <= effects[0].delay_us <= 1_100
+    app.on_receive_piece_interest(PieceInterest("movie1", 5), 0, rng(), out)
+    [(kind, node_id, name, delay)] = out.take()
+    assert (kind, node_id) == ("emit", "n1")
+    assert str(name) == "/ntorrent/movie1/data/5"
+    assert 900 <= delay <= 1_100
 
-    assert app.on_receive_piece_interest(PieceInterest("movie1", 6), 0, rng()) == []
+    app.on_receive_piece_interest(PieceInterest("movie1", 6), 0, rng(), out)
+    assert out.take() == []
 
 
-def test_retry_resends_stale_requests():
+def test_retry_resends_stale_requests(out):
     app = make_app(cfg=AppConfig(pipeline_window=1))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng())
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng(), out)
     timeout = AppConfig().interest_retry_timeout_us
-    effects = app.on_retry_timer(timeout, rng(8))
-    pkts = originated(effects)
+    out.take()
+    app.on_retry_timer(timeout, rng(8), out)
+    calls = out.take()
+    pkts = originated(calls)
     assert len(pkts) == 1
     assert str(pkts[0].name) == "/ntorrent/movie1/data/0"
     assert app.state.pending[0].retries == 1
     assert app.state.pending[0].last_sent_us == timeout
-    assert [e for e in effects if isinstance(e, Note)][0].detail == "piece=0;retry=1"
-    assert isinstance(effects[-1], StartTimer) and effects[-1].tag == TIMER_RETRY
+    assert [call for call in calls if call[0] == "note"][0][4] == "piece=0;retry=1"
+    assert calls[-1][:3] == ("timer", "n1", TIMER_RETRY)
 
 
-def test_retry_nonces_differ_between_attempts():
+def test_retry_nonces_differ_between_attempts(out):
     app = make_app(cfg=AppConfig(pipeline_window=1))
     shared = rng(21)
-    first = originated(app.on_receive_bitmap(
-        BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, shared))[0]
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, shared, out)
+    first = originated(out.take())[0]
     timeout = AppConfig().interest_retry_timeout_us
-    second = originated(app.on_retry_timer(timeout, shared))[0]
+    app.on_retry_timer(timeout, shared, out)
+    second = originated(out.take())[0]
     assert first.name == second.name
     assert first.nonce != second.nonce
 
 
-def test_retry_skips_recent_requests():
+def test_retry_skips_recent_requests(out):
     app = make_app()
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)),
-                          500_000, rng())
-    effects = app.on_retry_timer(1_000_000, rng())
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 500_000, rng(), out)
+    out.take()
+    app.on_retry_timer(1_000_000, rng(), out)
     # requests are only half a timeout old; nothing is resent
-    assert originated(effects) == []
+    assert originated(out.take()) == []
     assert all(req.retries == 0 for req in app.state.pending.values())
 
 
-def test_retry_abandons_after_max_and_frees_the_window():
+def test_retry_abandons_after_max_and_frees_the_window(out):
     cfg = AppConfig(pipeline_window=2, max_retries=1)
     app = make_app(cfg=cfg)
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng())
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng(), out)
     timeout = cfg.interest_retry_timeout_us
-    app.on_retry_timer(timeout, rng())      # retry 1 for pieces 0 and 1
-    effects = app.on_retry_timer(2 * timeout, rng())  # hits the cap
-    pkts = originated(effects)
+    app.on_retry_timer(timeout, rng(), out)      # retry 1 for pieces 0 and 1
+    out.take()
+    app.on_retry_timer(2 * timeout, rng(), out)  # hits the cap
+    pkts = originated(out.take())
     # 0 and 1 abandoned; the freed window pulls in later pieces instead,
     # the abandoned ones wait for a future tick
     assert [str(p.name) for p in pkts] == [
@@ -268,27 +290,30 @@ def test_retry_abandons_after_max_and_frees_the_window():
     ]
     assert set(app.state.pending) == {2, 3}
     # once 2 and 3 hit the cap in turn, the abandoned pieces rejoin the pool
-    app.on_retry_timer(3 * timeout, rng())
-    effects = app.on_retry_timer(4 * timeout, rng())
-    assert [str(p.name) for p in originated(effects)] == [
+    app.on_retry_timer(3 * timeout, rng(), out)
+    out.take()
+    app.on_retry_timer(4 * timeout, rng(), out)
+    assert [str(p.name) for p in originated(out.take())] == [
         "/ntorrent/movie1/data/0",
         "/ntorrent/movie1/data/1",
     ]
     assert set(app.state.pending) == {0, 1}
 
 
-def test_retry_timer_stops_after_completion():
+def test_retry_timer_stops_after_completion(out):
     app = make_app(n_pieces=1)
     app.state.known_remote = Bitmap.full(1)
-    app.on_receive_piece(0, 10, rng())
-    assert app.on_retry_timer(1_000_000, rng()) == []
+    app.on_receive_piece(0, 10, rng(), out)
+    out.take()
+    app.on_retry_timer(1_000_000, rng(), out)
+    assert out.take() == []
 
 
-def test_pipeline_window_is_never_exceeded():
+def test_pipeline_window_is_never_exceeded(out):
     app = make_app(cfg=AppConfig(pipeline_window=3))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng())
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng(), out)
     assert len(app.state.pending) == 3
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n8", Bitmap.full(8)), 1, rng())
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n8", Bitmap.full(8)), 1, rng(), out)
     assert len(app.state.pending) == 3
-    app.on_receive_piece(0, 100, rng())
+    app.on_receive_piece(0, 100, rng(), out)
     assert len(app.state.pending) == 3

@@ -145,6 +145,17 @@ def test_badly_typed_values_exit_2(tmp_path, capsys, overrides, message):
     assert message in capsys.readouterr().err
 
 
+def test_lone_carriage_return_in_an_id_exits_2(tmp_path, capsys):
+    bad = json.loads(json.dumps(TINY_SCENARIO))
+    bad["nodes"][1]["id"] = "l\r1"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "carriage return" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     # json reads a 400-digit integer exactly; float() of it overflows
     huge = dict(ORACLE_SCENARIO, radio={"range_m": 10 ** 400})

@@ -8,15 +8,10 @@ import pytest
 
 from ntorrent_sim import trace as tc
 from ntorrent_sim.forwarding import (
-    AppInterest,
-    AppPiece,
-    EmitData,
     FaceId,
     ForwardingParams,
     NodeState,
-    Note,
     PieceStore,
-    Send,
     on_data_emission,
     on_incoming_data,
     on_incoming_interest,
@@ -48,21 +43,25 @@ def interest(nonce=1, hop=0, name=PIECE):
     return Interest(name, nonce=nonce, origin="src", hop_count=hop)
 
 
-def test_duplicate_nonce_drops_and_leaves_pit_alone():
+def kinds(calls):
+    return [call[0] for call in calls]
+
+
+def test_duplicate_nonce_drops_and_leaves_pit_alone(out):
     node = forwarder_node()
-    first = on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
-    assert any(isinstance(e, Send) for e in first)
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    assert "send" in kinds(out.take())
     entry = node.pit[KEY]
-    again = on_incoming_interest(node, interest(), FaceId.BROADCAST, 100, rng())
-    assert again == [Note(tc.DROP, KEY, tc.REASON_PIT_DUP)]
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 100, rng(), out)
+    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_PIT_DUP)]
     assert node.pit[KEY] is entry
     assert entry.nonces == {1}
 
 
-def test_new_nonce_joins_existing_entry():
+def test_new_nonce_joins_existing_entry(out):
     node = forwarder_node(p=0.0)
-    on_incoming_interest(node, interest(nonce=1), FaceId.BROADCAST, 0, rng())
-    on_incoming_interest(node, interest(nonce=2), FaceId.APP, 50, rng())
+    on_incoming_interest(node, interest(nonce=1), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=2), FaceId.APP, 50, rng(), out)
     entry = node.pit[KEY]
     assert entry.nonces == {1, 2}
     assert entry.in_faces == {FaceId.BROADCAST, FaceId.APP}
@@ -70,55 +69,55 @@ def test_new_nonce_joins_existing_entry():
     assert entry.expiry_us == 50 + node.params.pit_lifetime_us
 
 
-def test_store_holder_schedules_data_instead_of_forwarding():
+def test_store_holder_schedules_data_instead_of_forwarding(out):
     store = PieceStore()
     store.ensure("movie1", 8, 1024)
     store.add("movie1", 3)
     node = forwarder_node(store=store)
-    effects = on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
-    assert effects[0] == Note(tc.SATISFY, KEY, "piece=3")
-    assert isinstance(effects[1], EmitData)
-    assert effects[1].name == PIECE
-    assert 900 <= effects[1].delay_us <= 1_100
-    assert not any(isinstance(e, Send) for e in effects)
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    calls = out.take()
+    assert calls[0] == ("note", "f0", tc.SATISFY, KEY, "piece=3")
+    kind, node_id, name, delay = calls[1]
+    assert (kind, node_id, name) == ("emit", "f0", PIECE)
+    assert 900 <= delay <= 1_100
+    assert "send" not in kinds(calls)
 
 
-def test_app_face_bypasses_the_strategy():
+def test_app_face_bypasses_the_strategy(out):
     # a node's own interests always go to the radio, even where the strategy
     # would have dropped (p=0)
     node = forwarder_node(p=0.0)
-    effects = on_incoming_interest(node, interest(), FaceId.APP, 0, rng())
-    assert effects == [Send(interest(), 0)]
+    on_incoming_interest(node, interest(), FaceId.APP, 0, rng(), out)
+    assert out.take() == [("send", "f0", interest(), 0)]
 
 
-def test_hop_cap_drops_before_the_strategy_runs():
+def test_hop_cap_drops_before_the_strategy_runs(out):
     node = forwarder_node(p=1.0, params=ForwardingParams(max_hops=4))
-    effects = on_incoming_interest(node, interest(hop=4), FaceId.BROADCAST, 0, rng())
-    assert effects == [Note(tc.DROP, KEY, tc.REASON_HOP_CAP)]
-    effects = on_incoming_interest(node, interest(nonce=2, hop=3), FaceId.BROADCAST,
-                                   0, rng())
-    assert any(isinstance(e, Send) and e.packet.hop_count == 4
-               for e in effects)
+    on_incoming_interest(node, interest(hop=4), FaceId.BROADCAST, 0, rng(), out)
+    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_HOP_CAP)]
+    on_incoming_interest(node, interest(nonce=2, hop=3), FaceId.BROADCAST, 0, rng(), out)
+    assert any(call[0] == "send" and call[2].hop_count == 4 for call in out.take())
 
 
-def test_forward_increments_hops_and_jitters():
+def test_forward_increments_hops_and_jitters(out):
     node = forwarder_node(p=1.0)
-    effects = on_incoming_interest(node, interest(hop=2), FaceId.BROADCAST, 0, rng())
-    note, send = effects
-    assert note == Note(tc.DECISION, KEY, tc.REASON_PROB_FWD)
-    assert isinstance(send, Send)
-    assert send.packet.hop_count == 3
-    assert send.packet.nonce == 1
-    assert 2_000 <= send.delay_us <= 10_000
+    on_incoming_interest(node, interest(hop=2), FaceId.BROADCAST, 0, rng(), out)
+    note, (kind, node_id, pkt, delay) = out.take()
+    assert note == ("note", "f0", tc.DECISION, KEY, tc.REASON_PROB_FWD)
+    assert (kind, node_id) == ("send", "f0")
+    assert pkt.hop_count == 3
+    assert pkt.nonce == 1
+    assert 2_000 <= delay <= 10_000
 
 
-def test_peer_delivers_beacon_to_app():
+def test_peer_delivers_beacon_to_app(out):
     node = peer_node()
     beacon = interest(name=beacon_name("n5"))
-    effects = on_incoming_interest(node, beacon, FaceId.BROADCAST, 0, rng())
-    assert effects[0] == Note(tc.DECISION, "/ntorrent/beacon/n5", tc.REASON_OWN_APP)
-    assert isinstance(effects[1], AppInterest)
-    assert effects[1].packet == beacon
+    on_incoming_interest(node, beacon, FaceId.BROADCAST, 0, rng(), out)
+    assert out.take() == [
+        ("note", "p0", tc.DECISION, "/ntorrent/beacon/n5", tc.REASON_OWN_APP),
+        ("to_app", "p0", beacon),
+    ]
 
 
 def learned_peer(own, heard):
@@ -139,7 +138,7 @@ DECISIONS = {
 
 
 @pytest.mark.parametrize("reason", list(DECISIONS))
-def test_each_decision_reason_emits_its_effect(reason):
+def test_each_decision_reason_emits_its_effect(reason, out):
     make_node, name, then = DECISIONS[reason]
     node = make_node()
     pkt = interest(hop=2, name=name)
@@ -150,14 +149,15 @@ def test_each_decision_reason_emits_its_effect(reason):
         expected = peer_decide(node.strategy, node.app.torrent, copy.deepcopy(node.table),
                                pkt, 0, rng())
     assert expected[0] == reason
-    effects = on_incoming_interest(node, pkt, FaceId.BROADCAST, 0, rng())
-    assert effects[0] == Note(tc.DECISION, name.key, reason)
+    on_incoming_interest(node, pkt, FaceId.BROADCAST, 0, rng(), out)
+    calls = out.take()
+    assert calls[0] == ("note", node.node_id, tc.DECISION, name.key, reason)
     if then == "send":
-        assert effects[1:] == [Send(replace(pkt, hop_count=3), expected[1])]
+        assert calls[1:] == [("send", node.node_id, replace(pkt, hop_count=3), expected[1])]
     elif then == "app":
-        assert effects[1:] == [AppInterest(pkt)]
+        assert calls[1:] == [("to_app", node.node_id, pkt)]
     else:
-        assert effects[1:] == []
+        assert calls[1:] == []
 
 
 # -- data path -----------------------------------------------------------------
@@ -166,91 +166,100 @@ def data_pkt(hop=0):
     return Data(PIECE, payload_bytes=1024, origin="seed", hop_count=hop)
 
 
-def test_data_follows_broadcast_breadcrumb():
+def test_data_follows_broadcast_breadcrumb(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
-    effects = on_incoming_data(node, data_pkt(hop=1), 5_000, rng())
-    sends = [e for e in effects if isinstance(e, Send)]
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    out.take()
+    on_incoming_data(node, data_pkt(hop=1), 5_000, rng(), out)
+    sends = [call for call in out.take() if call[0] == "send"]
     assert len(sends) == 1
-    assert sends[0].packet.hop_count == 2
-    assert 900 <= sends[0].delay_us <= 1_100
+    _, _, pkt, delay = sends[0]
+    assert pkt.hop_count == 2
+    assert 900 <= delay <= 1_100
     assert KEY not in node.pit
 
 
-def test_data_for_app_breadcrumb_reaches_the_peer():
+def test_data_for_app_breadcrumb_reaches_the_peer(out):
     node = peer_node(own="movie1")
-    on_incoming_interest(node, interest(), FaceId.APP, 0, rng())
-    effects = on_incoming_data(node, data_pkt(), 5_000, rng())
-    assert AppPiece("movie1", 3) in effects
+    on_incoming_interest(node, interest(), FaceId.APP, 0, rng(), out)
+    out.take()
+    on_incoming_data(node, data_pkt(), 5_000, rng(), out)
+    calls = out.take()
+    assert ("app_piece", "p0", 3) in calls
     # nothing to send back: the radio never asked
-    assert not any(isinstance(e, Send) for e in effects)
+    assert "send" not in kinds(calls)
 
 
-def test_data_for_both_faces_delivers_locally_and_relays_once():
+def test_data_for_both_faces_delivers_locally_and_relays_once(out):
     node = peer_node(own="movie1")
-    on_incoming_interest(node, interest(nonce=1), FaceId.APP, 0, rng())
-    on_incoming_interest(node, interest(nonce=2), FaceId.BROADCAST, 10, rng())
-    effects = on_incoming_data(node, data_pkt(hop=1), 5_000, rng())
-    sends = [e for e in effects if isinstance(e, Send)]
-    assert len(sends) == 1
-    assert AppPiece("movie1", 3) in effects
+    on_incoming_interest(node, interest(nonce=1), FaceId.APP, 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=2), FaceId.BROADCAST, 10, rng(), out)
+    out.take()
+    on_incoming_data(node, data_pkt(hop=1), 5_000, rng(), out)
+    calls = out.take()
+    assert kinds(calls).count("send") == 1
+    assert ("app_piece", "p0", 3) in calls
 
 
-def test_unsolicited_data_drops():
+def test_unsolicited_data_drops(out):
     node = forwarder_node()
-    effects = on_incoming_data(node, data_pkt(), 0, rng())
-    assert effects == [Note(tc.DROP, KEY, tc.REASON_UNSOLICITED)]
+    on_incoming_data(node, data_pkt(), 0, rng(), out)
+    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_UNSOLICITED)]
 
 
-def test_second_data_copy_is_unsolicited():
+def test_second_data_copy_is_unsolicited(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
-    on_incoming_data(node, data_pkt(), 5_000, rng())
-    effects = on_incoming_data(node, data_pkt(), 6_000, rng())
-    assert effects == [Note(tc.DROP, KEY, tc.REASON_UNSOLICITED)]
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_data(node, data_pkt(), 5_000, rng(), out)
+    out.take()
+    on_incoming_data(node, data_pkt(), 6_000, rng(), out)
+    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_UNSOLICITED)]
 
 
-def test_satisfied_entry_still_suppresses_its_nonces():
+def test_satisfied_entry_still_suppresses_its_nonces(out):
     # regression: after data consumed the entry, a late flood copy of the same
     # interest must not re-enter the PIT and trigger a second transmission
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=9), FaceId.BROADCAST, 0, rng())
-    on_incoming_data(node, data_pkt(), 5_000, rng())
-    late = on_incoming_interest(node, interest(nonce=9), FaceId.BROADCAST, 6_000, rng())
-    assert late == [Note(tc.DROP, KEY, tc.REASON_PIT_DUP)]
+    on_incoming_interest(node, interest(nonce=9), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_data(node, data_pkt(), 5_000, rng(), out)
+    out.take()
+    on_incoming_interest(node, interest(nonce=9), FaceId.BROADCAST, 6_000, rng(), out)
+    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_PIT_DUP)]
     # a genuinely new nonce is a fresh request and forwards again
-    fresh = on_incoming_interest(node, interest(nonce=10), FaceId.BROADCAST, 7_000, rng())
-    assert any(isinstance(e, Send) for e in fresh)
+    on_incoming_interest(node, interest(nonce=10), FaceId.BROADCAST, 7_000, rng(), out)
+    assert "send" in kinds(out.take())
 
 
-def test_nonce_suppression_survives_multiple_rounds():
+def test_nonce_suppression_survives_multiple_rounds(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=1), FaceId.BROADCAST, 0, rng())
-    on_incoming_data(node, data_pkt(), 1_000, rng())
-    on_incoming_interest(node, interest(nonce=2), FaceId.BROADCAST, 2_000, rng())
-    on_incoming_data(node, data_pkt(), 3_000, rng())
+    on_incoming_interest(node, interest(nonce=1), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_data(node, data_pkt(), 1_000, rng(), out)
+    on_incoming_interest(node, interest(nonce=2), FaceId.BROADCAST, 2_000, rng(), out)
+    on_incoming_data(node, data_pkt(), 3_000, rng(), out)
+    out.take()
     for nonce in (1, 2):
-        effects = on_incoming_interest(node, interest(nonce=nonce), FaceId.BROADCAST,
-                                       4_000, rng())
-        assert effects == [Note(tc.DROP, KEY, tc.REASON_PIT_DUP)]
+        on_incoming_interest(node, interest(nonce=nonce), FaceId.BROADCAST, 4_000, rng(), out)
+        assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_PIT_DUP)]
 
 
-def test_overheard_cache_absorbs_when_enabled():
+def test_overheard_cache_absorbs_when_enabled(out):
     store = PieceStore()
     store.ensure("movie1", 8, 1024)
     node = forwarder_node(params=ForwardingParams(cache_overheard_data=True),
                           store=store)
-    effects = on_incoming_data(node, data_pkt(), 0, rng())
-    assert Note(tc.DROP, KEY, tc.REASON_UNSOLICITED) in effects
+    on_incoming_data(node, data_pkt(), 0, rng(), out)
+    assert ("note", "f0", tc.DROP, KEY, tc.REASON_UNSOLICITED) in out.take()
     assert store.has("movie1", 3)
 
 
-def test_data_hop_cap():
+def test_data_hop_cap(out):
     node = forwarder_node(p=1.0, params=ForwardingParams(max_hops=2))
-    on_incoming_interest(node, interest(hop=0), FaceId.BROADCAST, 0, rng())
-    effects = on_incoming_data(node, data_pkt(hop=2), 1_000, rng())
-    assert Note(tc.DROP, KEY, tc.REASON_HOP_CAP) in effects
-    assert not any(isinstance(e, Send) for e in effects)
+    on_incoming_interest(node, interest(hop=0), FaceId.BROADCAST, 0, rng(), out)
+    out.take()
+    on_incoming_data(node, data_pkt(hop=2), 1_000, rng(), out)
+    calls = out.take()
+    assert ("note", "f0", tc.DROP, KEY, tc.REASON_HOP_CAP) in calls
+    assert "send" not in kinds(calls)
 
 
 # -- deferred emission ------------------------------------------------------------
@@ -262,73 +271,77 @@ def emitting_node():
     return forwarder_node(store=store)
 
 
-def test_emission_answers_the_recorded_faces():
+def test_emission_answers_the_recorded_faces(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
-    effects = on_data_emission(node, PIECE, 1_000)
-    assert len(effects) == 1
-    send = effects[0]
-    assert isinstance(send, Send)
-    assert send.packet.payload_bytes == 512
-    assert send.packet.origin == "f0"
-    assert send.packet.hop_count == 0
-    assert send.delay_us == 0
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    out.take()
+    on_data_emission(node, PIECE, 1_000, out)
+    [(kind, node_id, pkt, delay)] = out.take()
+    assert (kind, node_id) == ("send", "f0")
+    assert pkt.payload_bytes == 512
+    assert pkt.origin == "f0"
+    assert pkt.hop_count == 0
+    assert delay == 0
     assert KEY not in node.pit
 
 
-def test_emission_to_app_face_absorbs_locally():
+def test_emission_to_app_face_absorbs_locally(out):
     store = PieceStore()
     store.ensure("movie1", 8, 512)
     store.add("movie1", 3)
     node = peer_node(own="movie1", store=store)
-    on_incoming_interest(node, interest(), FaceId.APP, 0, rng())
-    effects = on_data_emission(node, PIECE, 1_000)
-    assert effects == [AppPiece("movie1", 3)]
+    on_incoming_interest(node, interest(), FaceId.APP, 0, rng(), out)
+    out.take()
+    on_data_emission(node, PIECE, 1_000, out)
+    assert out.take() == [("app_piece", "p0", 3)]
 
 
-def test_emission_goes_stale_when_entry_already_consumed():
+def test_emission_goes_stale_when_entry_already_consumed(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
     # someone else answered first; the arriving copy consumed the entry
-    on_incoming_data(node, data_pkt(), 500, rng())
-    assert on_data_emission(node, PIECE, 1_000) == [
-        Note(tc.DROP, KEY, tc.REASON_EMIT_STALE)]
+    on_incoming_data(node, data_pkt(), 500, rng(), out)
+    out.take()
+    on_data_emission(node, PIECE, 1_000, out)
+    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_EMIT_STALE)]
 
 
-def test_emission_without_the_piece_is_stale():
+def test_emission_without_the_piece_is_stale(out):
     node = forwarder_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
-    assert on_data_emission(node, PIECE, 1_000) == [
-        Note(tc.DROP, KEY, tc.REASON_EMIT_STALE)]
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    out.take()
+    on_data_emission(node, PIECE, 1_000, out)
+    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_EMIT_STALE)]
 
 
-def test_expired_entry_is_not_answered():
+def test_expired_entry_is_not_answered(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng())
+    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    out.take()
     after = node.params.pit_lifetime_us
-    assert on_data_emission(node, PIECE, after) == [
-        Note(tc.DROP, KEY, tc.REASON_EMIT_STALE)]
+    on_data_emission(node, PIECE, after, out)
+    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_EMIT_STALE)]
 
 
 # -- gc ---------------------------------------------------------------------------
 
-def test_pit_gc_boundary_and_dead_nonce_purge():
+def test_pit_gc_boundary_and_dead_nonce_purge(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=5), FaceId.BROADCAST, 0, rng())
+    on_incoming_interest(node, interest(nonce=5), FaceId.BROADCAST, 0, rng(), out)
     lifetime = node.params.pit_lifetime_us
     assert pit_gc(node, lifetime - 1) == 0
     assert pit_gc(node, lifetime) == 1
     assert node.pit == {}
 
-    on_incoming_interest(node, interest(nonce=6), FaceId.BROADCAST, lifetime, rng())
-    on_incoming_data(node, data_pkt(), lifetime + 10, rng())
+    on_incoming_interest(node, interest(nonce=6), FaceId.BROADCAST, lifetime, rng(), out)
+    on_incoming_data(node, data_pkt(), lifetime + 10, rng(), out)
     assert KEY in node.dead_nonces
     pit_gc(node, 2 * lifetime)
     assert node.dead_nonces == {}
+    out.take()
     # with the dead record gone the old nonce is accepted as new again
-    effects = on_incoming_interest(node, interest(nonce=6), FaceId.BROADCAST,
-                                   2 * lifetime, rng())
-    assert any(isinstance(e, Send) for e in effects)
+    on_incoming_interest(node, interest(nonce=6), FaceId.BROADCAST, 2 * lifetime, rng(), out)
+    assert "send" in kinds(out.take())
 
 
 def test_piece_store_ensure_is_idempotent():

@@ -15,7 +15,9 @@ import random
 
 import pytest
 
+from ntorrent_sim import trace as tc
 from ntorrent_sim.cli import EXIT_OK, main
+from ntorrent_sim.trace import read_trace_csv
 
 OUTPUTS = ("trace.csv", "metrics.csv", "positions.csv")
 
@@ -98,6 +100,26 @@ def csv_hostile_document():
             ]}
 
 
+def cache_and_retry_cap_document():
+    """Two torrents on a lossy static mesh with the overheard-data cache on and
+    one retry per piece. The pure forwarder f and the movie2 leecher c cache
+    movie1 data they overhear and answer later requests from their stores, and
+    pieces that hit the retry cap are abandoned and requested again."""
+    return {"duration_us": 30_000_000,
+            "radio": {"loss_prob": 0.2},
+            "forwarding": {"cache_overheard_data": True},
+            "app": {"max_retries": 1},
+            "torrents": [{"id": "movie1", "n_pieces": 16}, {"id": "movie2", "n_pieces": 8}],
+            "nodes": [
+                {"id": "s", "kind": "seeder", "torrent": "movie1", "position": [50.0, 150.0]},
+                {"id": "a", "kind": "leecher", "torrent": "movie1", "position": [100.0, 150.0]},
+                {"id": "b", "kind": "leecher", "torrent": "movie1", "position": [100.0, 110.0]},
+                {"id": "f", "kind": "pure_forwarder", "position": [150.0, 150.0]},
+                {"id": "m", "kind": "seeder", "torrent": "movie2", "position": [150.0, 110.0]},
+                {"id": "c", "kind": "leecher", "torrent": "movie2", "position": [200.0, 150.0]},
+            ]}
+
+
 def _scenario_argv(tmp_path, document, seed):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -158,6 +180,12 @@ CASES = {
          "metrics.csv": "e1f26b896fe32771c2600ff30cc7a3c67b7a0bc09d77f05dfeeb7b9d1931bc4b",
          "positions.csv": "d841dfbc131b4f6a83bf5416caa0f894eeb5056f63c71b1f3ef6da5768c98087"},
     ),
+    "cache-and-retry-cap-seed1": (
+        lambda tmp: _scenario_argv(tmp, cache_and_retry_cap_document(), 1),
+        {"trace.csv": "fc5e676dc16d73a62d0e62de96f014be5b9a74bf58c7025a3ad15451ad6fb0c6",
+         "metrics.csv": "b4f53c92f7dbb2b9cba841e3d3fb7799eac607ad47f300f60727ffe48deb383c",
+         "positions.csv": "ac7e1114167cc2ab678b0ae527ce4a2aceaad2744e24d3ef335dfbe57cd19d76"},
+    ),
 }
 
 
@@ -168,3 +196,13 @@ def test_output_digests_are_frozen(case, tmp_path, capsys):
     assert main(build_argv(tmp_path) + ["--out", str(out)]) == EXIT_OK
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
     assert got == expected, f"{case}: outputs changed"
+
+
+def test_cache_and_retry_cap_case_covers_both_paths(tmp_path, capsys):
+    # the digests above only guard these paths while the run still takes them
+    out = tmp_path / "out"
+    argv = _scenario_argv(tmp_path, cache_and_retry_cap_document(), 1)
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    rows = read_trace_csv(out / "trace.csv")
+    assert any(r.node == "f" and r.event == tc.SATISFY for r in rows)
+    assert any(r.event == tc.PIECE_REQ and r.detail.endswith(";retry=1") for r in rows)

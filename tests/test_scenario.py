@@ -162,6 +162,27 @@ def test_reserved_torrent_name_rejected():
         validate(cfg)
 
 
+@pytest.mark.parametrize("bad", ["n\r1", "n1\r"])
+def test_ids_with_a_lone_carriage_return_rejected(bad):
+    # csv.writer leaves a lone CR unquoted before CPython 3.13, so the trace
+    # row could not be read back
+    nodes = (NodeSpec(bad, NodeKind.SEEDER, "movie1", (0.0, 0.0)),
+             NodeSpec("l", NodeKind.LEECHER, "movie1", (10.0, 10.0)))
+    with pytest.raises(ValidationError, match="node id .* carriage return"):
+        validate(base_cfg(nodes=nodes))
+    nodes = (NodeSpec("s", NodeKind.SEEDER, bad, (0.0, 0.0)),
+             NodeSpec("l", NodeKind.LEECHER, bad, (10.0, 10.0)))
+    with pytest.raises(ValidationError, match="torrent id .* carriage return"):
+        validate(base_cfg(nodes=nodes, torrents=(TorrentSpec(bad),)))
+
+
+def test_ids_with_a_crlf_accepted():
+    nodes = (NodeSpec("s", NodeKind.SEEDER, "f\r\n2", (0.0, 0.0)),
+             NodeSpec("f\r\n2", NodeKind.LEECHER, "f\r\n2", (10.0, 10.0)))
+    cfg = base_cfg(nodes=nodes, torrents=(TorrentSpec("f\r\n2"),))
+    assert validate(cfg) is cfg
+
+
 def test_probability_and_duration_bounds():
     with pytest.raises(ValidationError, match=r"p_forward must be within \[0, 1\]"):
         validate(base_cfg(strategy=StrategyParams(p_forward=1.1)))

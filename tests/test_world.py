@@ -290,3 +290,25 @@ def test_duplicate_reception_notes_the_drop_and_leaves_the_pit_alone(record):
     rx = [rec for rec in world.trace if rec.event == tc.INTEREST_RX]
     assert {rec.node for rec in rx} == {"fb", "fc"}
     assert all(rec.detail is tx.detail for rec in rx)
+
+
+# -- origination order ---------------------------------------------------------
+
+APP_SENDS = (tc.BEACON_TX, tc.BITMAP_TX, tc.PIECE_REQ)
+
+
+@pytest.mark.parametrize("cfg, seed, n_sends", [
+    (build_five_node(1.0), 1, 314),
+    (build_random_field(12, 4), 4, 1_605),
+], ids=["five-node-seed1", "random-field-n12-seed4"])
+def test_app_sends_leave_on_the_radio_at_once(cfg, seed, n_sends):
+    # an app's own interest enters the plane on the App face and is transmitted
+    # before the app goes on, so its INTEREST_TX row directly follows the app row
+    trace, _ = run_scenario(cfg, master_seed=seed)
+    sends = [i for i, rec in enumerate(trace) if rec.event in APP_SENDS]
+    assert len(sends) == n_sends
+    for i in sends:
+        app_row, tx = trace[i], trace[i + 1]
+        assert (tx.event, tx.node, tx.time_us, tx.name) == (
+            tc.INTEREST_TX, app_row.node, app_row.time_us, app_row.name)
+        assert tx.detail.endswith(f"hop=0;origin={app_row.node}")
