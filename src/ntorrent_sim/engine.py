@@ -1,10 +1,14 @@
 """Deterministic discrete-event core.
 
-The clock is an integer microsecond counter. Events are totally ordered by
-(time, insertion sequence), so ties dispatch in scheduling order and a run is
-a pure function of the scenario and the master seed. Randomness is split into
-named per-node streams derived from the master seed, which keeps one node's
-draw sequence independent of event interleaving at other nodes.
+The clock is an integer microsecond counter. An event is a plain
+(time, seq, kind, target, payload) tuple on a binary heap. The insertion
+sequence is unique, so events are totally ordered by (time, seq), a heap
+comparison never reaches a payload, ties dispatch in scheduling order and a
+run is a pure function of the scenario and the master seed. Randomness is
+split into named per-node streams derived from the master seed, which keeps
+one node's draw sequence independent of event interleaving at other nodes.
+The module also holds `cached`, the compute-once attribute that names and
+mobility use.
 """
 from __future__ import annotations
 
@@ -23,15 +27,6 @@ class SchedulingInPast(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Event:
-    time_us: int
-    seq: int
-    kind: str
-    target: str | None
-    payload: object = None
-
-
-@dataclass(frozen=True)
 class RunReport:
     events_dispatched: int
     events_scheduled: int
@@ -39,34 +34,52 @@ class RunReport:
     final_time_us: int
 
 
+class cached:
+    """A method read as an attribute: the first read computes the value and
+    stores it in the instance __dict__, which later reads find first. Works on
+    frozen dataclasses and, unlike functools.cached_property before CPython
+    3.12, takes no lock."""
+
+    def __init__(self, compute: Callable) -> None:
+        self._compute = compute
+        self._name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance: object, owner: type | None = None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self._name] = self._compute(instance)
+        return value
+
+
 class EventLoop:
     """Binary-heap event queue with a monotonic integer-microsecond clock."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, str, str | None, object]] = []
         self._next_seq = 0
         self._dispatched = 0
         self.now_us = 0
 
     def schedule(self, time_us: int, kind: str, target: str | None = None,
-                 payload: object = None) -> Event:
+                 payload: object = None) -> None:
         if time_us < self.now_us:
             raise SchedulingInPast(f"t={time_us} is before now={self.now_us}")
-        event = Event(time_us, self._next_seq, kind, target, payload)
-        heapq.heappush(self._heap, (time_us, self._next_seq, event))
+        heapq.heappush(self._heap, (time_us, self._next_seq, kind, target, payload))
         self._next_seq += 1
-        return event
 
-    def run_until(self, t_end_us: int, handler: Callable[[Event], None]) -> RunReport:
-        """Dispatch events with time <= t_end_us in (time, seq) order.
+    def run_until(self, t_end_us: int,
+                  handler: Callable[[str, str | None, object], None]) -> RunReport:
+        """Dispatch events with time <= t_end_us in (time, seq) order, calling
+        handler(kind, target, payload) with now_us set to the event's time.
 
         The clock finishes at t_end_us even when the queue drains early.
         """
-        while self._heap and self._heap[0][0] <= t_end_us:
-            _, _, event = heapq.heappop(self._heap)
-            self.now_us = event.time_us
+        heap = self._heap
+        while heap and heap[0][0] <= t_end_us:
+            self.now_us, _, kind, target, payload = heapq.heappop(heap)
             self._dispatched += 1
-            handler(event)
+            handler(kind, target, payload)
         self.now_us = t_end_us
         return RunReport(
             events_dispatched=self._dispatched,

@@ -18,7 +18,7 @@ hand packets to the node's app. Interests and data leave through `out.send`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -177,7 +177,8 @@ def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
                                     now_us, rng)
     out.note(node.node_id, tc.DECISION, key, reason)
     if delay is not None:
-        out.send(node.node_id, replace(pkt, hop_count=pkt.hop_count + 1), delay)
+        out.send(node.node_id, Interest(pkt.name, pkt.nonce, pkt.origin, pkt.hop_count + 1),
+                 delay)
     elif reason == tc.REASON_OWN_APP:
         out.to_app(node.node_id, pkt)
 
@@ -196,7 +197,7 @@ def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
         return
     _retire_entry(node, key, entry, now_us)
     if FaceId.BROADCAST in entry.in_faces:
-        relayed = replace(pkt, hop_count=pkt.hop_count + 1)
+        relayed = Data(pkt.name, pkt.payload_bytes, pkt.origin, pkt.hop_count + 1)
         if relayed.hop_count <= node.params.max_hops:
             delay = jittered(node.params.data_response_delay_us, rng)
             out.send(node.node_id, relayed, delay)

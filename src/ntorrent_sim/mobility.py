@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+
+from .engine import cached
 
 EPOCH_INTERVAL_US = 20_000_000
 SPEED_MIN_MS = 2.0
@@ -39,7 +40,7 @@ class WalkState:
     speed_ms: float
     next_change_us: int
 
-    @cached_property
+    @cached
     def velocity(self) -> tuple[float, float]:
         """(vx, vy) in m/s, computed once per leg."""
         return (self.speed_ms * math.cos(self.heading_rad),

@@ -9,7 +9,8 @@ request one piece by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+
+from .engine import cached
 
 APP_PREFIX = "ntorrent"
 BEACON_KEYWORD = "beacon"
@@ -43,11 +44,11 @@ class Name:
             if not comp or "/" in comp:
                 raise MalformedName(f"bad component {comp!r}")
 
-    @cached_property
+    @cached
     def key(self) -> str:
         return render_name(self)
 
-    @cached_property
+    @cached
     def cls(self) -> NameClass:
         return classify(self)
 
@@ -235,7 +236,7 @@ class Interest:
         if self.hop_count < 0:
             raise ValueError("hop_count must be non-negative")
 
-    @cached_property
+    @cached
     def wire(self) -> str:
         """Nonce, hop count and origin as the trace detail of this packet's
         transmission and of each of its receptions, which share the one

@@ -171,8 +171,8 @@ def metrics_from_trace(records: Iterable[TraceRecord],
 
     leechers maps leecher node id to its torrent (so never-completed leechers
     still get a row); nodes lists every node for zero-filled counters. An
-    interest, data, drop or decision row from a node not in nodes raises
-    ValueError.
+    interest, data, drop or decision row from a node not in nodes, or a
+    completion row from a node not in leechers, raises ValueError.
     """
     summary = MetricsSummary(
         per_leecher={nid: LeecherMetrics(torrent) for nid, torrent in sorted(leechers.items())},
@@ -191,7 +191,9 @@ def metrics_from_trace(records: Iterable[TraceRecord],
         elif rec.event == PIECE_RX:
             summary.pieces_delivered += 1
         elif rec.event == COMPLETED:
-            metrics = summary.per_leecher[rec.node]
+            metrics = summary.per_leecher.get(rec.node)
+            if metrics is None:
+                raise ValueError(f"trace row {rec.event} from non-leecher node {rec.node!r}")
             metrics.completed = True
             metrics.completion_time_us = rec.time_us
         elif rec.event == DROP:

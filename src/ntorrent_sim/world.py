@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import forwarding as fw
 from . import trace as tc
 from .app import PeerApp, TIMER_BEACON, TIMER_RETRY
-from .engine import Event, EventLoop, RngStreams, RunReport
+from .engine import EventLoop, RngStreams, RunReport
 from .mobility import (
     EPOCH_INTERVAL_US,
     SPEED_MAX_MS,
@@ -69,6 +69,9 @@ class World:
         self._inflight: dict[str, list[_DeliveryMark]] = {}
         # sender -> (node id, motion) of the nodes that may hear it, built lazily
         self._candidates: dict[str, list[tuple[str, _Motion]]] = {}
+        # static sender with static candidates only -> their anchors, sender
+        # first; filled with _candidates, since these positions never change
+        self._fixed: dict[str, dict[str, Position]] = {}
         # Positions are exact to a few ulps of the largest length in their
         # arithmetic (a grid side, the range, a 200 m leg), and position_at moves
         # an anchor on a wall by the smallest step, so this margin on the displacement
@@ -154,7 +157,9 @@ class World:
 
     def note(self, node_id: str, code: str, name_text: str, detail: str = "") -> None:
         """Append a trace row at the current time."""
-        self.trace.append(TraceRecord(self.loop.now_us, node_id, code, name_text, detail))
+        # tuple.__new__ skips the NamedTuple's Python-level __new__; same row type
+        self.trace.append(tuple.__new__(TraceRecord, (self.loop.now_us, node_id, code,
+                                                      name_text, detail)))
 
     def send(self, node_id: str, pkt: Interest | Data, delay_us: int) -> None:
         """Broadcast pkt after delay_us; a delay-0 send goes out before this returns."""
@@ -207,7 +212,8 @@ class World:
     def _candidates_of(self, sender: str) -> list[tuple[str, _Motion]]:
         """The nodes that may hear sender, in insertion order: every other node
         for a walking sender; the walkers and the static nodes in range for a
-        static one, whose static neighbours never change."""
+        static one, whose static neighbours never change. A static sender with
+        no walking candidate gets its positions in _fixed, for good."""
         found = self._candidates.get(sender)
         if found is None:
             own = self._motion[sender]
@@ -216,14 +222,17 @@ class World:
                          own.walk is not None or motion.walk is not None
                          or in_range(own.anchor, motion.anchor, self.cfg.radio))]
             self._candidates[sender] = found
+            if own.walk is None and all(motion.walk is None for _, motion in found):
+                self._fixed[sender] = {sender: own.anchor,
+                                       **{node_id: motion.anchor for node_id, motion in found}}
         return found
 
-    def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
-        now = self.loop.now_us
+    def _positions_near(self, sender: str, now: int) -> dict[str, Position]:
+        """Exact positions of sender, then of each candidate that may be in
+        range now, in insertion order; broadcast_receivers' exact disk test
+        then decides."""
         origin = self.position_of(sender, now)
         reach = self.cfg.radio.range_m + self._margin_m
-        # Only candidates that may be in range get an exact position; the exact
-        # disk test in broadcast_receivers then decides, in insertion order.
         positions = {sender: origin}
         for node_id, motion in self._candidates_of(sender):
             seen = motion.seen
@@ -233,6 +242,13 @@ class World:
                 motion.walk.speed_ms * (now - motion.seen_us) / 1e6)
             if math.hypot(seen.x - origin.x, seen.y - origin.y) <= reach + slack:
                 positions[node_id] = self.position_of(node_id, now)
+        return positions
+
+    def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
+        now = self.loop.now_us
+        positions = self._fixed.get(sender)
+        if positions is None:
+            positions = self._positions_near(sender, now)
         receivers = broadcast_receivers(sender, positions, self.cfg.radio,
                                         self.rngs.stream("medium", sender))
         arrival = now + self.cfg.radio.one_hop_delay_us
@@ -251,19 +267,18 @@ class World:
 
     # -- event dispatch ---------------------------------------------------------------
 
-    def _dispatch(self, event: Event) -> None:
-        if event.kind == EV_DELIVERY:
-            self._on_delivery(event)
-        elif event.kind == EV_TIMER:
-            self._on_timer(event)
-        elif event.kind == EV_MOBILITY:
+    def _dispatch(self, kind: str, target: str | None, payload: object) -> None:
+        if kind == EV_DELIVERY:
+            self._on_delivery(target, payload)
+        elif kind == EV_TIMER:
+            self._on_timer(target, payload)
+        elif kind == EV_MOBILITY:
             self._on_mobility_epoch()
-        elif event.kind == EV_GC:
+        elif kind == EV_GC:
             self._on_gc()
 
-    def _on_delivery(self, event: Event) -> None:
-        node_id = event.target
-        pkt, mark = event.payload
+    def _on_delivery(self, node_id: str, payload: tuple) -> None:
+        pkt, mark = payload
         if mark is not None and mark.collided:
             self.note(node_id, tc.DROP, pkt.name.key, tc.REASON_COLLISION)
             return
@@ -283,8 +298,7 @@ class World:
                       f"hop={pkt.hop_count};origin={pkt.origin}")
             fw.on_incoming_data(node, pkt, now, self._strategy_rng(node_id), self)
 
-    def _on_timer(self, event: Event) -> None:
-        payload = event.payload
+    def _on_timer(self, node_id: str | None, payload: tuple) -> None:
         tag = payload[0]
         now = self.loop.now_us
         if tag == "sample":
@@ -295,7 +309,6 @@ class World:
             if nxt <= self.cfg.duration_us:
                 self.loop.schedule(nxt, EV_TIMER, None, ("sample",))
             return
-        node_id = event.target
         node = self.nodes[node_id]
         if tag == "tx":
             self._transmit(node_id, payload[1])

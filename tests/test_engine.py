@@ -20,14 +20,41 @@ def test_ties_dispatch_in_scheduling_order():
     loop.schedule(5, "b")
     loop.schedule(3, "c")
     seen = []
-    loop.run_until(10, lambda ev: seen.append(ev.kind))
+    loop.run_until(10, lambda kind, target, payload: seen.append(kind))
     assert seen == ["c", "a", "b"]
+
+
+class Unordered:
+    """A payload that refuses every comparison."""
+
+    def __lt__(self, other):
+        raise AssertionError("a payload was compared")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+def test_equal_times_never_compare_payloads():
+    # same time, kind and target: only the sequence number can order these
+    loop = EventLoop()
+    first, second, third = Unordered(), Unordered(), Unordered()
+    loop.schedule(5, "tick", "n0", first)
+    loop.schedule(5, "tick", "n0", second)
+    seen = []
+
+    def handler(kind, target, payload):
+        seen.append(payload)
+        if payload is first:
+            # scheduled at now: runs after the same-time events already queued
+            loop.schedule(loop.now_us, "tick", "n0", third)
+
+    loop.run_until(10, handler)
+    assert seen == [first, second, third]
 
 
 def test_zero_delay_is_legal_and_past_is_not():
     loop = EventLoop()
     loop.schedule(7, "x")
-    loop.run_until(7, lambda ev: None)
+    loop.run_until(7, lambda kind, target, payload: None)
     loop.schedule(7, "same-time")  # now == 7, still allowed
     with pytest.raises(SchedulingInPast):
         loop.schedule(6, "late")
@@ -38,14 +65,14 @@ def test_event_at_horizon_is_dispatched():
     loop = EventLoop()
     loop.schedule(10, "edge")
     seen = []
-    report = loop.run_until(10, lambda ev: seen.append(ev.time_us))
+    report = loop.run_until(10, lambda kind, target, payload: seen.append(loop.now_us))
     assert seen == [10]
     assert report.final_time_us == 10
 
 
 def test_empty_queue_still_advances_clock():
     loop = EventLoop()
-    report = loop.run_until(123, lambda ev: None)
+    report = loop.run_until(123, lambda kind, target, payload: None)
     assert report.events_dispatched == 0
     assert report.final_time_us == 123
     assert loop.now_us == 123
@@ -55,7 +82,7 @@ def test_conservation_of_events():
     loop = EventLoop()
     for t in (1, 4, 9, 16, 25):
         loop.schedule(t, "tick")
-    report = loop.run_until(10, lambda ev: None)
+    report = loop.run_until(10, lambda kind, target, payload: None)
     assert report.events_scheduled == 5
     assert report.events_dispatched == 3
     assert report.events_remaining == 2
@@ -66,10 +93,10 @@ def test_clock_is_monotone_under_rescheduling():
     loop = EventLoop()
     times = []
 
-    def handler(ev):
-        times.append(ev.time_us)
-        if ev.time_us < 40:
-            loop.schedule(ev.time_us + 10, "next")
+    def handler(kind, target, payload):
+        times.append(loop.now_us)
+        if loop.now_us < 40:
+            loop.schedule(loop.now_us + 10, "next")
 
     loop.schedule(0, "start")
     loop.run_until(100, handler)

@@ -262,6 +262,24 @@ def test_data_hop_cap(out):
     assert "send" not in kinds(calls)
 
 
+def test_relayed_copies_keep_the_name_and_count_the_hop(out):
+    node = forwarder_node(p=1.0)
+    heard = interest(nonce=0xAB, hop=2)
+    assert heard.wire == "nonce=00000000000000ab;hop=2;origin=src"
+    on_incoming_interest(node, heard, FaceId.BROADCAST, 0, rng(), out)
+    [(_, _, relayed, _)] = [call for call in out.take() if call[0] == "send"]
+    # the relayed copy reuses the Name, so its text and class are not redone
+    assert relayed.name is heard.name
+    assert (relayed.nonce, relayed.origin, relayed.hop_count) == (0xAB, "src", 3)
+    assert relayed.wire == "nonce=00000000000000ab;hop=3;origin=src"
+    assert heard.wire == "nonce=00000000000000ab;hop=2;origin=src"
+    data = data_pkt(hop=1)
+    on_incoming_data(node, data, 5_000, rng(), out)
+    [(_, _, relayed, _)] = [call for call in out.take() if call[0] == "send"]
+    assert relayed.name is data.name
+    assert (relayed.payload_bytes, relayed.origin, relayed.hop_count) == (1024, "seed", 2)
+
+
 # -- deferred emission ------------------------------------------------------------
 
 def emitting_node():

@@ -99,6 +99,24 @@ def test_reflection_preserves_angle():
     assert pos.y == pytest.approx(20.0)
 
 
+def test_leg_velocity_is_computed_once(monkeypatch):
+    cos_calls = []
+    cos = math.cos
+
+    def counted_cos(x):
+        cos_calls.append(x)
+        return cos(x)
+
+    state = WalkState(heading_rad=0.5, speed_ms=4.0, next_change_us=EPOCH_INTERVAL_US)
+    expected = (4.0 * math.cos(0.5), 4.0 * math.sin(0.5))
+    bounds = GridBounds(1000.0, 1000.0)
+    monkeypatch.setattr(math, "cos", counted_cos)
+    for t_us in (1_000_000, 2_000_000, 3_000_000):
+        position_at(Position(500.0, 500.0), state, 0, t_us, bounds)
+        assert state.velocity == expected
+    assert cos_calls == [0.5]
+
+
 def test_position_query_before_leg_start_rejected():
     state = WalkState(0.0, 5.0, EPOCH_INTERVAL_US)
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 """Name grammar, bitmap codec, classification, and packet validation."""
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ntorrent_sim import names
 from ntorrent_sim.names import (
     BEACON_KEYWORD,
     Beacon,
@@ -161,6 +164,34 @@ def test_name_key_and_class_are_computed_once():
     assert name.cls is name.cls
     # equality and hashing still follow the components only
     assert name == parse_name(name.key) and hash(name) == hash(parse_name(name.key))
+
+
+def test_cached_attributes_are_computed_once_per_object(monkeypatch):
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(names, "render_name", counted(render_name))
+    monkeypatch.setattr(names, "classify", counted(classify))
+    name = piece_name("movie1", 3)
+    twin = piece_name("movie1", 3)
+    for _ in range(3):
+        assert name.key == str(name) == "/ntorrent/movie1/data/3"
+        assert name.cls == PieceInterest("movie1", 3)
+    assert calls == {"render_name": 1, "classify": 1}
+    # the value belongs to the object, not to its equal twin
+    assert twin.key == name.key and twin.cls == name.cls
+    assert calls == {"render_name": 2, "classify": 2}
+    # Interest.wire calls neither; a stored value is the same object each read
+    pkt = Interest(name, nonce=7, origin="n0", hop_count=1)
+    wire = pkt.wire
+    assert wire == "nonce=0000000000000007;hop=1;origin=n0"
+    assert vars(pkt)["wire"] is wire and pkt.wire is wire
+    assert calls == {"render_name": 2, "classify": 2}
 
 
 # the beacon keyword is reserved and never names a torrent

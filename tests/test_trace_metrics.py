@@ -167,6 +167,12 @@ def test_rows_from_unknown_nodes_are_rejected(event, detail):
         metrics_from_trace(records, leechers={}, nodes=["n0"])
 
 
+def test_completion_from_a_non_leecher_is_rejected():
+    records = [TraceRecord(5, "n0", tc.COMPLETED, "", "torrent=movie1")]
+    with pytest.raises(ValueError, match="n0"):
+        metrics_from_trace(records, leechers={"n1": "movie1"}, nodes=["n0", "n1"])
+
+
 def test_metrics_are_a_pure_function_of_the_trace(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), sample_trace())

@@ -127,6 +127,19 @@ def test_run_report_conserves_events():
     assert report.final_time_us == 30_000_000
 
 
+# Frozen from the code before events became plain tuples: events_per_s in the
+# benchmark divides by these counts, so a speed-up must leave them alone.
+@pytest.mark.parametrize("cfg,seed,dispatched,scheduled,rows", [
+    (build_five_node(), 1, 2_968, 2_970, 5_558),
+    (build_random_field(12, 4), 4, 11_110, 11_112, 26_364),
+], ids=["five-node", "random-field-12"])
+def test_event_and_trace_counts_are_pinned(cfg, seed, dispatched, scheduled, rows):
+    world = World(cfg, master_seed=seed)
+    report = world.run()
+    assert (report.events_dispatched, report.events_scheduled, len(world.trace)) == (
+        dispatched, scheduled, rows)
+
+
 def test_metrics_recompute_from_own_trace():
     world = World(three_node_relay(), master_seed=5)
     world.run()
