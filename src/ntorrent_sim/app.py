@@ -8,8 +8,10 @@ Seeders start complete and only answer; leechers record completion the moment
 the last piece arrives.
 
 Handlers change only the application state and act on the world through
-`out`, the World. Every interest the app creates enters the forwarding plane
-through `out.originate`, so the PIT records the app as in-face.
+`out`, the World. Every interest the app creates goes out through
+`out.originate`, which records its nonce in the node's PIT and transmits it
+at once. Data for it reaches the app, and is relayed only if a radio arrival
+asked for the same name too.
 """
 from __future__ import annotations
 

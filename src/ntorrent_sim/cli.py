@@ -104,10 +104,11 @@ def _write_run(out_dir: str, cfg: ScenarioConfig, seed: int) -> None:
 
 def sweep(cfg: ScenarioConfig, p_values: list[float], seeds: list[int]):
     """Completion table across (p, seed); rows are (p, seed, node, torrent,
-    completed, completion_time_us or '')."""
+    completed, completion_time_us or ''). Every p is validated before the
+    first run."""
+    varied_by_p = [(p_value, with_p_forward(cfg, p_value)) for p_value in p_values]
     rows = []
-    for p_value in p_values:
-        varied = with_p_forward(cfg, p_value)
+    for p_value, varied in varied_by_p:
         for seed in seeds:
             _, metrics = run_scenario(varied, seed)
             for node_id, lm in metrics.per_leecher.items():

@@ -1,15 +1,17 @@
-"""Per-node forwarding plane: faces, PIT, piece store, and dispatch.
+"""Per-node forwarding plane: PIT, piece store, and dispatch.
 
-Every node, peer or not, runs the same plane. Incoming interests pass nonce
-deduplication (is_duplicate), leave a PIT breadcrumb for the return path, are
-answered from the local piece store when possible, and otherwise go to a
-relay rule: a pure forwarder (no app) calls strategies.pure_decide, a peer
-calls strategies.peer_decide with its own torrent and its overheard-name
-table. The rule's reason code is noted as the DECISION; a forward is sent
-after the rule's delay, OWN_APP hands the interest to the app, and the drop
-reasons do nothing more. Returning data consumes the breadcrumb: rebroadcast
-once toward the radio if the interest came from there, hand to the local
-application if the node peers on that torrent.
+Every node, peer or not, runs the same plane. An app's own interest
+(on_own_interest) leaves its nonce in the PIT and goes straight to the radio.
+An interest heard on the radio (on_incoming_interest) has already passed
+nonce deduplication (is_duplicate, which the World applies); it leaves a PIT
+breadcrumb for the return path, is answered from the local piece store when
+possible, and otherwise goes to a relay rule: a pure forwarder (no app) calls
+strategies.pure_decide, a peer calls strategies.peer_decide with its own
+torrent and its overheard-name table. The rule's reason code is noted as the
+DECISION; a forward is sent after the rule's delay, OWN_APP hands the interest
+to the app, and the drop reasons do nothing more. Returning data consumes the
+breadcrumb: rebroadcast once if a radio arrival asked for it, hand to the
+local application if the node peers on that torrent.
 
 Handlers change only the given node's state and act on the world through
 `out`, the World: they note trace rows, send packets, schedule emissions and
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from .names import Bitmap, Data, Interest, Name, PieceInterest
@@ -31,19 +32,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .world import World
 
 
-class FaceId(Enum):
-    BROADCAST = "broadcast"
-    APP = "app"
-
-
 # ---------------------------------------------------------------------------
 # node state
 
 @dataclass
 class PitEntry:
-    name: Name
     nonces: set[int] = field(default_factory=set)
-    in_faces: set[FaceId] = field(default_factory=set)
+    # a radio arrival asked for the name, so its data is relayed back
+    from_radio: bool = False
     expiry_us: int = 0
 
 
@@ -114,8 +110,7 @@ def _retire_entry(node: NodeState, key: str, entry: PitEntry, now_us: int) -> No
         dead.nonces |= entry.nonces
         dead.expiry_us = max(dead.expiry_us, entry.expiry_us)
     else:
-        node.dead_nonces[key] = PitEntry(entry.name, set(entry.nonces), set(),
-                                         entry.expiry_us)
+        node.dead_nonces[key] = PitEntry(set(entry.nonces), expiry_us=entry.expiry_us)
 
 
 def jittered(base_us: int, rng: random.Random) -> int:
@@ -138,31 +133,36 @@ def is_duplicate(node: NodeState, pkt: Interest, now_us: int) -> bool:
     return _live(dead, now_us) and pkt.nonce in dead.nonces
 
 
-def on_incoming_interest(node: NodeState, pkt: Interest, face: FaceId,
-                         now_us: int, rng: random.Random, out: World) -> None:
-    """PIT dedup, breadcrumb, store check, then the face's forwarding rule."""
+def _record(node: NodeState, pkt: Interest, now_us: int) -> PitEntry:
+    """Add pkt's nonce to its name's live PIT entry, or to a new one, and push
+    the entry's expiry out a full lifetime."""
     key = pkt.name.key
-    if is_duplicate(node, pkt, now_us):
-        out.note(node.node_id, tc.DROP, key, tc.REASON_PIT_DUP)
-        return
     entry = node.pit.get(key)
     if not _live(entry, now_us):
-        entry = PitEntry(pkt.name)
+        entry = PitEntry()
         node.pit[key] = entry
     entry.nonces.add(pkt.nonce)
-    entry.in_faces.add(face)
     entry.expiry_us = now_us + node.params.pit_lifetime_us
+    return entry
 
+
+def on_own_interest(node: NodeState, pkt: Interest, now_us: int, out: World) -> None:
+    """Record an app's own interest and put it on the radio at once; the
+    strategy governs relaying only."""
+    _record(node, pkt, now_us)
+    out.send(node.node_id, pkt, 0)
+
+
+def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int,
+                         rng: random.Random, out: World) -> None:
+    """Breadcrumb, store check, then the relay rule for a new radio arrival."""
+    _record(node, pkt, now_us).from_radio = True
+    key = pkt.name.key
     cls = pkt.name.cls
     if isinstance(cls, PieceInterest) and node.store.has(cls.torrent, cls.piece):
         delay = jittered(node.params.data_response_delay_us, rng)
         out.note(node.node_id, tc.SATISFY, key, f"piece={cls.piece}")
         out.emit(node.node_id, pkt.name, delay)
-        return
-
-    if face is FaceId.APP:
-        # own interests always hit the radio; the strategy governs relaying only
-        out.send(node.node_id, pkt, 0)
         return
 
     if pkt.hop_count + 1 > node.params.max_hops:
@@ -196,7 +196,7 @@ def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
         out.note(node.node_id, tc.DROP, key, tc.REASON_UNSOLICITED)
         return
     _retire_entry(node, key, entry, now_us)
-    if FaceId.BROADCAST in entry.in_faces:
+    if entry.from_radio:
         relayed = Data(pkt.name, pkt.payload_bytes, pkt.origin, pkt.hop_count + 1)
         if relayed.hop_count <= node.params.max_hops:
             delay = jittered(node.params.data_response_delay_us, rng)
@@ -217,10 +217,12 @@ def _absorb_piece(node: NodeState, cls: PieceInterest, out: World) -> None:
 
 
 def on_data_emission(node: NodeState, name: Name, now_us: int, out: World) -> None:
-    """Produce data for a previously satisfied interest, consuming its entry.
+    """Produce data for an interest the store satisfied, consuming its entry.
 
     The entry may have been satisfied by a copy from elsewhere in the
-    meantime; then there is nothing left to answer.
+    meantime; then there is nothing left to answer. Only a radio arrival
+    schedules an emission, and an app never asks for a piece its store
+    holds, so a live entry is always answered on the radio.
     """
     key = name.key
     entry = node.pit.get(key)
@@ -230,16 +232,8 @@ def on_data_emission(node: NodeState, name: Name, now_us: int, out: World) -> No
         out.note(node.node_id, tc.DROP, key, tc.REASON_EMIT_STALE)
         return
     _retire_entry(node, key, entry, now_us)
-    if FaceId.BROADCAST in entry.in_faces:
-        pkt = Data(
-            name=name,
-            payload_bytes=node.store.piece_bytes(cls.torrent),
-            origin=node.node_id,
-            hop_count=0,
-        )
-        out.send(node.node_id, pkt, 0)
-    if FaceId.APP in entry.in_faces:
-        _absorb_piece(node, cls, out)
+    pkt = Data(name, node.store.piece_bytes(cls.torrent), node.node_id, 0)
+    out.send(node.node_id, pkt, 0)
 
 
 def pit_gc(node: NodeState, now_us: int) -> int:

@@ -38,7 +38,6 @@ class GridBounds:
 class WalkState:
     heading_rad: float
     speed_ms: float
-    next_change_us: int
 
     @cached
     def velocity(self) -> tuple[float, float]:
@@ -54,11 +53,11 @@ class RadioConfig:
     loss_prob: float
 
 
-def walk_epoch(rng: random.Random, now_us: int) -> WalkState:
+def walk_epoch(rng: random.Random) -> WalkState:
     """Draw the next leg: heading uniform on [0, 2pi), speed uniform on [2, 10] m/s."""
     heading = rng.uniform(0.0, TWO_PI) % TWO_PI
     speed = rng.uniform(SPEED_MIN_MS, SPEED_MAX_MS)
-    return WalkState(heading, speed, now_us + EPOCH_INTERVAL_US)
+    return WalkState(heading, speed)
 
 
 def _advance_reflect(coord: float, velocity: float, dt_s: float, limit: float) -> float:

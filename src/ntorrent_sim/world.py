@@ -3,8 +3,11 @@
 One World owns the event loop and all per-node state for a single run. The
 forwarding and app handlers get it as `out` and call its note, send, emit,
 timer, originate, to_app and app_piece methods, which act at the current
-time. Every observable action lands in the trace, and the trace plus the
-metrics reduced from it are the run's result.
+time. An app's own interest goes through forwarding.on_own_interest and is on
+the radio before `originate` returns. A radio reception of an interest whose
+nonce the node already holds is dropped here as PIT_DUP; only a new one
+reaches forwarding.on_incoming_interest. Every observable action lands in the
+trace, and the trace plus the metrics reduced from it are the run's result.
 """
 from __future__ import annotations
 
@@ -119,7 +122,7 @@ class World:
                                   mob_rng.uniform(0.0, cfg.grid.height))
             walk = None
             if spec.mobility is MobilityKind.RANDOM_WALK:
-                walk = walk_epoch(mob_rng, 0)
+                walk = walk_epoch(mob_rng)
                 self.note(spec.node_id, tc.WALK_EPOCH, "",
                           f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
             self._motion[spec.node_id] = _Motion(anchor=anchor, epoch_start_us=0, walk=walk,
@@ -177,9 +180,8 @@ class World:
         self.loop.schedule(self.loop.now_us + delay_us, EV_TIMER, node_id, (tag,))
 
     def originate(self, node_id: str, pkt: Interest) -> None:
-        """An app-created interest enters its node's plane on the App face."""
-        fw.on_incoming_interest(self.nodes[node_id], pkt, fw.FaceId.APP, self.loop.now_us,
-                                self._strategy_rng(node_id), self)
+        """Record an app-created interest in its node's PIT and transmit it now."""
+        fw.on_own_interest(self.nodes[node_id], pkt, self.loop.now_us, self)
 
     def to_app(self, node_id: str, pkt: Interest) -> None:
         """Hand an interest for the node's own torrent, or a beacon, to its app."""
@@ -291,8 +293,7 @@ class World:
             if fw.is_duplicate(node, pkt, now):
                 self.note(node_id, tc.DROP, key, tc.REASON_PIT_DUP)
                 return
-            fw.on_incoming_interest(node, pkt, fw.FaceId.BROADCAST, now,
-                                    self._strategy_rng(node_id), self)
+            fw.on_incoming_interest(node, pkt, now, self._strategy_rng(node_id), self)
         else:
             self.note(node_id, tc.DATA_RX, pkt.name.key,
                       f"hop={pkt.hop_count};origin={pkt.origin}")
@@ -329,7 +330,7 @@ class World:
             # the old leg's end is the new leg's start and its last seen position
             motion.anchor = self.position_of(node_id, now)
             motion.epoch_start_us = now
-            motion.walk = walk_epoch(self.rngs.stream("mobility", node_id), now)
+            motion.walk = walk_epoch(self.rngs.stream("mobility", node_id))
             self.note(node_id, tc.WALK_EPOCH, "",
                       f"heading={motion.walk.heading_rad!r};speed={motion.walk.speed_ms!r}")
         nxt = now + EPOCH_INTERVAL_US

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ntorrent_sim import cli
 from ntorrent_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from ntorrent_sim.scenario import MAX_PIECES
 
@@ -93,6 +94,24 @@ def test_empty_sweep_list_exits_2(tiny_scenario, tmp_path, capsys, p_list, seed_
               "--seeds", seed_list, "--out", str(out)])
     assert exc.value.code == 2
     assert "needs at least one value" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_refuses_a_bad_p_before_any_run(tiny_scenario, tmp_path, capsys, monkeypatch):
+    runs = []
+    real_run = cli.run_scenario
+
+    def counted_run(cfg, seed):
+        runs.append(seed)
+        return real_run(cfg, seed)
+
+    monkeypatch.setattr(cli, "run_scenario", counted_run)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--scenario", tiny_scenario, "--p", "0.5,1.5",
+                 "--seeds", "1,2,3", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "p_forward" in capsys.readouterr().err
+    assert runs == []
     assert not (out / "sweep.csv").exists()
 
 

@@ -8,13 +8,14 @@ import pytest
 
 from ntorrent_sim import trace as tc
 from ntorrent_sim.forwarding import (
-    FaceId,
     ForwardingParams,
     NodeState,
     PieceStore,
+    is_duplicate,
     on_data_emission,
     on_incoming_data,
     on_incoming_interest,
+    on_own_interest,
     pit_gc,
 )
 from ntorrent_sim.names import Data, Interest, beacon_name, parse_name, piece_name, render_name
@@ -49,22 +50,25 @@ def kinds(calls):
 
 def test_duplicate_nonce_drops_and_leaves_pit_alone(out):
     node = forwarder_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    assert not is_duplicate(node, interest(), 0)
+    on_incoming_interest(node, interest(), 0, rng(), out)
     assert "send" in kinds(out.take())
     entry = node.pit[KEY]
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 100, rng(), out)
-    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_PIT_DUP)]
+    before = copy.deepcopy((node.pit, node.dead_nonces))
+    assert is_duplicate(node, interest(), 100)
+    assert not is_duplicate(node, interest(nonce=2), 100)
+    assert (node.pit, node.dead_nonces) == before
     assert node.pit[KEY] is entry
     assert entry.nonces == {1}
 
 
 def test_new_nonce_joins_existing_entry(out):
     node = forwarder_node(p=0.0)
-    on_incoming_interest(node, interest(nonce=1), FaceId.BROADCAST, 0, rng(), out)
-    on_incoming_interest(node, interest(nonce=2), FaceId.APP, 50, rng(), out)
+    on_incoming_interest(node, interest(nonce=1), 0, rng(), out)
+    on_own_interest(node, interest(nonce=2), 50, out)
     entry = node.pit[KEY]
     assert entry.nonces == {1, 2}
-    assert entry.in_faces == {FaceId.BROADCAST, FaceId.APP}
+    assert entry.from_radio
     # the later arrival pushed the expiry out
     assert entry.expiry_us == 50 + node.params.pit_lifetime_us
 
@@ -74,7 +78,7 @@ def test_store_holder_schedules_data_instead_of_forwarding(out):
     store.ensure("movie1", 8, 1024)
     store.add("movie1", 3)
     node = forwarder_node(store=store)
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, rng(), out)
     calls = out.take()
     assert calls[0] == ("note", "f0", tc.SATISFY, KEY, "piece=3")
     kind, node_id, name, delay = calls[1]
@@ -83,25 +87,31 @@ def test_store_holder_schedules_data_instead_of_forwarding(out):
     assert "send" not in kinds(calls)
 
 
-def test_app_face_bypasses_the_strategy(out):
-    # a node's own interests always go to the radio, even where the strategy
-    # would have dropped (p=0)
+def test_own_interest_bypasses_the_strategy(out):
+    # a node's own interests always go to the radio at once, even where the
+    # strategy would have dropped (p=0); no coin is drawn and no DECISION noted
     node = forwarder_node(p=0.0)
-    on_incoming_interest(node, interest(), FaceId.APP, 0, rng(), out)
+    on_own_interest(node, interest(), 40, out)
     assert out.take() == [("send", "f0", interest(), 0)]
+    entry = node.pit[KEY]
+    assert entry.nonces == {1}
+    assert not entry.from_radio
+    assert entry.expiry_us == 40 + node.params.pit_lifetime_us
+    # a copy of it heard back on the radio is a duplicate
+    assert is_duplicate(node, interest(), 50)
 
 
 def test_hop_cap_drops_before_the_strategy_runs(out):
     node = forwarder_node(p=1.0, params=ForwardingParams(max_hops=4))
-    on_incoming_interest(node, interest(hop=4), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(hop=4), 0, rng(), out)
     assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_HOP_CAP)]
-    on_incoming_interest(node, interest(nonce=2, hop=3), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=2, hop=3), 0, rng(), out)
     assert any(call[0] == "send" and call[2].hop_count == 4 for call in out.take())
 
 
 def test_forward_increments_hops_and_jitters(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(hop=2), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(hop=2), 0, rng(), out)
     note, (kind, node_id, pkt, delay) = out.take()
     assert note == ("note", "f0", tc.DECISION, KEY, tc.REASON_PROB_FWD)
     assert (kind, node_id) == ("send", "f0")
@@ -113,7 +123,7 @@ def test_forward_increments_hops_and_jitters(out):
 def test_peer_delivers_beacon_to_app(out):
     node = peer_node()
     beacon = interest(name=beacon_name("n5"))
-    on_incoming_interest(node, beacon, FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, beacon, 0, rng(), out)
     assert out.take() == [
         ("note", "p0", tc.DECISION, "/ntorrent/beacon/n5", tc.REASON_OWN_APP),
         ("to_app", "p0", beacon),
@@ -149,7 +159,7 @@ def test_each_decision_reason_emits_its_effect(reason, out):
         expected = peer_decide(node.strategy, node.app.torrent, copy.deepcopy(node.table),
                                pkt, 0, rng())
     assert expected[0] == reason
-    on_incoming_interest(node, pkt, FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, pkt, 0, rng(), out)
     calls = out.take()
     assert calls[0] == ("note", node.node_id, tc.DECISION, name.key, reason)
     if then == "send":
@@ -168,7 +178,7 @@ def data_pkt(hop=0):
 
 def test_data_follows_broadcast_breadcrumb(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, rng(), out)
     out.take()
     on_incoming_data(node, data_pkt(hop=1), 5_000, rng(), out)
     sends = [call for call in out.take() if call[0] == "send"]
@@ -181,7 +191,7 @@ def test_data_follows_broadcast_breadcrumb(out):
 
 def test_data_for_app_breadcrumb_reaches_the_peer(out):
     node = peer_node(own="movie1")
-    on_incoming_interest(node, interest(), FaceId.APP, 0, rng(), out)
+    on_own_interest(node, interest(), 0, out)
     out.take()
     on_incoming_data(node, data_pkt(), 5_000, rng(), out)
     calls = out.take()
@@ -190,10 +200,10 @@ def test_data_for_app_breadcrumb_reaches_the_peer(out):
     assert "send" not in kinds(calls)
 
 
-def test_data_for_both_faces_delivers_locally_and_relays_once(out):
+def test_data_for_own_and_radio_interests_delivers_locally_and_relays_once(out):
     node = peer_node(own="movie1")
-    on_incoming_interest(node, interest(nonce=1), FaceId.APP, 0, rng(), out)
-    on_incoming_interest(node, interest(nonce=2), FaceId.BROADCAST, 10, rng(), out)
+    on_own_interest(node, interest(nonce=1), 0, out)
+    on_incoming_interest(node, interest(nonce=2), 10, rng(), out)
     out.take()
     on_incoming_data(node, data_pkt(hop=1), 5_000, rng(), out)
     calls = out.take()
@@ -209,7 +219,7 @@ def test_unsolicited_data_drops(out):
 
 def test_second_data_copy_is_unsolicited(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, rng(), out)
     on_incoming_data(node, data_pkt(), 5_000, rng(), out)
     out.take()
     on_incoming_data(node, data_pkt(), 6_000, rng(), out)
@@ -220,26 +230,26 @@ def test_satisfied_entry_still_suppresses_its_nonces(out):
     # regression: after data consumed the entry, a late flood copy of the same
     # interest must not re-enter the PIT and trigger a second transmission
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=9), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=9), 0, rng(), out)
     on_incoming_data(node, data_pkt(), 5_000, rng(), out)
-    out.take()
-    on_incoming_interest(node, interest(nonce=9), FaceId.BROADCAST, 6_000, rng(), out)
-    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_PIT_DUP)]
+    assert KEY not in node.pit
+    assert is_duplicate(node, interest(nonce=9), 6_000)
     # a genuinely new nonce is a fresh request and forwards again
-    on_incoming_interest(node, interest(nonce=10), FaceId.BROADCAST, 7_000, rng(), out)
+    assert not is_duplicate(node, interest(nonce=10), 7_000)
+    out.take()
+    on_incoming_interest(node, interest(nonce=10), 7_000, rng(), out)
     assert "send" in kinds(out.take())
 
 
 def test_nonce_suppression_survives_multiple_rounds(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=1), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=1), 0, rng(), out)
     on_incoming_data(node, data_pkt(), 1_000, rng(), out)
-    on_incoming_interest(node, interest(nonce=2), FaceId.BROADCAST, 2_000, rng(), out)
+    on_incoming_interest(node, interest(nonce=2), 2_000, rng(), out)
     on_incoming_data(node, data_pkt(), 3_000, rng(), out)
-    out.take()
     for nonce in (1, 2):
-        on_incoming_interest(node, interest(nonce=nonce), FaceId.BROADCAST, 4_000, rng(), out)
-        assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_PIT_DUP)]
+        assert is_duplicate(node, interest(nonce=nonce), 4_000)
+    assert not is_duplicate(node, interest(nonce=3), 4_000)
 
 
 def test_overheard_cache_absorbs_when_enabled(out):
@@ -254,7 +264,7 @@ def test_overheard_cache_absorbs_when_enabled(out):
 
 def test_data_hop_cap(out):
     node = forwarder_node(p=1.0, params=ForwardingParams(max_hops=2))
-    on_incoming_interest(node, interest(hop=0), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(hop=0), 0, rng(), out)
     out.take()
     on_incoming_data(node, data_pkt(hop=2), 1_000, rng(), out)
     calls = out.take()
@@ -266,7 +276,7 @@ def test_relayed_copies_keep_the_name_and_count_the_hop(out):
     node = forwarder_node(p=1.0)
     heard = interest(nonce=0xAB, hop=2)
     assert heard.wire == "nonce=00000000000000ab;hop=2;origin=src"
-    on_incoming_interest(node, heard, FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, heard, 0, rng(), out)
     [(_, _, relayed, _)] = [call for call in out.take() if call[0] == "send"]
     # the relayed copy reuses the Name, so its text and class are not redone
     assert relayed.name is heard.name
@@ -291,7 +301,7 @@ def emitting_node():
 
 def test_emission_answers_the_recorded_faces(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, rng(), out)
     out.take()
     on_data_emission(node, PIECE, 1_000, out)
     [(kind, node_id, pkt, delay)] = out.take()
@@ -303,20 +313,9 @@ def test_emission_answers_the_recorded_faces(out):
     assert KEY not in node.pit
 
 
-def test_emission_to_app_face_absorbs_locally(out):
-    store = PieceStore()
-    store.ensure("movie1", 8, 512)
-    store.add("movie1", 3)
-    node = peer_node(own="movie1", store=store)
-    on_incoming_interest(node, interest(), FaceId.APP, 0, rng(), out)
-    out.take()
-    on_data_emission(node, PIECE, 1_000, out)
-    assert out.take() == [("app_piece", "p0", 3)]
-
-
 def test_emission_goes_stale_when_entry_already_consumed(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, rng(), out)
     # someone else answered first; the arriving copy consumed the entry
     on_incoming_data(node, data_pkt(), 500, rng(), out)
     out.take()
@@ -326,7 +325,7 @@ def test_emission_goes_stale_when_entry_already_consumed(out):
 
 def test_emission_without_the_piece_is_stale(out):
     node = forwarder_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, rng(), out)
     out.take()
     on_data_emission(node, PIECE, 1_000, out)
     assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_EMIT_STALE)]
@@ -334,7 +333,7 @@ def test_emission_without_the_piece_is_stale(out):
 
 def test_expired_entry_is_not_answered(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, rng(), out)
     out.take()
     after = node.params.pit_lifetime_us
     on_data_emission(node, PIECE, after, out)
@@ -345,20 +344,21 @@ def test_expired_entry_is_not_answered(out):
 
 def test_pit_gc_boundary_and_dead_nonce_purge(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=5), FaceId.BROADCAST, 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=5), 0, rng(), out)
     lifetime = node.params.pit_lifetime_us
     assert pit_gc(node, lifetime - 1) == 0
     assert pit_gc(node, lifetime) == 1
     assert node.pit == {}
 
-    on_incoming_interest(node, interest(nonce=6), FaceId.BROADCAST, lifetime, rng(), out)
+    on_incoming_interest(node, interest(nonce=6), lifetime, rng(), out)
     on_incoming_data(node, data_pkt(), lifetime + 10, rng(), out)
     assert KEY in node.dead_nonces
     pit_gc(node, 2 * lifetime)
     assert node.dead_nonces == {}
     out.take()
     # with the dead record gone the old nonce is accepted as new again
-    on_incoming_interest(node, interest(nonce=6), FaceId.BROADCAST, 2 * lifetime, rng(), out)
+    assert not is_duplicate(node, interest(nonce=6), 2 * lifetime)
+    on_incoming_interest(node, interest(nonce=6), 2 * lifetime, rng(), out)
     assert "send" in kinds(out.take())
 
 

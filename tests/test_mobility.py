@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ntorrent_sim.mobility import (
-    EPOCH_INTERVAL_US,
     SPEED_MAX_MS,
     SPEED_MIN_MS,
     GridBounds,
@@ -26,10 +25,9 @@ from ntorrent_sim.scenario import ScenarioConfig, ValidationError, validate
 def test_walk_epoch_draws_lawful_legs():
     rng = random.Random(5)
     for _ in range(2000):
-        state = walk_epoch(rng, 40_000_000)
+        state = walk_epoch(rng)
         assert 0.0 <= state.heading_rad < 2.0 * math.pi
         assert SPEED_MIN_MS <= state.speed_ms <= SPEED_MAX_MS
-        assert state.next_change_us == 40_000_000 + EPOCH_INTERVAL_US
 
 
 def test_heading_distribution_uniform():
@@ -37,7 +35,7 @@ def test_heading_distribution_uniform():
     bins = [0] * 24
     n = 24_000
     for _ in range(n):
-        state = walk_epoch(rng, 0)
+        state = walk_epoch(rng)
         bins[int(state.heading_rad / (2.0 * math.pi) * 24)] += 1
     result = stats.chisquare(bins)
     assert result.pvalue > 0.01
@@ -45,7 +43,7 @@ def test_heading_distribution_uniform():
 
 def test_speed_distribution_uniform():
     rng = random.Random(12)
-    speeds = [walk_epoch(rng, 0).speed_ms for _ in range(24_000)]
+    speeds = [walk_epoch(rng).speed_ms for _ in range(24_000)]
     scaled = [(s - SPEED_MIN_MS) / (SPEED_MAX_MS - SPEED_MIN_MS) for s in speeds]
     result = stats.kstest(scaled, "uniform")
     assert result.pvalue > 0.01
@@ -91,8 +89,7 @@ def test_exact_wall_landing_is_nudged_inside():
 
 def test_reflection_preserves_angle():
     bounds = GridBounds(100.0, 100.0)
-    state = WalkState(heading_rad=math.pi / 4.0, speed_ms=math.sqrt(2.0),
-                      next_change_us=EPOCH_INTERVAL_US)
+    state = WalkState(heading_rad=math.pi / 4.0, speed_ms=math.sqrt(2.0))
     # 1 m/s per axis from (95, 5): hits x=100 after 5 s, then comes back
     pos = position_at(Position(95.0, 5.0), state, 0, 15_000_000, bounds)
     assert pos.x == pytest.approx(90.0)
@@ -107,7 +104,7 @@ def test_leg_velocity_is_computed_once(monkeypatch):
         cos_calls.append(x)
         return cos(x)
 
-    state = WalkState(heading_rad=0.5, speed_ms=4.0, next_change_us=EPOCH_INTERVAL_US)
+    state = WalkState(heading_rad=0.5, speed_ms=4.0)
     expected = (4.0 * math.cos(0.5), 4.0 * math.sin(0.5))
     bounds = GridBounds(1000.0, 1000.0)
     monkeypatch.setattr(math, "cos", counted_cos)
@@ -118,7 +115,7 @@ def test_leg_velocity_is_computed_once(monkeypatch):
 
 
 def test_position_query_before_leg_start_rejected():
-    state = WalkState(0.0, 5.0, EPOCH_INTERVAL_US)
+    state = WalkState(0.0, 5.0)
     with pytest.raises(ValueError):
         position_at(Position(0.0, 0.0), state, 1_000, 999, GridBounds(10.0, 10.0))
 
@@ -133,7 +130,7 @@ def test_position_query_before_leg_start_rejected():
 @settings(max_examples=300)
 def test_positions_stay_in_bounds(heading, speed, x, y, dt_us):
     bounds = GridBounds(50.0, 80.0)
-    state = WalkState(heading, speed, EPOCH_INTERVAL_US)
+    state = WalkState(heading, speed)
     pos = position_at(Position(x, y), state, 0, dt_us, bounds)
     assert 0.0 <= pos.x <= bounds.width
     assert 0.0 <= pos.y <= bounds.height

@@ -289,8 +289,7 @@ def test_duplicate_reception_notes_the_drop_and_leaves_the_pit_alone(record):
     pkt = packet("fa", 0)
     fc = world.nodes["fc"]
     # fc already holds the nonce, in a live PIT entry or a dead-nonce record
-    getattr(fc, record)[pkt.name.key] = fw.PitEntry(pkt.name, {pkt.nonce},
-                                                    {fw.FaceId.BROADCAST}, 2_000_000)
+    getattr(fc, record)[pkt.name.key] = fw.PitEntry({pkt.nonce}, True, 2_000_000)
     before = copy.deepcopy((fc.pit, fc.dead_nonces))
     world._transmit("fa", pkt)
     world.run()
@@ -315,8 +314,8 @@ APP_SENDS = (tc.BEACON_TX, tc.BITMAP_TX, tc.PIECE_REQ)
     (build_random_field(12, 4), 4, 1_605),
 ], ids=["five-node-seed1", "random-field-n12-seed4"])
 def test_app_sends_leave_on_the_radio_at_once(cfg, seed, n_sends):
-    # an app's own interest enters the plane on the App face and is transmitted
-    # before the app goes on, so its INTEREST_TX row directly follows the app row
+    # an app's own interest is recorded in the PIT and transmitted before the
+    # app goes on, so its INTEREST_TX row directly follows the app row
     trace, _ = run_scenario(cfg, master_seed=seed)
     sends = [i for i, rec in enumerate(trace) if rec.event in APP_SENDS]
     assert len(sends) == n_sends
@@ -325,3 +324,32 @@ def test_app_sends_leave_on_the_radio_at_once(cfg, seed, n_sends):
         assert (tx.event, tx.node, tx.time_us, tx.name) == (
             tc.INTEREST_TX, app_row.node, app_row.time_us, app_row.name)
         assert tx.detail.endswith(f"hop=0;origin={app_row.node}")
+
+
+def test_own_interest_is_sent_at_once_without_a_strategy_coin():
+    world = World(three_node_relay(p_forward=0.5), master_seed=1)
+    strategy_rng = world.rngs.stream("strategy", "l")
+    before = strategy_rng.getstate()
+    pkt = Interest(piece_name("movie1", 2), nonce=77, origin="l")
+    world.originate("l", pkt)
+    assert strategy_rng.getstate() == before
+    [tx] = [rec for rec in world.trace if rec.node == "l" and rec.event != tc.POSITION]
+    assert (tx.event, tx.time_us, tx.detail) == (tc.INTEREST_TX, 0, pkt.wire)
+    entry = world.nodes["l"].pit[pkt.name.key]
+    assert entry.nonces == {77}
+    assert not entry.from_radio
+
+
+def test_echo_of_an_own_interest_is_a_pit_dup_and_its_data_is_not_relayed():
+    trace, metrics = run_scenario(three_node_relay(), master_seed=1)
+    # the forwarder relays the leecher's requests, so the leecher hears each back
+    echoes = [i for i, rec in enumerate(trace)
+              if rec.event == tc.INTEREST_RX and rec.detail.endswith(f"origin={rec.node}")]
+    assert len(echoes) > 8
+    for i in echoes:
+        assert (trace[i + 1].node, trace[i + 1].event, trace[i + 1].detail) == (
+            trace[i].node, tc.DROP, tc.REASON_PIT_DUP)
+    # the data answering the leecher's own requests ends at its app
+    assert metrics.per_leecher["l"].completed
+    assert sum(rec.node == "l" and rec.event == tc.PIECE_RX for rec in trace) == 8
+    assert not any(rec.node == "l" and rec.event == tc.DATA_TX for rec in trace)
