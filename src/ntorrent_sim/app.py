@@ -7,11 +7,15 @@ through a fixed-size pipeline with periodic retransmission of stale requests.
 Seeders start complete and only answer; leechers record completion the moment
 the last piece arrives.
 
-Handlers change only the application state and act on the world through
-`out`, the World. Every interest the app creates goes out through
-`out.originate`, which records its nonce in the node's PIT and transmits it
-at once. Data for it reaches the app, and is relayed only if a radio arrival
-asked for the same name too.
+The World calls the timer handlers; the node's forwarding plane calls the
+receive handlers directly with the beacons, bitmaps and piece interests it
+classed as the app's own, and with each piece that arrives for its torrent.
+The app draws every nonce and jitter from its own RNG stream, given at
+construction. Handlers change only the application state and act on the
+world through `out`, the World. Every interest the app creates goes out
+through `out.originate`, which records its nonce in the node's PIT and
+transmits it at once. Data for it reaches the app, and is relayed only if a
+radio arrival asked for the same name too.
 """
 from __future__ import annotations
 
@@ -77,19 +81,18 @@ class DownloadState:
 class PeerApp:
     """One torrent peer bound to a node's piece store."""
 
-    def __init__(self, node_id: str, torrent: str, n_pieces: int, seeder: bool,
-                 cfg: AppConfig, have: Bitmap, data_response_delay_us: int) -> None:
-        if have.n_pieces != n_pieces:
-            raise LengthMismatch(f"store bitmap has {have.n_pieces} pieces, app wants {n_pieces}")
+    def __init__(self, node_id: str, torrent: str, seeder: bool, cfg: AppConfig,
+                 have: Bitmap, data_response_delay_us: int, rng: random.Random) -> None:
         self.node_id = node_id
         self.torrent = torrent
-        self.n_pieces = n_pieces
+        self.n_pieces = have.n_pieces
         self.seeder = seeder
         self.cfg = cfg
         self.data_response_delay_us = data_response_delay_us
+        self.rng = rng
         if seeder:
-            have.bits = (1 << n_pieces) - 1
-        self.state = DownloadState(have=have, known_remote=Bitmap(n_pieces))
+            have.bits = (1 << self.n_pieces) - 1
+        self.state = DownloadState(have=have, known_remote=Bitmap(self.n_pieces))
         if seeder:
             self.state.completed_at_us = 0
         self._last_bitmap_us: dict[str, int] = {}
@@ -98,25 +101,25 @@ class PeerApp:
     def completed(self) -> bool:
         return self.state.have.complete
 
-    def start(self, rng: random.Random, out: World) -> None:
+    def start(self, out: World) -> None:
         """Initial timers: a desynchronising beacon offset, retries for leechers."""
-        offset = rng.randint(1, max(1, self.cfg.beacon_interval_us // 10))
+        offset = self.rng.randint(1, max(1, self.cfg.beacon_interval_us // 10))
         out.timer(self.node_id, TIMER_BEACON, offset)
         if not self.seeder:
             out.timer(self.node_id, TIMER_RETRY, self.cfg.interest_retry_timeout_us)
 
     # -- timers --------------------------------------------------------------
 
-    def on_beacon_timer(self, now_us: int, rng: random.Random, out: World) -> None:
+    def on_beacon_timer(self, now_us: int, out: World) -> None:
         if self.completed and not self.seeder and not self.cfg.keep_seeding:
             return  # done downloading; stop announcing, keep answering
         name = beacon_name(self.node_id)
-        pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
+        pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
         out.note(self.node_id, tc.BEACON_TX, name.key)
         out.originate(self.node_id, pkt)
-        out.timer(self.node_id, TIMER_BEACON, jittered(self.cfg.beacon_interval_us, rng))
+        out.timer(self.node_id, TIMER_BEACON, jittered(self.cfg.beacon_interval_us, self.rng))
 
-    def on_retry_timer(self, now_us: int, rng: random.Random, out: World) -> None:
+    def on_retry_timer(self, now_us: int, out: World) -> None:
         if self.completed:
             return
         abandoned: list[int] = []
@@ -128,47 +131,43 @@ class PeerApp:
                 continue
             req.last_sent_us = now_us
             req.retries += 1
-            self._request_piece(piece, req.retries, rng, out)
+            self._request_piece(piece, req.retries, out)
         for piece in abandoned:
             del self.state.pending[piece]
         # abandoned pieces rejoin the unrequested pool, but not within this tick
-        self._fill_pipeline(now_us, rng, out, exclude=frozenset(abandoned))
+        self._fill_pipeline(now_us, out, exclude=frozenset(abandoned))
         out.timer(self.node_id, TIMER_RETRY, self.cfg.interest_retry_timeout_us)
 
     # -- receive paths ---------------------------------------------------------
 
-    def _announce_bitmap(self, remote: str, now_us: int, rng: random.Random,
-                         out: World) -> None:
+    def _announce_bitmap(self, remote: str, now_us: int, out: World) -> None:
         """Broadcast our bitmap, at most once per bitmap_min_gap per remote node."""
         last = self._last_bitmap_us.get(remote)
         if last is not None and now_us - last < self.cfg.bitmap_min_gap_us:
             return
         self._last_bitmap_us[remote] = now_us
         name = bitmap_announce_name(self.torrent, self.node_id, self.state.have)
-        pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
+        pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
         out.note(self.node_id, tc.BITMAP_TX, name.key, f"have={self.state.have.popcount()}")
         out.originate(self.node_id, pkt)
 
-    def on_receive_beacon(self, sender: str, now_us: int, rng: random.Random,
-                          out: World) -> None:
+    def on_receive_beacon(self, sender: str, now_us: int, out: World) -> None:
         if sender != self.node_id:
-            self._announce_bitmap(sender, now_us, rng, out)
+            self._announce_bitmap(sender, now_us, out)
 
-    def on_receive_bitmap(self, announce: BitmapAnnounce, now_us: int,
-                          rng: random.Random, out: World) -> None:
+    def on_receive_bitmap(self, announce: BitmapAnnounce, now_us: int, out: World) -> None:
         if announce.node == self.node_id:
             return
         if announce.bits.n_pieces != self.n_pieces:
             return
         self.state.known_remote.bits |= announce.bits.bits
-        self._fill_pipeline(now_us, rng, out)
+        self._fill_pipeline(now_us, out)
         # The exchange is two-way: if the announcer lacks pieces we hold, reply
         # with our own bitmap so it can start requesting them.
         if self.state.have.bits & ~announce.bits.bits:
-            self._announce_bitmap(announce.node, now_us, rng, out)
+            self._announce_bitmap(announce.node, now_us, out)
 
-    def on_receive_piece(self, piece: int, now_us: int, rng: random.Random,
-                         out: World) -> None:
+    def on_receive_piece(self, piece: int, now_us: int, out: World) -> None:
         self.state.pending.pop(piece, None)
         if self.state.have.has(piece):
             return  # duplicate delivery, idempotent
@@ -179,25 +178,24 @@ class PeerApp:
             self.state.completed_at_us = now_us
             out.note(self.node_id, tc.COMPLETED, "",
                      f"torrent={self.torrent};pieces={self.n_pieces}")
-        self._fill_pipeline(now_us, rng, out)
+        self._fill_pipeline(now_us, out)
 
     def on_receive_piece_interest(self, request: PieceInterest, now_us: int,
-                                  rng: random.Random, out: World) -> None:
+                                  out: World) -> None:
         """Serve a held piece through the PIT return path."""
         if self.state.have.has(request.piece):
-            delay = jittered(self.data_response_delay_us, rng)
+            delay = jittered(self.data_response_delay_us, self.rng)
             out.emit(self.node_id, piece_name(self.torrent, request.piece), delay)
 
     # -- pipeline ----------------------------------------------------------------
 
-    def _request_piece(self, piece: int, retries: int, rng: random.Random,
-                       out: World) -> None:
+    def _request_piece(self, piece: int, retries: int, out: World) -> None:
         name = piece_name(self.torrent, piece)
-        pkt = Interest(name, nonce=rng.getrandbits(64), origin=self.node_id)
+        pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
         out.note(self.node_id, tc.PIECE_REQ, name.key, f"piece={piece};retry={retries}")
         out.originate(self.node_id, pkt)
 
-    def _fill_pipeline(self, now_us: int, rng: random.Random, out: World,
+    def _fill_pipeline(self, now_us: int, out: World,
                        exclude: frozenset[int] = frozenset()) -> None:
         if self.completed:
             return
@@ -207,4 +205,4 @@ class PeerApp:
             if piece in self.state.pending or piece in exclude:
                 continue
             self.state.pending[piece] = PendingRequest(last_sent_us=now_us)
-            self._request_piece(piece, 0, rng, out)
+            self._request_piece(piece, 0, out)

@@ -8,14 +8,15 @@ breadcrumb for the return path, is answered from the local piece store when
 possible, and otherwise goes to a relay rule: a pure forwarder (no app) calls
 strategies.pure_decide, a peer calls strategies.peer_decide with its own
 torrent and its overheard-name table. The rule's reason code is noted as the
-DECISION; a forward is sent after the rule's delay, OWN_APP hands the interest
-to the app, and the drop reasons do nothing more. Returning data consumes the
-breadcrumb: rebroadcast once if a radio arrival asked for it, hand to the
-local application if the node peers on that torrent.
+DECISION; a forward is sent after the rule's delay, OWN_APP calls the node's
+app with the classified name (a beacon's sender, a bitmap announcement or a
+piece request), and the drop reasons do nothing more. Returning data consumes
+the breadcrumb: rebroadcast once if a radio arrival asked for it, and passed
+to the node's app as a piece if the node peers on that torrent.
 
-Handlers change only the given node's state and act on the world through
-`out`, the World: they note trace rows, send packets, schedule emissions and
-hand packets to the node's app. Interests and data leave through `out.send`.
+Handlers change only the given node's state, call its app directly, and act
+on the world through `out`, the World: they note trace rows, send packets and
+schedule emissions. Interests and data leave through `out.send`.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .names import Bitmap, Data, Interest, Name, PieceInterest
+from .names import Beacon, Bitmap, BitmapAnnounce, Data, Interest, Name, PieceInterest
 from .strategies import OverheardNameTable, StrategyParams, peer_decide, pure_decide
 from . import trace as tc
 
@@ -57,9 +58,6 @@ class PieceStore:
             self._bitmaps[torrent] = bitmap
             self._piece_bytes[torrent] = piece_bytes
         return bitmap
-
-    def bitmap(self, torrent: str) -> Bitmap | None:
-        return self._bitmaps.get(torrent)
 
     def piece_bytes(self, torrent: str) -> int:
         return self._piece_bytes[torrent]
@@ -180,7 +178,12 @@ def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int,
         out.send(node.node_id, Interest(pkt.name, pkt.nonce, pkt.origin, pkt.hop_count + 1),
                  delay)
     elif reason == tc.REASON_OWN_APP:
-        out.to_app(node.node_id, pkt)
+        if isinstance(cls, Beacon):
+            node.app.on_receive_beacon(cls.node, now_us, out)
+        elif isinstance(cls, BitmapAnnounce):
+            node.app.on_receive_bitmap(cls, now_us, out)
+        elif isinstance(cls, PieceInterest):
+            node.app.on_receive_piece_interest(cls, now_us, out)
 
 
 def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
@@ -192,7 +195,7 @@ def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
     entry = node.pit.get(key)
     if not _live(entry, now_us):
         if node.params.cache_overheard_data:
-            _absorb_piece(node, cls, out)
+            _absorb_piece(node, cls, now_us, out)
         out.note(node.node_id, tc.DROP, key, tc.REASON_UNSOLICITED)
         return
     _retire_entry(node, key, entry, now_us)
@@ -203,17 +206,17 @@ def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
             out.send(node.node_id, relayed, delay)
         else:
             out.note(node.node_id, tc.DROP, key, tc.REASON_HOP_CAP)
-    _absorb_piece(node, cls, out)
+    _absorb_piece(node, cls, now_us, out)
 
 
-def _absorb_piece(node: NodeState, cls: PieceInterest, out: World) -> None:
-    # peers get the piece through the app (which tracks completion);
-    # other nodes only store it when the overheard-data cache is enabled
+def _absorb_piece(node: NodeState, cls: PieceInterest, now_us: int, out: World) -> None:
+    # peers get the piece through the app (which tracks completion); other
+    # nodes only store it when the overheard-data cache is enabled, and then
+    # hold a bitmap for every declared torrent
     if node.peers_on(cls.torrent):
-        out.app_piece(node.node_id, cls.piece)
+        node.app.on_receive_piece(cls.piece, now_us, out)
     elif node.params.cache_overheard_data:
-        if node.store.bitmap(cls.torrent) is not None:
-            node.store.add(cls.torrent, cls.piece)
+        node.store.add(cls.torrent, cls.piece)
 
 
 def on_data_emission(node: NodeState, name: Name, now_us: int, out: World) -> None:

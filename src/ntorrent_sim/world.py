@@ -2,11 +2,13 @@
 
 One World owns the event loop and all per-node state for a single run. The
 forwarding and app handlers get it as `out` and call its note, send, emit,
-timer, originate, to_app and app_piece methods, which act at the current
-time. An app's own interest goes through forwarding.on_own_interest and is on
-the radio before `originate` returns. A radio reception of an interest whose
-nonce the node already holds is dropped here as PIT_DUP; only a new one
-reaches forwarding.on_incoming_interest. Every observable action lands in the
+timer and originate methods, which act at the current time. The World calls
+an app only to start it and for its timers; the forwarding plane calls it with
+received traffic, and each app owns its RNG stream. An app's own interest
+goes through forwarding.on_own_interest and is on the radio before
+`originate` returns. A radio reception of an interest whose nonce the node
+already holds is dropped here as PIT_DUP; only a new one reaches
+forwarding.on_incoming_interest. Every observable action lands in the
 trace, and the trace plus the metrics reduced from it are the run's result.
 """
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .mobility import (
     position_at,
     walk_epoch,
 )
-from .names import Beacon, BitmapAnnounce, Data, Interest, Name, PieceInterest
+from .names import Data, Interest, Name
 from .scenario import MobilityKind, NodeKind, ScenarioConfig
 from .trace import MetricsSummary, TraceRecord, metrics_from_trace
 
@@ -97,11 +99,11 @@ class World:
                 app = PeerApp(
                     node_id=spec.node_id,
                     torrent=torrent.torrent_id,
-                    n_pieces=torrent.n_pieces,
                     seeder=spec.kind is NodeKind.SEEDER,
                     cfg=cfg.app,
                     have=have,
                     data_response_delay_us=cfg.forwarding.data_response_delay_us,
+                    rng=self.rngs.stream("app", spec.node_id),
                 )
             if cfg.forwarding.cache_overheard_data:
                 # cache needs a bitmap per declared torrent to store into
@@ -137,12 +139,9 @@ class World:
                 self.loop.schedule(min(EPOCH_INTERVAL_US, cfg.duration_us), EV_MOBILITY)
         for node in self.nodes.values():
             if node.app is not None:
-                node.app.start(self._app_rng(node.node_id), self)
+                node.app.start(self)
 
     # -- helpers --------------------------------------------------------------
-
-    def _app_rng(self, node_id: str):
-        return self.rngs.stream("app", node_id)
 
     def _strategy_rng(self, node_id: str):
         return self.rngs.stream("strategy", node_id)
@@ -182,24 +181,6 @@ class World:
     def originate(self, node_id: str, pkt: Interest) -> None:
         """Record an app-created interest in its node's PIT and transmit it now."""
         fw.on_own_interest(self.nodes[node_id], pkt, self.loop.now_us, self)
-
-    def to_app(self, node_id: str, pkt: Interest) -> None:
-        """Hand an interest for the node's own torrent, or a beacon, to its app."""
-        app = self.nodes[node_id].app
-        now = self.loop.now_us
-        rng = self._app_rng(node_id)
-        cls = pkt.name.cls
-        if isinstance(cls, Beacon):
-            app.on_receive_beacon(cls.node, now, rng, self)
-        elif isinstance(cls, BitmapAnnounce):
-            app.on_receive_bitmap(cls, now, rng, self)
-        elif isinstance(cls, PieceInterest):
-            app.on_receive_piece_interest(cls, now, rng, self)
-
-    def app_piece(self, node_id: str, piece: int) -> None:
-        """Hand an arrived piece of the node's own torrent to its app."""
-        self.nodes[node_id].app.on_receive_piece(piece, self.loop.now_us,
-                                                 self._app_rng(node_id), self)
 
     # -- radio ---------------------------------------------------------------------
 
@@ -316,9 +297,9 @@ class World:
         elif tag == "emit":
             fw.on_data_emission(node, payload[1], now, self)
         elif tag == TIMER_BEACON:
-            node.app.on_beacon_timer(now, self._app_rng(node_id), self)
+            node.app.on_beacon_timer(now, self)
         elif tag == TIMER_RETRY:
-            node.app.on_retry_timer(now, self._app_rng(node_id), self)
+            node.app.on_retry_timer(now, self)
         else:  # pragma: no cover
             raise ValueError(f"unknown timer tag {tag!r}")
 

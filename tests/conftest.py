@@ -4,7 +4,7 @@ import pytest
 
 class Recorder:
     """Stands in for the World as a handler's `out`: each call of one of the
-    World's seven handler-facing methods is kept, in order, as a tuple of the
+    World's five handler-facing methods is kept, in order, as a tuple of the
     method name and its arguments."""
 
     def __init__(self):
@@ -29,12 +29,6 @@ class Recorder:
 
     def originate(self, node_id, pkt):
         self.calls.append(("originate", node_id, pkt))
-
-    def to_app(self, node_id, pkt):
-        self.calls.append(("to_app", node_id, pkt))
-
-    def app_piece(self, node_id, piece):
-        self.calls.append(("app_piece", node_id, piece))
 
 
 @pytest.fixture

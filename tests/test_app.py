@@ -16,16 +16,10 @@ from ntorrent_sim.app import (
 from ntorrent_sim.names import Bitmap, BitmapAnnounce, PieceInterest
 
 
-def make_app(seeder=False, n_pieces=8, cfg=None, node_id="n1", torrent="movie1"):
-    cfg = cfg or AppConfig()
-    have = Bitmap(n_pieces)
-    return PeerApp(node_id=node_id, torrent=torrent, n_pieces=n_pieces,
-                   seeder=seeder, cfg=cfg, have=have,
-                   data_response_delay_us=1_000)
-
-
-def rng(seed=3):
-    return random.Random(seed)
+def make_app(seeder=False, n_pieces=8, cfg=None, node_id="n1", torrent="movie1", seed=3):
+    return PeerApp(node_id=node_id, torrent=torrent, seeder=seeder, cfg=cfg or AppConfig(),
+                   have=Bitmap(n_pieces), data_response_delay_us=1_000,
+                   rng=random.Random(seed))
 
 
 def originated(calls):
@@ -48,8 +42,6 @@ def test_compute_missing_matches_bit_scan():
 def test_compute_missing_rejects_length_mismatch():
     with pytest.raises(LengthMismatch):
         compute_missing(Bitmap(4), Bitmap(8))
-    with pytest.raises(LengthMismatch):
-        PeerApp("n1", "movie1", 8, False, AppConfig(), Bitmap(4), 1_000)
 
 
 def test_seeder_starts_complete():
@@ -61,21 +53,21 @@ def test_seeder_starts_complete():
 
 def test_start_timers(out):
     app = make_app()
-    app.start(rng(), out)
+    app.start(out)
     tags = [(call[2], call[3]) for call in out.take() if call[0] == "timer"]
     assert [t for t, _ in tags] == [TIMER_BEACON, TIMER_RETRY]
     beacon_delay = tags[0][1]
     assert 1 <= beacon_delay <= AppConfig().beacon_interval_us // 10
     assert tags[1][1] == AppConfig().interest_retry_timeout_us
 
-    make_app(seeder=True).start(rng(), out)
+    make_app(seeder=True).start(out)
     seeder_tags = [call[2] for call in out.take() if call[0] == "timer"]
     assert seeder_tags == [TIMER_BEACON]
 
 
 def test_beacon_timer_emits_and_reschedules(out):
     app = make_app()
-    app.on_beacon_timer(1_000_000, rng(), out)
+    app.on_beacon_timer(1_000_000, out)
     calls = out.take()
     assert calls[0] == ("note", "n1", tc.BEACON_TX, "/ntorrent/beacon/n1", "")
     pkt = originated(calls)[0]
@@ -90,47 +82,47 @@ def test_beacon_timer_emits_and_reschedules(out):
 def test_completed_leecher_goes_quiet_unless_kept_seeding(out):
     app = make_app(n_pieces=2)
     app.state.known_remote.bits = 0b11
-    app.on_receive_piece(0, 10, rng(), out)
-    app.on_receive_piece(1, 20, rng(), out)
+    app.on_receive_piece(0, 10, out)
+    app.on_receive_piece(1, 20, out)
     assert app.completed
     out.take()
-    app.on_beacon_timer(2_000_000, rng(), out)
+    app.on_beacon_timer(2_000_000, out)
     assert out.take() == []
 
     kept = make_app(n_pieces=2, cfg=AppConfig(keep_seeding=True))
     kept.state.have.bits = 0b11
-    kept.on_beacon_timer(2_000_000, rng(), out)
+    kept.on_beacon_timer(2_000_000, out)
     assert out.take() != []
     # seeders always keep announcing themselves
-    make_app(seeder=True).on_beacon_timer(2_000_000, rng(), out)
+    make_app(seeder=True).on_beacon_timer(2_000_000, out)
     assert out.take() != []
 
 
 def test_beacon_reply_is_rate_limited_per_remote(out):
     app = make_app(seeder=True)
-    app.on_receive_beacon("n2", 1_000, rng(), out)
+    app.on_receive_beacon("n2", 1_000, out)
     assert notes(out.take(), tc.BITMAP_TX) != []
-    app.on_receive_beacon("n2", 2_000, rng(), out)
+    app.on_receive_beacon("n2", 2_000, out)
     assert out.take() == []
     # a different remote is tracked separately
-    app.on_receive_beacon("n3", 3_000, rng(), out)
+    app.on_receive_beacon("n3", 3_000, out)
     assert out.take() != []
     # and the same remote unlocks after the gap passes
     later = 1_000 + AppConfig().bitmap_min_gap_us
-    app.on_receive_beacon("n2", later, rng(), out)
+    app.on_receive_beacon("n2", later, out)
     assert out.take() != []
 
 
 def test_own_beacon_is_ignored(out):
     app = make_app()
-    app.on_receive_beacon("n1", 0, rng(), out)
+    app.on_receive_beacon("n1", 0, out)
     assert out.take() == []
 
 
 def test_bitmap_announce_widens_knowledge_and_fills_pipeline(out):
     app = make_app()
     announce = BitmapAnnounce("movie1", "n9", Bitmap(8, 0b1111_0110))
-    app.on_receive_bitmap(announce, 5_000, rng(), out)
+    app.on_receive_bitmap(announce, 5_000, out)
     calls = out.take()
     assert app.state.known_remote.bits == 0b1111_0110
     pkts = originated(calls)
@@ -149,10 +141,10 @@ def test_bitmap_announce_widens_knowledge_and_fills_pipeline(out):
 def test_repeat_bitmap_adds_no_requests_while_the_window_is_full(out):
     app = make_app()
     announce = BitmapAnnounce("movie1", "n9", Bitmap(8, 0b1111_0110))
-    app.on_receive_bitmap(announce, 5_000, rng(), out)
+    app.on_receive_bitmap(announce, 5_000, out)
     assert len(app.state.pending) == 4
     out.take()
-    app.on_receive_bitmap(announce, 6_000, rng(), out)
+    app.on_receive_bitmap(announce, 6_000, out)
     assert originated(out.take()) == []
     assert set(app.state.pending) == {1, 2, 4, 5}
 
@@ -160,38 +152,38 @@ def test_repeat_bitmap_adds_no_requests_while_the_window_is_full(out):
 def test_bitmap_announce_ignores_self_and_mismatched_length(out):
     app = make_app()
     own = BitmapAnnounce("movie1", "n1", Bitmap(8, 0xFF))
-    app.on_receive_bitmap(own, 0, rng(), out)
+    app.on_receive_bitmap(own, 0, out)
     assert out.take() == []
     odd = BitmapAnnounce("movie1", "n9", Bitmap(4, 0xF))
-    app.on_receive_bitmap(odd, 0, rng(), out)
+    app.on_receive_bitmap(odd, 0, out)
     assert out.take() == []
     assert app.state.known_remote.bits == 0
 
 
 def test_bitmap_exchange_replies_when_the_announcer_is_behind(out):
     app = make_app(seeder=True)
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap(8, 0)), 1_000, rng(), out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap(8, 0)), 1_000, out)
     assert notes(out.take(), tc.BITMAP_TX) == ["have=8"]
     # no reply when the announcer already holds everything we do
     app2 = make_app(seeder=True)
-    app2.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap.full(8)), 1_000, rng(), out)
+    app2.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap.full(8)), 1_000, out)
     assert out.take() == []
 
 
 def test_bitmap_exchange_reply_shares_the_beacon_rate_limit(out):
     app = make_app(seeder=True)
-    app.on_receive_beacon("n2", 1_000, rng(), out)
+    app.on_receive_beacon("n2", 1_000, out)
     out.take()
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap(8, 0)), 2_000, rng(), out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap(8, 0)), 2_000, out)
     assert out.take() == []  # still inside the per-remote gap
 
 
 def test_piece_arrival_updates_state_and_requests_more(out):
     app = make_app(cfg=AppConfig(pipeline_window=2))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng(), out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
     assert set(app.state.pending) == {0, 1}
     out.take()
-    app.on_receive_piece(0, 100, rng(), out)
+    app.on_receive_piece(0, 100, out)
     assert ("note", "n1", tc.PIECE_RX, "/ntorrent/movie1/data/0", "piece=0") in out.take()
     assert set(app.state.pending) == {1, 2}
     assert app.state.have.has(0)
@@ -200,9 +192,9 @@ def test_piece_arrival_updates_state_and_requests_more(out):
 def test_duplicate_piece_is_idempotent(out):
     app = make_app()
     app.state.known_remote = Bitmap.full(8)
-    app.on_receive_piece(0, 100, rng(), out)
+    app.on_receive_piece(0, 100, out)
     out.take()
-    app.on_receive_piece(0, 200, rng(), out)
+    app.on_receive_piece(0, 200, out)
     assert out.take() == []
     assert app.state.have.popcount() == 1
 
@@ -210,14 +202,14 @@ def test_duplicate_piece_is_idempotent(out):
 def test_completion_recorded_once_with_details(out):
     app = make_app(n_pieces=2)
     app.state.known_remote = Bitmap.full(2)
-    app.on_receive_piece(1, 50, rng(), out)
+    app.on_receive_piece(1, 50, out)
     out.take()
-    app.on_receive_piece(0, 80, rng(), out)
+    app.on_receive_piece(0, 80, out)
     done = [call for call in out.take() if call[0] == "note" and call[2] == tc.COMPLETED]
     assert done == [("note", "n1", tc.COMPLETED, "", "torrent=movie1;pieces=2")]
     assert app.state.completed_at_us == 80
     # a late duplicate cannot record completion again
-    app.on_receive_piece(1, 90, rng(), out)
+    app.on_receive_piece(1, 90, out)
     assert out.take() == []
     assert app.state.completed_at_us == 80
 
@@ -225,22 +217,22 @@ def test_completion_recorded_once_with_details(out):
 def test_piece_interest_served_only_when_held(out):
     app = make_app()
     app.state.have.set(5)
-    app.on_receive_piece_interest(PieceInterest("movie1", 5), 0, rng(), out)
+    app.on_receive_piece_interest(PieceInterest("movie1", 5), 0, out)
     [(kind, node_id, name, delay)] = out.take()
     assert (kind, node_id) == ("emit", "n1")
     assert str(name) == "/ntorrent/movie1/data/5"
     assert 900 <= delay <= 1_100
 
-    app.on_receive_piece_interest(PieceInterest("movie1", 6), 0, rng(), out)
+    app.on_receive_piece_interest(PieceInterest("movie1", 6), 0, out)
     assert out.take() == []
 
 
 def test_retry_resends_stale_requests(out):
     app = make_app(cfg=AppConfig(pipeline_window=1))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng(), out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
     timeout = AppConfig().interest_retry_timeout_us
     out.take()
-    app.on_retry_timer(timeout, rng(8), out)
+    app.on_retry_timer(timeout, out)
     calls = out.take()
     pkts = originated(calls)
     assert len(pkts) == 1
@@ -252,12 +244,11 @@ def test_retry_resends_stale_requests(out):
 
 
 def test_retry_nonces_differ_between_attempts(out):
-    app = make_app(cfg=AppConfig(pipeline_window=1))
-    shared = rng(21)
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, shared, out)
+    app = make_app(cfg=AppConfig(pipeline_window=1), seed=21)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
     first = originated(out.take())[0]
     timeout = AppConfig().interest_retry_timeout_us
-    app.on_retry_timer(timeout, shared, out)
+    app.on_retry_timer(timeout, out)
     second = originated(out.take())[0]
     assert first.name == second.name
     assert first.nonce != second.nonce
@@ -265,9 +256,9 @@ def test_retry_nonces_differ_between_attempts(out):
 
 def test_retry_skips_recent_requests(out):
     app = make_app()
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 500_000, rng(), out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 500_000, out)
     out.take()
-    app.on_retry_timer(1_000_000, rng(), out)
+    app.on_retry_timer(1_000_000, out)
     # requests are only half a timeout old; nothing is resent
     assert originated(out.take()) == []
     assert all(req.retries == 0 for req in app.state.pending.values())
@@ -276,11 +267,11 @@ def test_retry_skips_recent_requests(out):
 def test_retry_abandons_after_max_and_frees_the_window(out):
     cfg = AppConfig(pipeline_window=2, max_retries=1)
     app = make_app(cfg=cfg)
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng(), out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
     timeout = cfg.interest_retry_timeout_us
-    app.on_retry_timer(timeout, rng(), out)      # retry 1 for pieces 0 and 1
+    app.on_retry_timer(timeout, out)      # retry 1 for pieces 0 and 1
     out.take()
-    app.on_retry_timer(2 * timeout, rng(), out)  # hits the cap
+    app.on_retry_timer(2 * timeout, out)  # hits the cap
     pkts = originated(out.take())
     # 0 and 1 abandoned; the freed window pulls in later pieces instead,
     # the abandoned ones wait for a future tick
@@ -290,9 +281,9 @@ def test_retry_abandons_after_max_and_frees_the_window(out):
     ]
     assert set(app.state.pending) == {2, 3}
     # once 2 and 3 hit the cap in turn, the abandoned pieces rejoin the pool
-    app.on_retry_timer(3 * timeout, rng(), out)
+    app.on_retry_timer(3 * timeout, out)
     out.take()
-    app.on_retry_timer(4 * timeout, rng(), out)
+    app.on_retry_timer(4 * timeout, out)
     assert [str(p.name) for p in originated(out.take())] == [
         "/ntorrent/movie1/data/0",
         "/ntorrent/movie1/data/1",
@@ -303,17 +294,17 @@ def test_retry_abandons_after_max_and_frees_the_window(out):
 def test_retry_timer_stops_after_completion(out):
     app = make_app(n_pieces=1)
     app.state.known_remote = Bitmap.full(1)
-    app.on_receive_piece(0, 10, rng(), out)
+    app.on_receive_piece(0, 10, out)
     out.take()
-    app.on_retry_timer(1_000_000, rng(), out)
+    app.on_retry_timer(1_000_000, out)
     assert out.take() == []
 
 
 def test_pipeline_window_is_never_exceeded(out):
     app = make_app(cfg=AppConfig(pipeline_window=3))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, rng(), out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
     assert len(app.state.pending) == 3
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n8", Bitmap.full(8)), 1, rng(), out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n8", Bitmap.full(8)), 1, out)
     assert len(app.state.pending) == 3
-    app.on_receive_piece(0, 100, rng(), out)
+    app.on_receive_piece(0, 100, out)
     assert len(app.state.pending) == 3

@@ -2,7 +2,6 @@
 import copy
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +17,18 @@ from ntorrent_sim.forwarding import (
     on_own_interest,
     pit_gc,
 )
-from ntorrent_sim.names import Data, Interest, beacon_name, parse_name, piece_name, render_name
+from ntorrent_sim.names import (
+    Bitmap,
+    BitmapAnnounce,
+    Data,
+    Interest,
+    PieceInterest,
+    beacon_name,
+    bitmap_announce_name,
+    parse_name,
+    piece_name,
+    render_name,
+)
 from ntorrent_sim.strategies import StrategyParams, peer_decide, pure_decide
 
 PIECE = piece_name("movie1", 3)
@@ -30,10 +40,30 @@ def forwarder_node(p=1.0, params=None, store=None):
                      store=store or PieceStore(), params=params or ForwardingParams())
 
 
+class FakeApp:
+    """Stands in for a node's PeerApp: each hand-off from the forwarding plane
+    is kept, in order, as (method, argument, now_us, out)."""
+
+    def __init__(self, torrent):
+        self.torrent = torrent
+        self.calls = []
+
+    def on_receive_beacon(self, sender, now_us, out):
+        self.calls.append(("on_receive_beacon", sender, now_us, out))
+
+    def on_receive_bitmap(self, announce, now_us, out):
+        self.calls.append(("on_receive_bitmap", announce, now_us, out))
+
+    def on_receive_piece_interest(self, request, now_us, out):
+        self.calls.append(("on_receive_piece_interest", request, now_us, out))
+
+    def on_receive_piece(self, piece, now_us, out):
+        self.calls.append(("on_receive_piece", piece, now_us, out))
+
+
 def peer_node(own="movie1", store=None):
     return NodeState(node_id="p0", strategy=StrategyParams(), store=store or PieceStore(),
-                     params=ForwardingParams(),
-                     app=SimpleNamespace(torrent=own))
+                     params=ForwardingParams(), app=FakeApp(own))
 
 
 def rng():
@@ -122,12 +152,29 @@ def test_forward_increments_hops_and_jitters(out):
 
 def test_peer_delivers_beacon_to_app(out):
     node = peer_node()
-    beacon = interest(name=beacon_name("n5"))
-    on_incoming_interest(node, beacon, 0, rng(), out)
+    on_incoming_interest(node, interest(name=beacon_name("n5")), 7_000, rng(), out)
     assert out.take() == [
         ("note", "p0", tc.DECISION, "/ntorrent/beacon/n5", tc.REASON_OWN_APP),
-        ("to_app", "p0", beacon),
     ]
+    assert node.app.calls == [("on_receive_beacon", "n5", 7_000, out)]
+
+
+def test_peer_delivers_bitmap_announce_to_app(out):
+    node = peer_node()
+    name = bitmap_announce_name("movie1", "n5", Bitmap(8, 0b101))
+    on_incoming_interest(node, interest(name=name), 7_000, rng(), out)
+    assert out.take() == [("note", "p0", tc.DECISION, name.key, tc.REASON_OWN_APP)]
+    assert node.app.calls == [
+        ("on_receive_bitmap", BitmapAnnounce("movie1", "n5", Bitmap(8, 0b101)), 7_000, out),
+    ]
+
+
+def test_own_torrent_name_of_no_known_kind_reaches_no_app_handler(out):
+    node = peer_node()
+    name = parse_name("/ntorrent/movie1/other")
+    on_incoming_interest(node, interest(name=name), 7_000, rng(), out)
+    assert out.take() == [("note", "p0", tc.DECISION, name.key, tc.REASON_OWN_APP)]
+    assert node.app.calls == []
 
 
 def learned_peer(own, heard):
@@ -164,10 +211,11 @@ def test_each_decision_reason_emits_its_effect(reason, out):
     assert calls[0] == ("note", node.node_id, tc.DECISION, name.key, reason)
     if then == "send":
         assert calls[1:] == [("send", node.node_id, replace(pkt, hop_count=3), expected[1])]
-    elif then == "app":
-        assert calls[1:] == [("to_app", node.node_id, pkt)]
     else:
         assert calls[1:] == []
+    if node.app is not None:
+        handoff = [("on_receive_piece_interest", pkt.name.cls, 0, out)] if then == "app" else []
+        assert node.app.calls == handoff
 
 
 # -- data path -----------------------------------------------------------------
@@ -194,10 +242,9 @@ def test_data_for_app_breadcrumb_reaches_the_peer(out):
     on_own_interest(node, interest(), 0, out)
     out.take()
     on_incoming_data(node, data_pkt(), 5_000, rng(), out)
-    calls = out.take()
-    assert ("app_piece", "p0", 3) in calls
+    assert node.app.calls == [("on_receive_piece", 3, 5_000, out)]
     # nothing to send back: the radio never asked
-    assert "send" not in kinds(calls)
+    assert "send" not in kinds(out.take())
 
 
 def test_data_for_own_and_radio_interests_delivers_locally_and_relays_once(out):
@@ -206,9 +253,9 @@ def test_data_for_own_and_radio_interests_delivers_locally_and_relays_once(out):
     on_incoming_interest(node, interest(nonce=2), 10, rng(), out)
     out.take()
     on_incoming_data(node, data_pkt(hop=1), 5_000, rng(), out)
-    calls = out.take()
-    assert kinds(calls).count("send") == 1
-    assert ("app_piece", "p0", 3) in calls
+    assert kinds(out.take()).count("send") == 1
+    assert node.app.calls == [("on_receive_piece_interest", PieceInterest("movie1", 3), 10, out),
+                              ("on_receive_piece", 3, 5_000, out)]
 
 
 def test_unsolicited_data_drops(out):

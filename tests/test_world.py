@@ -326,6 +326,14 @@ def test_app_sends_leave_on_the_radio_at_once(cfg, seed, n_sends):
         assert tx.detail.endswith(f"hop=0;origin={app_row.node}")
 
 
+def test_each_app_owns_its_node_app_stream():
+    world = World(build_five_node(1.0), master_seed=1)
+    apps = {node_id: node.app for node_id, node in world.nodes.items() if node.app is not None}
+    assert len(apps) == 4
+    for node_id, app in apps.items():
+        assert app.rng is world.rngs.stream("app", node_id)
+
+
 def test_own_interest_is_sent_at_once_without_a_strategy_coin():
     world = World(three_node_relay(p_forward=0.5), master_seed=1)
     strategy_rng = world.rngs.stream("strategy", "l")
