@@ -5,10 +5,13 @@ The clock is an integer microsecond counter. An event is a plain
 sequence is unique, so events are totally ordered by (time, seq), a heap
 comparison never reaches a payload, ties dispatch in scheduling order and a
 run is a pure function of the scenario and the master seed. Randomness is
-split into named per-node streams derived from the master seed, which keeps
-one node's draw sequence independent of event interleaving at other nodes.
-The module also holds `cached`, the compute-once attribute that names and
-mobility use.
+split into named per-node streams, each derived from the master seed by
+derive_stream, which keeps one node's draw sequence independent of event
+interleaving at other nodes. Each stream has one owner, which derives it
+once: a node's forwarding state its strategy stream, its app its app stream
+and the World's per-node station record its mobility and medium streams.
+The module also holds `cached`, the compute-once attribute that names,
+mobility and the forwarding state use.
 """
 from __future__ import annotations
 
@@ -123,18 +126,3 @@ def derive_stream(master_seed: int, purpose: str, node: str) -> random.Random:
     state = _splitmix64(state ^ _fnv1a64(node.encode()))
     return random.Random(state)
 
-
-class RngStreams:
-    """Cache of derived streams so each (purpose, node) pair advances alone."""
-
-    def __init__(self, master_seed: int) -> None:
-        self.master_seed = master_seed
-        self._streams: dict[tuple[str, str], random.Random] = {}
-
-    def stream(self, purpose: str, node: str) -> random.Random:
-        key = (purpose, node)
-        rng = self._streams.get(key)
-        if rng is None:
-            rng = derive_stream(self.master_seed, purpose, node)
-            self._streams[key] = rng
-        return rng

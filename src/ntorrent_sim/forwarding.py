@@ -16,7 +16,9 @@ to the node's app as a piece if the node peers on that torrent.
 
 Handlers change only the given node's state, call its app directly, and act
 on the world through `out`, the World: they note trace rows, send packets and
-schedule emissions. Interests and data leave through `out.send`.
+schedule emissions. Interests and data leave through `out.send`. Relay coins,
+jitter and data response delays draw from the node's own strategy stream,
+`NodeState.rng`, which the node derives from the master seed on first use.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .engine import cached, derive_stream
 from .names import Beacon, Bitmap, BitmapAnnounce, Data, Interest, Name, PieceInterest
 from .strategies import OverheardNameTable, StrategyParams, peer_decide, pure_decide
 from . import trace as tc
@@ -84,6 +87,7 @@ class NodeState:
     strategy: StrategyParams
     store: PieceStore
     params: ForwardingParams
+    master_seed: int
     app: "PeerApp | None" = None
     # torrents overheard recently; only a peer's decisions fill it
     table: OverheardNameTable = field(default_factory=OverheardNameTable)
@@ -91,6 +95,11 @@ class NodeState:
     # nonces of satisfied entries, kept until the entry would have expired, so
     # late flood copies stay duplicates instead of re-seeding the PIT
     dead_nonces: dict[str, PitEntry] = field(default_factory=dict)
+
+    @cached
+    def rng(self) -> random.Random:
+        """The node's ("strategy", node_id) stream, derived on first use."""
+        return derive_stream(self.master_seed, "strategy", self.node_id)
 
     def peers_on(self, torrent: str) -> bool:
         return self.app is not None and self.app.torrent == torrent
@@ -151,14 +160,13 @@ def on_own_interest(node: NodeState, pkt: Interest, now_us: int, out: World) -> 
     out.send(node.node_id, pkt, 0)
 
 
-def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int,
-                         rng: random.Random, out: World) -> None:
+def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int, out: World) -> None:
     """Breadcrumb, store check, then the relay rule for a new radio arrival."""
     _record(node, pkt, now_us).from_radio = True
     key = pkt.name.key
     cls = pkt.name.cls
     if isinstance(cls, PieceInterest) and node.store.has(cls.torrent, cls.piece):
-        delay = jittered(node.params.data_response_delay_us, rng)
+        delay = jittered(node.params.data_response_delay_us, node.rng)
         out.note(node.node_id, tc.SATISFY, key, f"piece={cls.piece}")
         out.emit(node.node_id, pkt.name, delay)
         return
@@ -169,10 +177,10 @@ def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int,
 
     # a pure forwarder has no app; a peer relays by its own torrent
     if node.app is None:
-        reason, delay = pure_decide(node.strategy, pkt, rng)
+        reason, delay = pure_decide(node.strategy, pkt, node.rng)
     else:
         reason, delay = peer_decide(node.strategy, node.app.torrent, node.table, pkt,
-                                    now_us, rng)
+                                    now_us, node.rng)
     out.note(node.node_id, tc.DECISION, key, reason)
     if delay is not None:
         out.send(node.node_id, Interest(pkt.name, pkt.nonce, pkt.origin, pkt.hop_count + 1),
@@ -186,8 +194,7 @@ def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int,
             node.app.on_receive_piece_interest(cls, now_us, out)
 
 
-def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
-                     rng: random.Random, out: World) -> None:
+def on_incoming_data(node: NodeState, pkt: Data, now_us: int, out: World) -> None:
     """Consume the PIT breadcrumb for data heard on the radio."""
     key = pkt.name.key
     cls = pkt.name.cls
@@ -202,7 +209,7 @@ def on_incoming_data(node: NodeState, pkt: Data, now_us: int,
     if entry.from_radio:
         relayed = Data(pkt.name, pkt.payload_bytes, pkt.origin, pkt.hop_count + 1)
         if relayed.hop_count <= node.params.max_hops:
-            delay = jittered(node.params.data_response_delay_us, rng)
+            delay = jittered(node.params.data_response_delay_us, node.rng)
             out.send(node.node_id, relayed, delay)
         else:
             out.note(node.node_id, tc.DROP, key, tc.REASON_HOP_CAP)

@@ -5,7 +5,7 @@ straight line between epochs, reflecting specularly off the grid walls; a
 leg's velocity is computed once. Radio reception is a closed disk: every node
 within range hears a broadcast after one fixed hop delay, except the sender
 itself. The world computes exact positions only for candidate receivers (see
-`World._broadcast`) and then applies the exact disk test to them.
+`World._positions_near`) and then applies the exact disk test to them.
 """
 from __future__ import annotations
 

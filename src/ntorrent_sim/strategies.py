@@ -49,9 +49,6 @@ class OverheardNameTable:
             del self._expiry[torrent]
         return len(stale)
 
-    def __len__(self) -> int:
-        return len(self._expiry)
-
 
 def pure_decide(params: StrategyParams, interest: Interest,
                 rng: random.Random) -> tuple[str, int | None]:

@@ -1,25 +1,31 @@
 """Run loop: wires nodes, radio medium, mobility, and timers to the engine.
 
-One World owns the event loop and all per-node state for a single run. The
-forwarding and app handlers get it as `out` and call its note, send, emit,
-timer and originate methods, which act at the current time. The World calls
-an app only to start it and for its timers; the forwarding plane calls it with
-received traffic, and each app owns its RNG stream. An app's own interest
-goes through forwarding.on_own_interest and is on the radio before
-`originate` returns. A radio reception of an interest whose nonce the node
-already holds is dropped here as PIT_DUP; only a new one reaches
-forwarding.on_incoming_interest. Every observable action lands in the
-trace, and the trace plus the metrics reduced from it are the run's result.
+One World owns the event loop and all per-node state for a single run: each
+node's forwarding state, with its app if it peers, and its station record of
+where it is, what may hear it and what is on its way to it. Each RNG stream
+is derived from the master seed once, by the record that draws it: the
+station its mobility and medium streams, the forwarding state its strategy
+stream and the app its app stream. The forwarding and app handlers get the
+World as `out` and call its note, send, emit, timer and originate methods,
+which act at the current time. The World calls an app only to start it and
+for its timers; the forwarding plane calls it with received traffic. An
+app's own interest goes through forwarding.on_own_interest and is on the
+radio before `originate` returns. A radio reception of an interest whose
+nonce the node already holds is dropped here as PIT_DUP; only a new one
+reaches forwarding.on_incoming_interest. Every observable action lands in
+the trace, and the trace plus the metrics reduced from it are the run's
+result.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 
 from . import forwarding as fw
 from . import trace as tc
 from .app import PeerApp, TIMER_BEACON, TIMER_RETRY
-from .engine import EventLoop, RngStreams, RunReport
+from .engine import EventLoop, RunReport, derive_stream
 from .mobility import (
     EPOCH_INTERVAL_US,
     SPEED_MAX_MS,
@@ -42,17 +48,6 @@ EV_MOBILITY = "MobilityEpoch"
 EV_GC = "GcTick"
 
 
-@dataclass
-class _Motion:
-    anchor: Position
-    epoch_start_us: int
-    walk: WalkState | None  # None for static nodes
-    # a position the node had at seen_us, to within rounding (a static node's
-    # anchor); _broadcast bounds where it can be now from it
-    seen: Position
-    seen_us: int
-
-
 class _DeliveryMark:
     """Mutable collision flag shared between overlapping deliveries."""
 
@@ -63,24 +58,38 @@ class _DeliveryMark:
         self.collided = False
 
 
+@dataclass
+class _Station:
+    """Where a node is, what may hear it and what is on its way to it."""
+
+    anchor: Position
+    epoch_start_us: int
+    walk: WalkState | None  # None for static nodes
+    # a position the node had at seen_us, to within rounding (a static node's
+    # anchor); _positions_near bounds where it can be now from it
+    seen: Position
+    seen_us: int
+    mobility: random.Random
+    # filled by _reach on the node's first transmission
+    candidates: list[tuple[str, _Station]] | None = None
+    fixed: dict[str, Position] | None = None
+    medium: random.Random | None = None
+    # collision mode: the deliveries on their way to this node
+    inflight: list[_DeliveryMark] = field(default_factory=list)
+
+
 class World:
     def __init__(self, cfg: ScenarioConfig, master_seed: int) -> None:
         self.cfg = cfg
         self.loop = EventLoop()
-        self.rngs = RngStreams(master_seed)
+        self.master_seed = master_seed
         self.trace: list[TraceRecord] = []
         self.nodes: dict[str, fw.NodeState] = {}
-        self._motion: dict[str, _Motion] = {}
-        self._inflight: dict[str, list[_DeliveryMark]] = {}
-        # sender -> (node id, motion) of the nodes that may hear it, built lazily
-        self._candidates: dict[str, list[tuple[str, _Motion]]] = {}
-        # static sender with static candidates only -> their anchors, sender
-        # first; filled with _candidates, since these positions never change
-        self._fixed: dict[str, dict[str, Position]] = {}
+        self._stations: dict[str, _Station] = {}
         # Positions are exact to a few ulps of the largest length in their
         # arithmetic (a grid side, the range, a 200 m leg), and position_at moves
         # an anchor on a wall by the smallest step, so this margin on the displacement
-        # bound in _broadcast covers both with room to spare.
+        # bound in _positions_near covers both with room to spare.
         self._margin_m = 1e-9 * (cfg.grid.width + cfg.grid.height + cfg.radio.range_m
                                  + SPEED_MAX_MS * EPOCH_INTERVAL_US / 1e6)
         self._build_nodes()
@@ -103,7 +112,7 @@ class World:
                     cfg=cfg.app,
                     have=have,
                     data_response_delay_us=cfg.forwarding.data_response_delay_us,
-                    rng=self.rngs.stream("app", spec.node_id),
+                    rng=derive_stream(self.master_seed, "app", spec.node_id),
                 )
             if cfg.forwarding.cache_overheard_data:
                 # cache needs a bitmap per declared torrent to store into
@@ -114,9 +123,10 @@ class World:
                 strategy=cfg.strategy,
                 store=store,
                 params=cfg.forwarding,
+                master_seed=self.master_seed,
                 app=app,
             )
-            mob_rng = self.rngs.stream("mobility", spec.node_id)
+            mob_rng = derive_stream(self.master_seed, "mobility", spec.node_id)
             if spec.position is not None:
                 anchor = Position(*spec.position)
             else:
@@ -127,15 +137,15 @@ class World:
                 walk = walk_epoch(mob_rng)
                 self.note(spec.node_id, tc.WALK_EPOCH, "",
                           f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
-            self._motion[spec.node_id] = _Motion(anchor=anchor, epoch_start_us=0, walk=walk,
-                                                 seen=anchor, seen_us=0)
+            self._stations[spec.node_id] = _Station(anchor=anchor, epoch_start_us=0, walk=walk,
+                                                    seen=anchor, seen_us=0, mobility=mob_rng)
 
     def _schedule_initial(self) -> None:
         cfg = self.cfg
         self.loop.schedule(0, EV_TIMER, None, ("sample",))
         if cfg.duration_us > 0:
             self.loop.schedule(min(GC_INTERVAL_US, cfg.duration_us), EV_GC)
-            if any(m.walk is not None for m in self._motion.values()):
+            if any(station.walk is not None for station in self._stations.values()):
                 self.loop.schedule(min(EPOCH_INTERVAL_US, cfg.duration_us), EV_MOBILITY)
         for node in self.nodes.values():
             if node.app is not None:
@@ -143,17 +153,14 @@ class World:
 
     # -- helpers --------------------------------------------------------------
 
-    def _strategy_rng(self, node_id: str):
-        return self.rngs.stream("strategy", node_id)
-
     def position_of(self, node_id: str, t_us: int) -> Position:
-        motion = self._motion[node_id]
-        if motion.walk is None:
-            return motion.anchor
-        motion.seen = position_at(motion.anchor, motion.walk, motion.epoch_start_us,
-                                  t_us, self.cfg.grid)
-        motion.seen_us = t_us
-        return motion.seen
+        station = self._stations[node_id]
+        if station.walk is None:
+            return station.anchor
+        station.seen = position_at(station.anchor, station.walk, station.epoch_start_us,
+                                   t_us, self.cfg.grid)
+        station.seen_us = t_us
+        return station.seen
 
     # -- what the handlers call ---------------------------------------------------
 
@@ -192,54 +199,52 @@ class World:
                       f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
         self._broadcast(node_id, pkt)
 
-    def _candidates_of(self, sender: str) -> list[tuple[str, _Motion]]:
-        """The nodes that may hear sender, in insertion order: every other node
-        for a walking sender; the walkers and the static nodes in range for a
-        static one, whose static neighbours never change. A static sender with
-        no walking candidate gets its positions in _fixed, for good."""
-        found = self._candidates.get(sender)
-        if found is None:
-            own = self._motion[sender]
-            found = [(node_id, motion) for node_id, motion in self._motion.items()
-                     if node_id != sender and (
-                         own.walk is not None or motion.walk is not None
-                         or in_range(own.anchor, motion.anchor, self.cfg.radio))]
-            self._candidates[sender] = found
-            if own.walk is None and all(motion.walk is None for _, motion in found):
-                self._fixed[sender] = {sender: own.anchor,
-                                       **{node_id: motion.anchor for node_id, motion in found}}
-        return found
+    def _reach(self, sender: str, own: _Station) -> None:
+        """Fill own on sender's first transmission: its candidates, the nodes
+        that may hear it in insertion order (every other node for a walking
+        sender, else the walkers and the static nodes in range); its and their
+        anchors as fixed, for good, when none of them walks; its medium stream."""
+        own.candidates = [(node_id, station) for node_id, station in self._stations.items()
+                          if node_id != sender and (
+                              own.walk is not None or station.walk is not None
+                              or in_range(own.anchor, station.anchor, self.cfg.radio))]
+        if own.walk is None and all(station.walk is None for _, station in own.candidates):
+            own.fixed = {sender: own.anchor,
+                         **{node_id: station.anchor for node_id, station in own.candidates}}
+        own.medium = derive_stream(self.master_seed, "medium", sender)
 
-    def _positions_near(self, sender: str, now: int) -> dict[str, Position]:
+    def _positions_near(self, sender: str, own: _Station, now: int) -> dict[str, Position]:
         """Exact positions of sender, then of each candidate that may be in
         range now, in insertion order; broadcast_receivers' exact disk test
         then decides."""
         origin = self.position_of(sender, now)
+        if own.candidates is None:
+            self._reach(sender, own)
         reach = self.cfg.radio.range_m + self._margin_m
         positions = {sender: origin}
-        for node_id, motion in self._candidates_of(sender):
-            seen = motion.seen
+        for node_id, station in own.candidates:
+            seen = station.seen
             # reflection only folds a walker's path, so it is now at most
             # speed * elapsed from where it was last seen
-            slack = 0.0 if motion.walk is None else (
-                motion.walk.speed_ms * (now - motion.seen_us) / 1e6)
+            slack = 0.0 if station.walk is None else (
+                station.walk.speed_ms * (now - station.seen_us) / 1e6)
             if math.hypot(seen.x - origin.x, seen.y - origin.y) <= reach + slack:
                 positions[node_id] = self.position_of(node_id, now)
         return positions
 
     def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
         now = self.loop.now_us
-        positions = self._fixed.get(sender)
+        own = self._stations[sender]
+        positions = own.fixed
         if positions is None:
-            positions = self._positions_near(sender, now)
-        receivers = broadcast_receivers(sender, positions, self.cfg.radio,
-                                        self.rngs.stream("medium", sender))
+            positions = self._positions_near(sender, own, now)
+        receivers = broadcast_receivers(sender, positions, self.cfg.radio, own.medium)
         arrival = now + self.cfg.radio.one_hop_delay_us
         for receiver in receivers:
             mark = None
             if self.cfg.collision_mode:
                 mark = _DeliveryMark(arrival)
-                pending = self._inflight.setdefault(receiver, [])
+                pending = self._stations[receiver].inflight
                 pending[:] = [m for m in pending if m.time_us > now]
                 for other in pending:
                     if abs(other.time_us - arrival) < self.cfg.radio.one_hop_delay_us:
@@ -274,11 +279,11 @@ class World:
             if fw.is_duplicate(node, pkt, now):
                 self.note(node_id, tc.DROP, key, tc.REASON_PIT_DUP)
                 return
-            fw.on_incoming_interest(node, pkt, now, self._strategy_rng(node_id), self)
+            fw.on_incoming_interest(node, pkt, now, self)
         else:
             self.note(node_id, tc.DATA_RX, pkt.name.key,
                       f"hop={pkt.hop_count};origin={pkt.origin}")
-            fw.on_incoming_data(node, pkt, now, self._strategy_rng(node_id), self)
+            fw.on_incoming_data(node, pkt, now, self)
 
     def _on_timer(self, node_id: str | None, payload: tuple) -> None:
         tag = payload[0]
@@ -305,15 +310,15 @@ class World:
 
     def _on_mobility_epoch(self) -> None:
         now = self.loop.now_us
-        for node_id, motion in self._motion.items():
-            if motion.walk is None:
+        for node_id, station in self._stations.items():
+            if station.walk is None:
                 continue
             # the old leg's end is the new leg's start and its last seen position
-            motion.anchor = self.position_of(node_id, now)
-            motion.epoch_start_us = now
-            motion.walk = walk_epoch(self.rngs.stream("mobility", node_id))
+            station.anchor = self.position_of(node_id, now)
+            station.epoch_start_us = now
+            station.walk = walk_epoch(station.mobility)
             self.note(node_id, tc.WALK_EPOCH, "",
-                      f"heading={motion.walk.heading_rad!r};speed={motion.walk.speed_ms!r}")
+                      f"heading={station.walk.heading_rad!r};speed={station.walk.speed_ms!r}")
         nxt = now + EPOCH_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_MOBILITY)

@@ -1,12 +1,10 @@
 """Event loop ordering, clock bounds, and seeded stream derivation."""
-import random
 
 import pytest
 
 from ntorrent_sim.engine import (
     RNG_PURPOSES,
     EventLoop,
-    RngStreams,
     SchedulingInPast,
     derive_stream,
     _fnv1a64,
@@ -154,14 +152,3 @@ def test_unknown_purpose_rejected():
     with pytest.raises(ValueError):
         derive_stream(1, "weather", "n0")
 
-
-def test_rng_streams_cache_returns_same_object():
-    streams = RngStreams(99)
-    a = streams.stream("app", "n1")
-    assert streams.stream("app", "n1") is a
-    assert isinstance(a, random.Random)
-    # advancing one stream leaves a fresh derivation untouched
-    a.random()
-    fresh = derive_stream(99, "app", "n1")
-    b = RngStreams(99).stream("app", "n1")
-    assert fresh.random() == b.random()

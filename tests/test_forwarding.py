@@ -36,8 +36,11 @@ KEY = render_name(PIECE)
 
 
 def forwarder_node(p=1.0, params=None, store=None):
-    return NodeState(node_id="f0", strategy=StrategyParams(p_forward=p),
-                     store=store or PieceStore(), params=params or ForwardingParams())
+    node = NodeState(node_id="f0", strategy=StrategyParams(p_forward=p),
+                     store=store or PieceStore(), params=params or ForwardingParams(),
+                     master_seed=0)
+    node.rng = rng()
+    return node
 
 
 class FakeApp:
@@ -62,8 +65,10 @@ class FakeApp:
 
 
 def peer_node(own="movie1", store=None):
-    return NodeState(node_id="p0", strategy=StrategyParams(), store=store or PieceStore(),
-                     params=ForwardingParams(), app=FakeApp(own))
+    node = NodeState(node_id="p0", strategy=StrategyParams(), store=store or PieceStore(),
+                     params=ForwardingParams(), master_seed=0, app=FakeApp(own))
+    node.rng = rng()
+    return node
 
 
 def rng():
@@ -81,7 +86,7 @@ def kinds(calls):
 def test_duplicate_nonce_drops_and_leaves_pit_alone(out):
     node = forwarder_node()
     assert not is_duplicate(node, interest(), 0)
-    on_incoming_interest(node, interest(), 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, out)
     assert "send" in kinds(out.take())
     entry = node.pit[KEY]
     before = copy.deepcopy((node.pit, node.dead_nonces))
@@ -94,7 +99,7 @@ def test_duplicate_nonce_drops_and_leaves_pit_alone(out):
 
 def test_new_nonce_joins_existing_entry(out):
     node = forwarder_node(p=0.0)
-    on_incoming_interest(node, interest(nonce=1), 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=1), 0, out)
     on_own_interest(node, interest(nonce=2), 50, out)
     entry = node.pit[KEY]
     assert entry.nonces == {1, 2}
@@ -108,7 +113,7 @@ def test_store_holder_schedules_data_instead_of_forwarding(out):
     store.ensure("movie1", 8, 1024)
     store.add("movie1", 3)
     node = forwarder_node(store=store)
-    on_incoming_interest(node, interest(), 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, out)
     calls = out.take()
     assert calls[0] == ("note", "f0", tc.SATISFY, KEY, "piece=3")
     kind, node_id, name, delay = calls[1]
@@ -133,15 +138,15 @@ def test_own_interest_bypasses_the_strategy(out):
 
 def test_hop_cap_drops_before_the_strategy_runs(out):
     node = forwarder_node(p=1.0, params=ForwardingParams(max_hops=4))
-    on_incoming_interest(node, interest(hop=4), 0, rng(), out)
+    on_incoming_interest(node, interest(hop=4), 0, out)
     assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_HOP_CAP)]
-    on_incoming_interest(node, interest(nonce=2, hop=3), 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=2, hop=3), 0, out)
     assert any(call[0] == "send" and call[2].hop_count == 4 for call in out.take())
 
 
 def test_forward_increments_hops_and_jitters(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(hop=2), 0, rng(), out)
+    on_incoming_interest(node, interest(hop=2), 0, out)
     note, (kind, node_id, pkt, delay) = out.take()
     assert note == ("note", "f0", tc.DECISION, KEY, tc.REASON_PROB_FWD)
     assert (kind, node_id) == ("send", "f0")
@@ -152,7 +157,7 @@ def test_forward_increments_hops_and_jitters(out):
 
 def test_peer_delivers_beacon_to_app(out):
     node = peer_node()
-    on_incoming_interest(node, interest(name=beacon_name("n5")), 7_000, rng(), out)
+    on_incoming_interest(node, interest(name=beacon_name("n5")), 7_000, out)
     assert out.take() == [
         ("note", "p0", tc.DECISION, "/ntorrent/beacon/n5", tc.REASON_OWN_APP),
     ]
@@ -162,7 +167,7 @@ def test_peer_delivers_beacon_to_app(out):
 def test_peer_delivers_bitmap_announce_to_app(out):
     node = peer_node()
     name = bitmap_announce_name("movie1", "n5", Bitmap(8, 0b101))
-    on_incoming_interest(node, interest(name=name), 7_000, rng(), out)
+    on_incoming_interest(node, interest(name=name), 7_000, out)
     assert out.take() == [("note", "p0", tc.DECISION, name.key, tc.REASON_OWN_APP)]
     assert node.app.calls == [
         ("on_receive_bitmap", BitmapAnnounce("movie1", "n5", Bitmap(8, 0b101)), 7_000, out),
@@ -172,7 +177,7 @@ def test_peer_delivers_bitmap_announce_to_app(out):
 def test_own_torrent_name_of_no_known_kind_reaches_no_app_handler(out):
     node = peer_node()
     name = parse_name("/ntorrent/movie1/other")
-    on_incoming_interest(node, interest(name=name), 7_000, rng(), out)
+    on_incoming_interest(node, interest(name=name), 7_000, out)
     assert out.take() == [("note", "p0", tc.DECISION, name.key, tc.REASON_OWN_APP)]
     assert node.app.calls == []
 
@@ -199,14 +204,14 @@ def test_each_decision_reason_emits_its_effect(reason, out):
     make_node, name, then = DECISIONS[reason]
     node = make_node()
     pkt = interest(hop=2, name=name)
-    # the rule itself, on copies of the table and the rng the plane will use
+    # the rule itself, on a copy of the table and a fresh copy of the node's stream
     if node.app is None:
         expected = pure_decide(node.strategy, pkt, rng())
     else:
         expected = peer_decide(node.strategy, node.app.torrent, copy.deepcopy(node.table),
                                pkt, 0, rng())
     assert expected[0] == reason
-    on_incoming_interest(node, pkt, 0, rng(), out)
+    on_incoming_interest(node, pkt, 0, out)
     calls = out.take()
     assert calls[0] == ("note", node.node_id, tc.DECISION, name.key, reason)
     if then == "send":
@@ -226,9 +231,9 @@ def data_pkt(hop=0):
 
 def test_data_follows_broadcast_breadcrumb(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(), 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, out)
     out.take()
-    on_incoming_data(node, data_pkt(hop=1), 5_000, rng(), out)
+    on_incoming_data(node, data_pkt(hop=1), 5_000, out)
     sends = [call for call in out.take() if call[0] == "send"]
     assert len(sends) == 1
     _, _, pkt, delay = sends[0]
@@ -241,7 +246,7 @@ def test_data_for_app_breadcrumb_reaches_the_peer(out):
     node = peer_node(own="movie1")
     on_own_interest(node, interest(), 0, out)
     out.take()
-    on_incoming_data(node, data_pkt(), 5_000, rng(), out)
+    on_incoming_data(node, data_pkt(), 5_000, out)
     assert node.app.calls == [("on_receive_piece", 3, 5_000, out)]
     # nothing to send back: the radio never asked
     assert "send" not in kinds(out.take())
@@ -250,9 +255,9 @@ def test_data_for_app_breadcrumb_reaches_the_peer(out):
 def test_data_for_own_and_radio_interests_delivers_locally_and_relays_once(out):
     node = peer_node(own="movie1")
     on_own_interest(node, interest(nonce=1), 0, out)
-    on_incoming_interest(node, interest(nonce=2), 10, rng(), out)
+    on_incoming_interest(node, interest(nonce=2), 10, out)
     out.take()
-    on_incoming_data(node, data_pkt(hop=1), 5_000, rng(), out)
+    on_incoming_data(node, data_pkt(hop=1), 5_000, out)
     assert kinds(out.take()).count("send") == 1
     assert node.app.calls == [("on_receive_piece_interest", PieceInterest("movie1", 3), 10, out),
                               ("on_receive_piece", 3, 5_000, out)]
@@ -260,16 +265,16 @@ def test_data_for_own_and_radio_interests_delivers_locally_and_relays_once(out):
 
 def test_unsolicited_data_drops(out):
     node = forwarder_node()
-    on_incoming_data(node, data_pkt(), 0, rng(), out)
+    on_incoming_data(node, data_pkt(), 0, out)
     assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_UNSOLICITED)]
 
 
 def test_second_data_copy_is_unsolicited(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(), 0, rng(), out)
-    on_incoming_data(node, data_pkt(), 5_000, rng(), out)
+    on_incoming_interest(node, interest(), 0, out)
+    on_incoming_data(node, data_pkt(), 5_000, out)
     out.take()
-    on_incoming_data(node, data_pkt(), 6_000, rng(), out)
+    on_incoming_data(node, data_pkt(), 6_000, out)
     assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_UNSOLICITED)]
 
 
@@ -277,23 +282,23 @@ def test_satisfied_entry_still_suppresses_its_nonces(out):
     # regression: after data consumed the entry, a late flood copy of the same
     # interest must not re-enter the PIT and trigger a second transmission
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=9), 0, rng(), out)
-    on_incoming_data(node, data_pkt(), 5_000, rng(), out)
+    on_incoming_interest(node, interest(nonce=9), 0, out)
+    on_incoming_data(node, data_pkt(), 5_000, out)
     assert KEY not in node.pit
     assert is_duplicate(node, interest(nonce=9), 6_000)
     # a genuinely new nonce is a fresh request and forwards again
     assert not is_duplicate(node, interest(nonce=10), 7_000)
     out.take()
-    on_incoming_interest(node, interest(nonce=10), 7_000, rng(), out)
+    on_incoming_interest(node, interest(nonce=10), 7_000, out)
     assert "send" in kinds(out.take())
 
 
 def test_nonce_suppression_survives_multiple_rounds(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=1), 0, rng(), out)
-    on_incoming_data(node, data_pkt(), 1_000, rng(), out)
-    on_incoming_interest(node, interest(nonce=2), 2_000, rng(), out)
-    on_incoming_data(node, data_pkt(), 3_000, rng(), out)
+    on_incoming_interest(node, interest(nonce=1), 0, out)
+    on_incoming_data(node, data_pkt(), 1_000, out)
+    on_incoming_interest(node, interest(nonce=2), 2_000, out)
+    on_incoming_data(node, data_pkt(), 3_000, out)
     for nonce in (1, 2):
         assert is_duplicate(node, interest(nonce=nonce), 4_000)
     assert not is_duplicate(node, interest(nonce=3), 4_000)
@@ -304,16 +309,16 @@ def test_overheard_cache_absorbs_when_enabled(out):
     store.ensure("movie1", 8, 1024)
     node = forwarder_node(params=ForwardingParams(cache_overheard_data=True),
                           store=store)
-    on_incoming_data(node, data_pkt(), 0, rng(), out)
+    on_incoming_data(node, data_pkt(), 0, out)
     assert ("note", "f0", tc.DROP, KEY, tc.REASON_UNSOLICITED) in out.take()
     assert store.has("movie1", 3)
 
 
 def test_data_hop_cap(out):
     node = forwarder_node(p=1.0, params=ForwardingParams(max_hops=2))
-    on_incoming_interest(node, interest(hop=0), 0, rng(), out)
+    on_incoming_interest(node, interest(hop=0), 0, out)
     out.take()
-    on_incoming_data(node, data_pkt(hop=2), 1_000, rng(), out)
+    on_incoming_data(node, data_pkt(hop=2), 1_000, out)
     calls = out.take()
     assert ("note", "f0", tc.DROP, KEY, tc.REASON_HOP_CAP) in calls
     assert "send" not in kinds(calls)
@@ -323,7 +328,7 @@ def test_relayed_copies_keep_the_name_and_count_the_hop(out):
     node = forwarder_node(p=1.0)
     heard = interest(nonce=0xAB, hop=2)
     assert heard.wire == "nonce=00000000000000ab;hop=2;origin=src"
-    on_incoming_interest(node, heard, 0, rng(), out)
+    on_incoming_interest(node, heard, 0, out)
     [(_, _, relayed, _)] = [call for call in out.take() if call[0] == "send"]
     # the relayed copy reuses the Name, so its text and class are not redone
     assert relayed.name is heard.name
@@ -331,7 +336,7 @@ def test_relayed_copies_keep_the_name_and_count_the_hop(out):
     assert relayed.wire == "nonce=00000000000000ab;hop=3;origin=src"
     assert heard.wire == "nonce=00000000000000ab;hop=2;origin=src"
     data = data_pkt(hop=1)
-    on_incoming_data(node, data, 5_000, rng(), out)
+    on_incoming_data(node, data, 5_000, out)
     [(_, _, relayed, _)] = [call for call in out.take() if call[0] == "send"]
     assert relayed.name is data.name
     assert (relayed.payload_bytes, relayed.origin, relayed.hop_count) == (1024, "seed", 2)
@@ -348,7 +353,7 @@ def emitting_node():
 
 def test_emission_answers_the_recorded_faces(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, out)
     out.take()
     on_data_emission(node, PIECE, 1_000, out)
     [(kind, node_id, pkt, delay)] = out.take()
@@ -362,9 +367,9 @@ def test_emission_answers_the_recorded_faces(out):
 
 def test_emission_goes_stale_when_entry_already_consumed(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, out)
     # someone else answered first; the arriving copy consumed the entry
-    on_incoming_data(node, data_pkt(), 500, rng(), out)
+    on_incoming_data(node, data_pkt(), 500, out)
     out.take()
     on_data_emission(node, PIECE, 1_000, out)
     assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_EMIT_STALE)]
@@ -372,7 +377,7 @@ def test_emission_goes_stale_when_entry_already_consumed(out):
 
 def test_emission_without_the_piece_is_stale(out):
     node = forwarder_node()
-    on_incoming_interest(node, interest(), 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, out)
     out.take()
     on_data_emission(node, PIECE, 1_000, out)
     assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_EMIT_STALE)]
@@ -380,7 +385,7 @@ def test_emission_without_the_piece_is_stale(out):
 
 def test_expired_entry_is_not_answered(out):
     node = emitting_node()
-    on_incoming_interest(node, interest(), 0, rng(), out)
+    on_incoming_interest(node, interest(), 0, out)
     out.take()
     after = node.params.pit_lifetime_us
     on_data_emission(node, PIECE, after, out)
@@ -391,21 +396,21 @@ def test_expired_entry_is_not_answered(out):
 
 def test_pit_gc_boundary_and_dead_nonce_purge(out):
     node = forwarder_node(p=1.0)
-    on_incoming_interest(node, interest(nonce=5), 0, rng(), out)
+    on_incoming_interest(node, interest(nonce=5), 0, out)
     lifetime = node.params.pit_lifetime_us
     assert pit_gc(node, lifetime - 1) == 0
     assert pit_gc(node, lifetime) == 1
     assert node.pit == {}
 
-    on_incoming_interest(node, interest(nonce=6), lifetime, rng(), out)
-    on_incoming_data(node, data_pkt(), lifetime + 10, rng(), out)
+    on_incoming_interest(node, interest(nonce=6), lifetime, out)
+    on_incoming_data(node, data_pkt(), lifetime + 10, out)
     assert KEY in node.dead_nonces
     pit_gc(node, 2 * lifetime)
     assert node.dead_nonces == {}
     out.take()
     # with the dead record gone the old nonce is accepted as new again
     assert not is_duplicate(node, interest(nonce=6), 2 * lifetime)
-    on_incoming_interest(node, interest(nonce=6), 2 * lifetime, rng(), out)
+    on_incoming_interest(node, interest(nonce=6), 2 * lifetime, out)
     assert "send" in kinds(out.take())
 
 

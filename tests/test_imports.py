@@ -1,17 +1,20 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, and every test module, uses each name it imports.
 
 A deletion can leave an import behind that nothing reads any more. This check
-parses each module under src/ntorrent_sim/ with the standard ast module and
-fails on an imported name the module never uses. Names used only in string
-annotations count as used; __init__.py re-exports its imports and is exempt.
+parses each module under src/ntorrent_sim/ and each file under tests/,
+conftest.py included, with the standard ast module and fails on an imported
+name the module never uses. Names used only in string annotations count as
+used; the package's __init__.py re-exports its imports and is exempt.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ntorrent_sim"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "ntorrent_sim"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TEST_MODULES = sorted(path.name for path in TESTS.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -54,6 +57,11 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_test_module_uses_every_name_it_imports(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_unused_and_annotation_only_imports():

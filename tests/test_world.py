@@ -3,12 +3,15 @@ bookkeeping."""
 import copy
 import itertools
 import random
+import sys
+from collections import defaultdict
 
 import pytest
 
 from ntorrent_sim import forwarding as fw
 from ntorrent_sim import trace as tc
 from ntorrent_sim import world as world_module
+from ntorrent_sim.engine import derive_stream
 from ntorrent_sim.mobility import (
     EPOCH_INTERVAL_US,
     GridBounds,
@@ -204,16 +207,17 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
     def checked_broadcast(sender, pkt):
         now = world.loop.now_us
         positions = {
-            node_id: motion.anchor if motion.walk is None else position_at(
-                motion.anchor, motion.walk, motion.epoch_start_us, now, cfg.grid)
-            for node_id, motion in world._motion.items()}
-        medium = world.rngs.stream("medium", sender)
+            node_id: station.anchor if station.walk is None else position_at(
+                station.anchor, station.walk, station.epoch_start_us, now, cfg.grid)
+            for node_id, station in world._stations.items()}
+        # the sender's medium stream, or a fresh one before its first transmission
+        own = world._stations[sender]
         scan_rng = random.Random()
-        scan_rng.setstate(medium.getstate())
+        scan_rng.setstate((own.medium or derive_stream(3, "medium", sender)).getstate())
         expected = broadcast_receivers(sender, positions, cfg.radio, scan_rng)
         pruned_broadcast(sender, pkt)
         assert picked.pop() == expected, (case, now, sender)
-        assert medium.getstate() == scan_rng.getstate(), (case, now, sender)
+        assert own.medium.getstate() == scan_rng.getstate(), (case, now, sender)
         covered["tx"] += 1
         covered["after_epoch"] += now >= EPOCH_INTERVAL_US and now % EPOCH_INTERVAL_US < 50_000
         covered["exact_range_pair"] += {sender, *expected} >= {"n0", "n1"}
@@ -326,17 +330,62 @@ def test_app_sends_leave_on_the_radio_at_once(cfg, seed, n_sends):
         assert tx.detail.endswith(f"hop=0;origin={app_row.node}")
 
 
-def test_each_app_owns_its_node_app_stream():
+@pytest.fixture
+def derived(monkeypatch):
+    """(purpose, node) -> [(stream, its state when derived), ...] for every
+    stream derived while the test runs; derive_stream is replaced in each
+    module of the package that binds it."""
+    log = defaultdict(list)
+
+    def recording(master_seed, purpose, node):
+        stream = derive_stream(master_seed, purpose, node)
+        log[purpose, node].append((stream, stream.getstate()))
+        return stream
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("ntorrent_sim")
+                and getattr(module, "derive_stream", None) is derive_stream):
+            monkeypatch.setattr(module, "derive_stream", recording)
+    return log
+
+
+def test_streams_are_derived_lazily_and_once(derived):
+    world = World(build_five_node(), 1)
+    peers = [node_id for node_id, node in world.nodes.items() if node.app is not None]
+    assert len(peers) == 4
+    assert sorted(derived) == sorted([("app", node_id) for node_id in peers]
+                                     + [("mobility", node_id) for node_id in world.nodes])
+    world.run()
+    assert all(len(streams) == 1 for streams in derived.values())
+
+
+def test_each_record_owns_its_node_streams(derived):
     world = World(build_five_node(1.0), master_seed=1)
-    apps = {node_id: node.app for node_id, node in world.nodes.items() if node.app is not None}
-    assert len(apps) == 4
-    for node_id, app in apps.items():
-        assert app.rng is world.rngs.stream("app", node_id)
+    world.run()
+    owners = {}
+    for node_id, node in world.nodes.items():
+        station = world._stations[node_id]
+        owners["mobility", node_id] = station.mobility
+        owners["medium", node_id] = station.medium
+        # read from the instance dict, where engine.cached stores it, so that
+        # reading it here derives nothing
+        owners["strategy", node_id] = node.__dict__.get("rng")
+        if node.app is not None:
+            owners["app", node_id] = node.app.rng
+    assert len(owners) == 19
+    # every stream was derived once during the run and is still held by its owner
+    assert sorted(derived) == sorted(owners)
+    for (purpose, node_id), owner in owners.items():
+        [(stream, state)] = derived[purpose, node_id]
+        assert owner is stream, (purpose, node_id)
+        first = random.Random()
+        first.setstate(state)
+        assert first.random() == derive_stream(1, purpose, node_id).random()
 
 
 def test_own_interest_is_sent_at_once_without_a_strategy_coin():
     world = World(three_node_relay(p_forward=0.5), master_seed=1)
-    strategy_rng = world.rngs.stream("strategy", "l")
+    strategy_rng = world.nodes["l"].rng
     before = strategy_rng.getstate()
     pkt = Interest(piece_name("movie1", 2), nonce=77, origin="l")
     world.originate("l", pkt)
