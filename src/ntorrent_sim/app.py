@@ -4,23 +4,25 @@ Peers announce presence with periodic beacons. Hearing a beacon triggers a
 rate-limited bitmap announcement of the pieces held, hearing a bitmap widens
 the map of pieces known to exist remotely, and missing pieces are requested
 through a fixed-size pipeline with periodic retransmission of stale requests.
-Seeders start complete and only answer; leechers record completion the moment
-the last piece arrives.
+Seeders start complete and only answer; a leecher notes completion once, at
+the arrival of its last piece.
 
-The World calls the timer handlers; the node's forwarding plane calls the
+The app arms its own timers: `out.timer` takes the handler that the World
+calls back when the timer fires. The node's forwarding plane calls the
 receive handlers directly with the beacons, bitmaps and piece interests it
 classed as the app's own, and with each piece that arrives for its torrent.
 The app draws every nonce and jitter from its own RNG stream, given at
-construction. Handlers change only the application state and act on the
-world through `out`, the World. Every interest the app creates goes out
-through `out.originate`, which records its nonce in the node's PIT and
-transmits it at once. Data for it reaches the app, and is relayed only if a
-radio arrival asked for the same name too.
+construction, and holds its download state itself: `have`, the node's store
+bitmap for the torrent, `known_remote` and `pending`. Handlers change only
+the application state and act on the world through `out`, the World. Every
+interest the app creates goes out through `out.originate`, which records its
+nonce in the node's PIT and transmits it at once. Data for it reaches the
+app, and is relayed only if a radio arrival asked for the same name too.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .forwarding import jittered
@@ -37,10 +39,6 @@ from . import trace as tc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .world import World
-
-TIMER_BEACON = "beacon"
-TIMER_RETRY = "retry"
-
 
 class LengthMismatch(ValueError):
     """Bitmaps with different piece counts cannot be compared."""
@@ -70,14 +68,6 @@ class PendingRequest:
     retries: int = 0
 
 
-@dataclass
-class DownloadState:
-    have: Bitmap
-    known_remote: Bitmap
-    pending: dict[int, PendingRequest] = field(default_factory=dict)
-    completed_at_us: int | None = None
-
-
 class PeerApp:
     """One torrent peer bound to a node's piece store."""
 
@@ -92,21 +82,21 @@ class PeerApp:
         self.rng = rng
         if seeder:
             have.bits = (1 << self.n_pieces) - 1
-        self.state = DownloadState(have=have, known_remote=Bitmap(self.n_pieces))
-        if seeder:
-            self.state.completed_at_us = 0
+        self.have = have  # the node's store bitmap for the torrent
+        self.known_remote = Bitmap(self.n_pieces)
+        self.pending: dict[int, PendingRequest] = {}
         self._last_bitmap_us: dict[str, int] = {}
 
     @property
     def completed(self) -> bool:
-        return self.state.have.complete
+        return self.have.complete
 
     def start(self, out: World) -> None:
         """Initial timers: a desynchronising beacon offset, retries for leechers."""
         offset = self.rng.randint(1, max(1, self.cfg.beacon_interval_us // 10))
-        out.timer(self.node_id, TIMER_BEACON, offset)
+        out.timer(self.node_id, self.on_beacon_timer, offset)
         if not self.seeder:
-            out.timer(self.node_id, TIMER_RETRY, self.cfg.interest_retry_timeout_us)
+            out.timer(self.node_id, self.on_retry_timer, self.cfg.interest_retry_timeout_us)
 
     # -- timers --------------------------------------------------------------
 
@@ -117,13 +107,14 @@ class PeerApp:
         pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
         out.note(self.node_id, tc.BEACON_TX, name.key)
         out.originate(self.node_id, pkt)
-        out.timer(self.node_id, TIMER_BEACON, jittered(self.cfg.beacon_interval_us, self.rng))
+        out.timer(self.node_id, self.on_beacon_timer,
+                  jittered(self.cfg.beacon_interval_us, self.rng))
 
     def on_retry_timer(self, now_us: int, out: World) -> None:
         if self.completed:
             return
         abandoned: list[int] = []
-        for piece, req in sorted(self.state.pending.items()):
+        for piece, req in sorted(self.pending.items()):
             if now_us - req.last_sent_us < self.cfg.interest_retry_timeout_us:
                 continue
             if self.cfg.max_retries is not None and req.retries >= self.cfg.max_retries:
@@ -133,10 +124,10 @@ class PeerApp:
             req.retries += 1
             self._request_piece(piece, req.retries, out)
         for piece in abandoned:
-            del self.state.pending[piece]
+            del self.pending[piece]
         # abandoned pieces rejoin the unrequested pool, but not within this tick
         self._fill_pipeline(now_us, out, exclude=frozenset(abandoned))
-        out.timer(self.node_id, TIMER_RETRY, self.cfg.interest_retry_timeout_us)
+        out.timer(self.node_id, self.on_retry_timer, self.cfg.interest_retry_timeout_us)
 
     # -- receive paths ---------------------------------------------------------
 
@@ -146,9 +137,9 @@ class PeerApp:
         if last is not None and now_us - last < self.cfg.bitmap_min_gap_us:
             return
         self._last_bitmap_us[remote] = now_us
-        name = bitmap_announce_name(self.torrent, self.node_id, self.state.have)
+        name = bitmap_announce_name(self.torrent, self.node_id, self.have)
         pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
-        out.note(self.node_id, tc.BITMAP_TX, name.key, f"have={self.state.have.popcount()}")
+        out.note(self.node_id, tc.BITMAP_TX, name.key, f"have={self.have.popcount()}")
         out.originate(self.node_id, pkt)
 
     def on_receive_beacon(self, sender: str, now_us: int, out: World) -> None:
@@ -160,22 +151,22 @@ class PeerApp:
             return
         if announce.bits.n_pieces != self.n_pieces:
             return
-        self.state.known_remote.bits |= announce.bits.bits
+        self.known_remote.bits |= announce.bits.bits
         self._fill_pipeline(now_us, out)
         # The exchange is two-way: if the announcer lacks pieces we hold, reply
         # with our own bitmap so it can start requesting them.
-        if self.state.have.bits & ~announce.bits.bits:
+        if self.have.bits & ~announce.bits.bits:
             self._announce_bitmap(announce.node, now_us, out)
 
     def on_receive_piece(self, piece: int, now_us: int, out: World) -> None:
-        self.state.pending.pop(piece, None)
-        if self.state.have.has(piece):
+        self.pending.pop(piece, None)
+        if self.have.has(piece):
             return  # duplicate delivery, idempotent
-        self.state.have.set(piece)
+        # the only place have grows, so the arrival that completes it comes once
+        self.have.set(piece)
         out.note(self.node_id, tc.PIECE_RX, piece_name(self.torrent, piece).key,
                  f"piece={piece}")
-        if self.completed and self.state.completed_at_us is None:
-            self.state.completed_at_us = now_us
+        if self.completed:
             out.note(self.node_id, tc.COMPLETED, "",
                      f"torrent={self.torrent};pieces={self.n_pieces}")
         self._fill_pipeline(now_us, out)
@@ -183,7 +174,7 @@ class PeerApp:
     def on_receive_piece_interest(self, request: PieceInterest, now_us: int,
                                   out: World) -> None:
         """Serve a held piece through the PIT return path."""
-        if self.state.have.has(request.piece):
+        if self.have.has(request.piece):
             delay = jittered(self.data_response_delay_us, self.rng)
             out.emit(self.node_id, piece_name(self.torrent, request.piece), delay)
 
@@ -199,10 +190,10 @@ class PeerApp:
                        exclude: frozenset[int] = frozenset()) -> None:
         if self.completed:
             return
-        for piece in compute_missing(self.state.have, self.state.known_remote):
-            if len(self.state.pending) >= self.cfg.pipeline_window:
+        for piece in compute_missing(self.have, self.known_remote):
+            if len(self.pending) >= self.cfg.pipeline_window:
                 break
-            if piece in self.state.pending or piece in exclude:
+            if piece in self.pending or piece in exclude:
                 continue
-            self.state.pending[piece] = PendingRequest(last_sent_us=now_us)
+            self.pending[piece] = PendingRequest(last_sent_us=now_us)
             self._request_piece(piece, 0, out)

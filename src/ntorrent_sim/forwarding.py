@@ -2,8 +2,8 @@
 
 Every node, peer or not, runs the same plane. An app's own interest
 (on_own_interest) leaves its nonce in the PIT and goes straight to the radio.
-An interest heard on the radio (on_incoming_interest) has already passed
-nonce deduplication (is_duplicate, which the World applies); it leaves a PIT
+An interest heard on the radio (on_incoming_interest) whose nonce the node
+already holds (is_duplicate) is dropped as PIT_DUP; a new one leaves a PIT
 breadcrumb for the return path, is answered from the local piece store when
 possible, and otherwise goes to a relay rule: a pure forwarder (no app) calls
 strategies.pure_decide, a peer calls strategies.peer_decide with its own
@@ -161,9 +161,14 @@ def on_own_interest(node: NodeState, pkt: Interest, now_us: int, out: World) -> 
 
 
 def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int, out: World) -> None:
-    """Breadcrumb, store check, then the relay rule for a new radio arrival."""
-    _record(node, pkt, now_us).from_radio = True
+    """Duplicate check, breadcrumb, store check, then the relay rule for a
+    radio arrival."""
     key = pkt.name.key
+    # most flood copies are duplicates; they end here
+    if is_duplicate(node, pkt, now_us):
+        out.note(node.node_id, tc.DROP, key, tc.REASON_PIT_DUP)
+        return
+    _record(node, pkt, now_us).from_radio = True
     cls = pkt.name.cls
     if isinstance(cls, PieceInterest) and node.store.has(cls.torrent, cls.piece):
         delay = jittered(node.params.data_response_delay_us, node.rng)
@@ -177,7 +182,7 @@ def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int, out: World
 
     # a pure forwarder has no app; a peer relays by its own torrent
     if node.app is None:
-        reason, delay = pure_decide(node.strategy, pkt, node.rng)
+        reason, delay = pure_decide(node.strategy, node.rng)
     else:
         reason, delay = peer_decide(node.strategy, node.app.torrent, node.table, pkt,
                                     now_us, node.rng)

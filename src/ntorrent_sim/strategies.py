@@ -50,8 +50,7 @@ class OverheardNameTable:
         return len(stale)
 
 
-def pure_decide(params: StrategyParams, interest: Interest,
-                rng: random.Random) -> tuple[str, int | None]:
+def pure_decide(params: StrategyParams, rng: random.Random) -> tuple[str, int | None]:
     """One forward-or-not draw; a forward waits a uniform jitter first."""
     if rng.random() < params.p_forward:
         return tc.REASON_PROB_FWD, rng.randint(params.jitter_min_us, params.jitter_max_us)

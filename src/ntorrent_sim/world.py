@@ -7,24 +7,25 @@ is derived from the master seed once, by the record that draws it: the
 station its mobility and medium streams, the forwarding state its strategy
 stream and the app its app stream. The forwarding and app handlers get the
 World as `out` and call its note, send, emit, timer and originate methods,
-which act at the current time. The World calls an app only to start it and
-for its timers; the forwarding plane calls it with received traffic. An
-app's own interest goes through forwarding.on_own_interest and is on the
-radio before `originate` returns. A radio reception of an interest whose
-nonce the node already holds is dropped here as PIT_DUP; only a new one
-reaches forwarding.on_incoming_interest. Every observable action lands in
-the trace, and the trace plus the metrics reduced from it are the run's
-result.
+which act at the current time. The World only carries packets and keeps the
+clock: it notes each reception and hands it to the node's forwarding plane,
+which decides what to do with it, and it calls back the handler an app
+armed with `timer` when that timer fires. The World calls an app itself only
+to start it. An app's own interest goes through forwarding.on_own_interest
+and is on the radio before `originate` returns. Every observable action
+lands in the trace, and the trace plus the metrics reduced from it are the
+run's result.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import forwarding as fw
 from . import trace as tc
-from .app import PeerApp, TIMER_BEACON, TIMER_RETRY
+from .app import PeerApp
 from .engine import EventLoop, RunReport, derive_stream
 from .mobility import (
     EPOCH_INTERVAL_US,
@@ -70,7 +71,7 @@ class _Station:
     seen: Position
     seen_us: int
     mobility: random.Random
-    # filled by _reach on the node's first transmission
+    # filled by _reach before the node's first transmission
     candidates: list[tuple[str, _Station]] | None = None
     fixed: dict[str, Position] | None = None
     medium: random.Random | None = None
@@ -132,13 +133,11 @@ class World:
             else:
                 anchor = Position(mob_rng.uniform(0.0, cfg.grid.width),
                                   mob_rng.uniform(0.0, cfg.grid.height))
-            walk = None
+            station = _Station(anchor=anchor, epoch_start_us=0, walk=None,
+                               seen=anchor, seen_us=0, mobility=mob_rng)
             if spec.mobility is MobilityKind.RANDOM_WALK:
-                walk = walk_epoch(mob_rng)
-                self.note(spec.node_id, tc.WALK_EPOCH, "",
-                          f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
-            self._stations[spec.node_id] = _Station(anchor=anchor, epoch_start_us=0, walk=walk,
-                                                    seen=anchor, seen_us=0, mobility=mob_rng)
+                self._new_leg(spec.node_id, station)
+            self._stations[spec.node_id] = station
 
     def _schedule_initial(self) -> None:
         cfg = self.cfg
@@ -152,6 +151,12 @@ class World:
                 node.app.start(self)
 
     # -- helpers --------------------------------------------------------------
+
+    def _new_leg(self, node_id: str, station: _Station) -> None:
+        """Draw the station's next walk leg from its mobility stream and note it."""
+        walk = station.walk = walk_epoch(station.mobility)
+        self.note(node_id, tc.WALK_EPOCH, "",
+                  f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
 
     def position_of(self, node_id: str, t_us: int) -> Position:
         station = self._stations[node_id]
@@ -181,9 +186,10 @@ class World:
         """Produce data for a satisfied name after delay_us (PIT-driven)."""
         self.loop.schedule(self.loop.now_us + delay_us, EV_TIMER, node_id, ("emit", name))
 
-    def timer(self, node_id: str, tag: str, delay_us: int) -> None:
-        """(Re)arm an application timer after delay_us."""
-        self.loop.schedule(self.loop.now_us + delay_us, EV_TIMER, node_id, (tag,))
+    def timer(self, node_id: str, handler: Callable[[int, World], None],
+              delay_us: int) -> None:
+        """Call an app's handler(now_us, world) after delay_us."""
+        self.loop.schedule(self.loop.now_us + delay_us, EV_TIMER, node_id, (handler,))
 
     def originate(self, node_id: str, pkt: Interest) -> None:
         """Record an app-created interest in its node's PIT and transmit it now."""
@@ -200,7 +206,7 @@ class World:
         self._broadcast(node_id, pkt)
 
     def _reach(self, sender: str, own: _Station) -> None:
-        """Fill own on sender's first transmission: its candidates, the nodes
+        """Fill own before sender's first transmission: its candidates, the nodes
         that may hear it in insertion order (every other node for a walking
         sender, else the walkers and the static nodes in range); its and their
         anchors as fixed, for good, when none of them walks; its medium stream."""
@@ -218,8 +224,6 @@ class World:
         range now, in insertion order; broadcast_receivers' exact disk test
         then decides."""
         origin = self.position_of(sender, now)
-        if own.candidates is None:
-            self._reach(sender, own)
         reach = self.cfg.radio.range_m + self._margin_m
         positions = {sender: origin}
         for node_id, station in own.candidates:
@@ -235,6 +239,8 @@ class World:
     def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
         now = self.loop.now_us
         own = self._stations[sender]
+        if own.candidates is None:
+            self._reach(sender, own)
         positions = own.fixed
         if positions is None:
             positions = self._positions_near(sender, own, now)
@@ -270,20 +276,13 @@ class World:
         if mark is not None and mark.collided:
             self.note(node_id, tc.DROP, pkt.name.key, tc.REASON_COLLISION)
             return
-        node = self.nodes[node_id]
-        now = self.loop.now_us
         if isinstance(pkt, Interest):
-            key = pkt.name.key
-            self.note(node_id, tc.INTEREST_RX, key, pkt.wire)
-            # most flood copies are duplicates; they end here, before the handler
-            if fw.is_duplicate(node, pkt, now):
-                self.note(node_id, tc.DROP, key, tc.REASON_PIT_DUP)
-                return
-            fw.on_incoming_interest(node, pkt, now, self)
+            self.note(node_id, tc.INTEREST_RX, pkt.name.key, pkt.wire)
+            fw.on_incoming_interest(self.nodes[node_id], pkt, self.loop.now_us, self)
         else:
             self.note(node_id, tc.DATA_RX, pkt.name.key,
                       f"hop={pkt.hop_count};origin={pkt.origin}")
-            fw.on_incoming_data(node, pkt, now, self)
+            fw.on_incoming_data(self.nodes[node_id], pkt, self.loop.now_us, self)
 
     def _on_timer(self, node_id: str | None, payload: tuple) -> None:
         tag = payload[0]
@@ -296,17 +295,12 @@ class World:
             if nxt <= self.cfg.duration_us:
                 self.loop.schedule(nxt, EV_TIMER, None, ("sample",))
             return
-        node = self.nodes[node_id]
         if tag == "tx":
             self._transmit(node_id, payload[1])
         elif tag == "emit":
-            fw.on_data_emission(node, payload[1], now, self)
-        elif tag == TIMER_BEACON:
-            node.app.on_beacon_timer(now, self)
-        elif tag == TIMER_RETRY:
-            node.app.on_retry_timer(now, self)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown timer tag {tag!r}")
+            fw.on_data_emission(self.nodes[node_id], payload[1], now, self)
+        else:  # an app timer holds the handler it armed in place of a tag
+            tag(now, self)
 
     def _on_mobility_epoch(self) -> None:
         now = self.loop.now_us
@@ -316,9 +310,7 @@ class World:
             # the old leg's end is the new leg's start and its last seen position
             station.anchor = self.position_of(node_id, now)
             station.epoch_start_us = now
-            station.walk = walk_epoch(station.mobility)
-            self.note(node_id, tc.WALK_EPOCH, "",
-                      f"heading={station.walk.heading_rad!r};speed={station.walk.speed_ms!r}")
+            self._new_leg(node_id, station)
         nxt = now + EPOCH_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_MOBILITY)

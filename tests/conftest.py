@@ -5,7 +5,8 @@ import pytest
 class Recorder:
     """Stands in for the World as a handler's `out`: each call of one of the
     World's five handler-facing methods is kept, in order, as a tuple of the
-    method name and its arguments."""
+    method name and its arguments. tests/test_world.py checks that the five
+    methods keep the World's names and parameter names."""
 
     def __init__(self):
         self.calls = []
@@ -24,8 +25,8 @@ class Recorder:
     def emit(self, node_id, name, delay_us):
         self.calls.append(("emit", node_id, name, delay_us))
 
-    def timer(self, node_id, tag, delay_us):
-        self.calls.append(("timer", node_id, tag, delay_us))
+    def timer(self, node_id, handler, delay_us):
+        self.calls.append(("timer", node_id, handler, delay_us))
 
     def originate(self, node_id, pkt):
         self.calls.append(("originate", node_id, pkt))

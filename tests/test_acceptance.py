@@ -13,7 +13,6 @@ from ntorrent_sim import trace as tc
 from ntorrent_sim.app import AppConfig
 from ntorrent_sim.cli import main
 from ntorrent_sim.mobility import GridBounds
-from ntorrent_sim.names import Interest, piece_name
 from ntorrent_sim.oracle import reachability_oracle
 from ntorrent_sim.scenario import (
     MobilityKind,
@@ -223,10 +222,9 @@ def test_criterion_7_forwarding_invariants_hold_across_runs(
 def test_criterion_8_forwarding_probability_statistics():
     params = StrategyParams(p_forward=0.5, jitter_min_us=2_000, jitter_max_us=10_000)
     rng = random.Random(8)
-    interest_pkt = Interest(piece_name("movie1", 0), nonce=1, origin="x")
     forwarded = 0
     for _ in range(100_000):
-        reason, delay = pure_decide(params, interest_pkt, rng)
+        reason, delay = pure_decide(params, rng)
         if reason == tc.REASON_PROB_FWD:
             forwarded += 1
             assert 2_000 <= delay <= 10_000

@@ -5,14 +5,7 @@ from itertools import product
 import pytest
 
 from ntorrent_sim import trace as tc
-from ntorrent_sim.app import (
-    TIMER_BEACON,
-    TIMER_RETRY,
-    AppConfig,
-    LengthMismatch,
-    PeerApp,
-    compute_missing,
-)
+from ntorrent_sim.app import AppConfig, LengthMismatch, PeerApp, compute_missing
 from ntorrent_sim.names import Bitmap, BitmapAnnounce, PieceInterest
 
 
@@ -44,25 +37,29 @@ def test_compute_missing_rejects_length_mismatch():
         compute_missing(Bitmap(4), Bitmap(8))
 
 
-def test_seeder_starts_complete():
+def test_seeder_starts_complete(out):
     app = make_app(seeder=True)
     assert app.completed
-    assert app.state.have.popcount() == 8
-    assert app.state.completed_at_us == 0
+    assert app.have.popcount() == 8
+    # a seeder's have never grows, so no arrival completes it
+    app.known_remote = Bitmap.full(8)
+    app.on_receive_piece(3, 100, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap.full(8)), 200, out)
+    assert notes(out.take(), tc.COMPLETED) == []
 
 
 def test_start_timers(out):
     app = make_app()
     app.start(out)
-    tags = [(call[2], call[3]) for call in out.take() if call[0] == "timer"]
-    assert [t for t, _ in tags] == [TIMER_BEACON, TIMER_RETRY]
-    beacon_delay = tags[0][1]
+    armed = [(call[2], call[3]) for call in out.take() if call[0] == "timer"]
+    assert [handler for handler, _ in armed] == [app.on_beacon_timer, app.on_retry_timer]
+    beacon_delay = armed[0][1]
     assert 1 <= beacon_delay <= AppConfig().beacon_interval_us // 10
-    assert tags[1][1] == AppConfig().interest_retry_timeout_us
+    assert armed[1][1] == AppConfig().interest_retry_timeout_us
 
-    make_app(seeder=True).start(out)
-    seeder_tags = [call[2] for call in out.take() if call[0] == "timer"]
-    assert seeder_tags == [TIMER_BEACON]
+    seeder = make_app(seeder=True)
+    seeder.start(out)
+    assert [call[2] for call in out.take() if call[0] == "timer"] == [seeder.on_beacon_timer]
 
 
 def test_beacon_timer_emits_and_reschedules(out):
@@ -73,15 +70,15 @@ def test_beacon_timer_emits_and_reschedules(out):
     pkt = originated(calls)[0]
     assert str(pkt.name) == "/ntorrent/beacon/n1"
     assert pkt.origin == "n1"
-    kind, _, tag, delay = calls[-1]
-    assert kind == "timer" and tag == TIMER_BEACON
+    kind, _, handler, delay = calls[-1]
+    assert kind == "timer" and handler == app.on_beacon_timer
     interval = AppConfig().beacon_interval_us
     assert interval - interval // 10 <= delay <= interval + interval // 10
 
 
 def test_completed_leecher_goes_quiet_unless_kept_seeding(out):
     app = make_app(n_pieces=2)
-    app.state.known_remote.bits = 0b11
+    app.known_remote.bits = 0b11
     app.on_receive_piece(0, 10, out)
     app.on_receive_piece(1, 20, out)
     assert app.completed
@@ -90,7 +87,7 @@ def test_completed_leecher_goes_quiet_unless_kept_seeding(out):
     assert out.take() == []
 
     kept = make_app(n_pieces=2, cfg=AppConfig(keep_seeding=True))
-    kept.state.have.bits = 0b11
+    kept.have.bits = 0b11
     kept.on_beacon_timer(2_000_000, out)
     assert out.take() != []
     # seeders always keep announcing themselves
@@ -124,7 +121,7 @@ def test_bitmap_announce_widens_knowledge_and_fills_pipeline(out):
     announce = BitmapAnnounce("movie1", "n9", Bitmap(8, 0b1111_0110))
     app.on_receive_bitmap(announce, 5_000, out)
     calls = out.take()
-    assert app.state.known_remote.bits == 0b1111_0110
+    assert app.known_remote.bits == 0b1111_0110
     pkts = originated(calls)
     # window of 4 requests, lowest missing indices first
     assert [str(p.name) for p in pkts] == [
@@ -133,7 +130,7 @@ def test_bitmap_announce_widens_knowledge_and_fills_pipeline(out):
         "/ntorrent/movie1/data/4",
         "/ntorrent/movie1/data/5",
     ]
-    assert set(app.state.pending) == {1, 2, 4, 5}
+    assert set(app.pending) == {1, 2, 4, 5}
     assert notes(calls, tc.PIECE_REQ) == ["piece=1;retry=0", "piece=2;retry=0",
                                           "piece=4;retry=0", "piece=5;retry=0"]
 
@@ -142,11 +139,11 @@ def test_repeat_bitmap_adds_no_requests_while_the_window_is_full(out):
     app = make_app()
     announce = BitmapAnnounce("movie1", "n9", Bitmap(8, 0b1111_0110))
     app.on_receive_bitmap(announce, 5_000, out)
-    assert len(app.state.pending) == 4
+    assert len(app.pending) == 4
     out.take()
     app.on_receive_bitmap(announce, 6_000, out)
     assert originated(out.take()) == []
-    assert set(app.state.pending) == {1, 2, 4, 5}
+    assert set(app.pending) == {1, 2, 4, 5}
 
 
 def test_bitmap_announce_ignores_self_and_mismatched_length(out):
@@ -157,7 +154,7 @@ def test_bitmap_announce_ignores_self_and_mismatched_length(out):
     odd = BitmapAnnounce("movie1", "n9", Bitmap(4, 0xF))
     app.on_receive_bitmap(odd, 0, out)
     assert out.take() == []
-    assert app.state.known_remote.bits == 0
+    assert app.known_remote.bits == 0
 
 
 def test_bitmap_exchange_replies_when_the_announcer_is_behind(out):
@@ -181,42 +178,43 @@ def test_bitmap_exchange_reply_shares_the_beacon_rate_limit(out):
 def test_piece_arrival_updates_state_and_requests_more(out):
     app = make_app(cfg=AppConfig(pipeline_window=2))
     app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
-    assert set(app.state.pending) == {0, 1}
+    assert set(app.pending) == {0, 1}
     out.take()
     app.on_receive_piece(0, 100, out)
     assert ("note", "n1", tc.PIECE_RX, "/ntorrent/movie1/data/0", "piece=0") in out.take()
-    assert set(app.state.pending) == {1, 2}
-    assert app.state.have.has(0)
+    assert set(app.pending) == {1, 2}
+    assert app.have.has(0)
 
 
 def test_duplicate_piece_is_idempotent(out):
     app = make_app()
-    app.state.known_remote = Bitmap.full(8)
+    app.known_remote = Bitmap.full(8)
     app.on_receive_piece(0, 100, out)
     out.take()
     app.on_receive_piece(0, 200, out)
     assert out.take() == []
-    assert app.state.have.popcount() == 1
+    assert app.have.popcount() == 1
 
 
 def test_completion_recorded_once_with_details(out):
     app = make_app(n_pieces=2)
-    app.state.known_remote = Bitmap.full(2)
+    app.known_remote = Bitmap.full(2)
     app.on_receive_piece(1, 50, out)
-    out.take()
+    assert notes(out.take(), tc.COMPLETED) == []
     app.on_receive_piece(0, 80, out)
-    done = [call for call in out.take() if call[0] == "note" and call[2] == tc.COMPLETED]
-    assert done == [("note", "n1", tc.COMPLETED, "", "torrent=movie1;pieces=2")]
-    assert app.state.completed_at_us == 80
-    # a late duplicate cannot record completion again
+    calls = [call for call in out.take() if call[0] == "note"]
+    # the COMPLETED row directly follows the PIECE_RX of the last piece
+    assert calls == [("note", "n1", tc.PIECE_RX, "/ntorrent/movie1/data/0", "piece=0"),
+                     ("note", "n1", tc.COMPLETED, "", "torrent=movie1;pieces=2")]
+    # a late duplicate cannot note completion again
     app.on_receive_piece(1, 90, out)
+    app.on_receive_piece(0, 95, out)
     assert out.take() == []
-    assert app.state.completed_at_us == 80
 
 
 def test_piece_interest_served_only_when_held(out):
     app = make_app()
-    app.state.have.set(5)
+    app.have.set(5)
     app.on_receive_piece_interest(PieceInterest("movie1", 5), 0, out)
     [(kind, node_id, name, delay)] = out.take()
     assert (kind, node_id) == ("emit", "n1")
@@ -237,10 +235,10 @@ def test_retry_resends_stale_requests(out):
     pkts = originated(calls)
     assert len(pkts) == 1
     assert str(pkts[0].name) == "/ntorrent/movie1/data/0"
-    assert app.state.pending[0].retries == 1
-    assert app.state.pending[0].last_sent_us == timeout
+    assert app.pending[0].retries == 1
+    assert app.pending[0].last_sent_us == timeout
     assert [call for call in calls if call[0] == "note"][0][4] == "piece=0;retry=1"
-    assert calls[-1][:3] == ("timer", "n1", TIMER_RETRY)
+    assert calls[-1][:3] == ("timer", "n1", app.on_retry_timer)
 
 
 def test_retry_nonces_differ_between_attempts(out):
@@ -261,7 +259,7 @@ def test_retry_skips_recent_requests(out):
     app.on_retry_timer(1_000_000, out)
     # requests are only half a timeout old; nothing is resent
     assert originated(out.take()) == []
-    assert all(req.retries == 0 for req in app.state.pending.values())
+    assert all(req.retries == 0 for req in app.pending.values())
 
 
 def test_retry_abandons_after_max_and_frees_the_window(out):
@@ -279,7 +277,7 @@ def test_retry_abandons_after_max_and_frees_the_window(out):
         "/ntorrent/movie1/data/2",
         "/ntorrent/movie1/data/3",
     ]
-    assert set(app.state.pending) == {2, 3}
+    assert set(app.pending) == {2, 3}
     # once 2 and 3 hit the cap in turn, the abandoned pieces rejoin the pool
     app.on_retry_timer(3 * timeout, out)
     out.take()
@@ -288,12 +286,12 @@ def test_retry_abandons_after_max_and_frees_the_window(out):
         "/ntorrent/movie1/data/0",
         "/ntorrent/movie1/data/1",
     ]
-    assert set(app.state.pending) == {0, 1}
+    assert set(app.pending) == {0, 1}
 
 
 def test_retry_timer_stops_after_completion(out):
     app = make_app(n_pieces=1)
-    app.state.known_remote = Bitmap.full(1)
+    app.known_remote = Bitmap.full(1)
     app.on_receive_piece(0, 10, out)
     out.take()
     app.on_retry_timer(1_000_000, out)
@@ -303,8 +301,8 @@ def test_retry_timer_stops_after_completion(out):
 def test_pipeline_window_is_never_exceeded(out):
     app = make_app(cfg=AppConfig(pipeline_window=3))
     app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
-    assert len(app.state.pending) == 3
+    assert len(app.pending) == 3
     app.on_receive_bitmap(BitmapAnnounce("movie1", "n8", Bitmap.full(8)), 1, out)
-    assert len(app.state.pending) == 3
+    assert len(app.pending) == 3
     app.on_receive_piece(0, 100, out)
-    assert len(app.state.pending) == 3
+    assert len(app.pending) == 3

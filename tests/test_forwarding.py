@@ -10,6 +10,7 @@ from ntorrent_sim.forwarding import (
     ForwardingParams,
     NodeState,
     PieceStore,
+    PitEntry,
     is_duplicate,
     on_data_emission,
     on_incoming_data,
@@ -95,6 +96,19 @@ def test_duplicate_nonce_drops_and_leaves_pit_alone(out):
     assert (node.pit, node.dead_nonces) == before
     assert node.pit[KEY] is entry
     assert entry.nonces == {1}
+    # the plane drops a held nonce itself, from a live PIT entry or a live
+    # dead-nonce record, with one note and no other effect
+    dup = [("note", "f0", tc.DROP, KEY, tc.REASON_PIT_DUP)]
+    on_incoming_interest(node, interest(), 100, out)
+    assert out.take() == dup
+    assert (node.pit, node.dead_nonces) == before
+    dead = forwarder_node()
+    dead.dead_nonces[KEY] = PitEntry({1}, True, 2_000)
+    before = copy.deepcopy((dead.pit, dead.dead_nonces))
+    on_incoming_interest(dead, interest(), 100, out)
+    assert out.take() == dup
+    assert (dead.pit, dead.dead_nonces) == before
+    assert dead.rng.getstate() == rng().getstate()
 
 
 def test_new_nonce_joins_existing_entry(out):
@@ -206,7 +220,7 @@ def test_each_decision_reason_emits_its_effect(reason, out):
     pkt = interest(hop=2, name=name)
     # the rule itself, on a copy of the table and a fresh copy of the node's stream
     if node.app is None:
-        expected = pure_decide(node.strategy, pkt, rng())
+        expected = pure_decide(node.strategy, rng())
     else:
         expected = peer_decide(node.strategy, node.app.torrent, copy.deepcopy(node.table),
                                pkt, 0, rng())

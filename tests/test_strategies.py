@@ -44,21 +44,19 @@ def test_config_validation():
 
 def test_pure_degenerate_probabilities():
     rng = random.Random(1)
-    pkt = interest_for(piece_name("movie1", 0))
     for _ in range(200):
-        reason, delay = pure_decide(pure_cfg(1.0), pkt, rng)
+        reason, delay = pure_decide(pure_cfg(1.0), rng)
         assert reason == tc.REASON_PROB_FWD
         assert 2_000 <= delay <= 10_000
     for _ in range(200):
-        assert pure_decide(pure_cfg(0.0), pkt, rng) == (tc.REASON_PROB_DROP, None)
+        assert pure_decide(pure_cfg(0.0), rng) == (tc.REASON_PROB_DROP, None)
 
 
 def test_pure_half_probability_monte_carlo():
     rng = random.Random(2024)
-    pkt = interest_for(piece_name("movie1", 0))
     forwarded = 0
     for _ in range(100_000):
-        _, delay = pure_decide(pure_cfg(0.5), pkt, rng)
+        _, delay = pure_decide(pure_cfg(0.5), rng)
         if delay is not None:
             forwarded += 1
             assert 2_000 <= delay <= 10_000
@@ -66,11 +64,10 @@ def test_pure_half_probability_monte_carlo():
 
 
 def test_pure_decide_replays_identically():
-    pkt = interest_for(piece_name("movie1", 3))
     runs = []
     for _ in range(2):
         rng = random.Random(77)
-        runs.append([pure_decide(pure_cfg(0.3), pkt, rng) for _ in range(50)])
+        runs.append([pure_decide(pure_cfg(0.3), rng) for _ in range(50)])
     assert runs[0] == runs[1]
 
 

@@ -1,12 +1,14 @@
 """Whole-simulation behaviour: wiring, determinism, radio pruning, collisions,
 bookkeeping."""
 import copy
+import inspect
 import itertools
 import random
 import sys
 from collections import defaultdict
 
 import pytest
+from conftest import Recorder
 
 from ntorrent_sim import forwarding as fw
 from ntorrent_sim import trace as tc
@@ -306,6 +308,74 @@ def test_duplicate_reception_notes_the_drop_and_leaves_the_pit_alone(record):
     rx = [rec for rec in world.trace if rec.event == tc.INTEREST_RX]
     assert {rec.node for rec in rx} == {"fb", "fc"}
     assert all(rec.detail is tx.detail for rec in rx)
+
+
+# -- the World only carries packets -------------------------------------------
+
+@pytest.mark.parametrize("cfg,seed", [
+    (build_five_node(), 1),
+    (build_random_field(12, 4), 4),
+], ids=["five-node", "random-field-12"])
+def test_every_interest_reception_reaches_the_forwarding_plane(cfg, seed, monkeypatch):
+    # the World notes each clean interest reception and hands it on; the plane
+    # alone decides, PIT_DUP drops included
+    world = World(cfg, master_seed=seed)
+    handed = []
+    plane = fw.on_incoming_interest
+
+    def recording(node, pkt, now_us, out):
+        handed.append((now_us, node.node_id, pkt.wire))
+        plane(node, pkt, now_us, out)
+
+    monkeypatch.setattr(fw, "on_incoming_interest", recording)
+    world.run()
+    rx = [(rec.time_us, rec.node, rec.detail) for rec in world.trace
+          if rec.event == tc.INTEREST_RX]
+    assert handed == rx
+    assert any(rec.detail == tc.REASON_PIT_DUP for rec in world.trace)
+    # completion is noted once per leecher that completes, right after the
+    # arrival of its last piece, and never for a seeder
+    done = [i for i, rec in enumerate(world.trace) if rec.event == tc.COMPLETED]
+    assert done and len({world.trace[i].node for i in done}) == len(done)
+    assert {world.trace[i].node for i in done} <= set(cfg.leechers())
+    for i in done:
+        assert (world.trace[i - 1].event, world.trace[i - 1].node) == (
+            tc.PIECE_RX, world.trace[i].node)
+
+
+def test_static_line_positions_are_computed_only_by_the_sampler(monkeypatch):
+    # every node of the five-node line is static, so each sender's fixed
+    # neighbourhood serves every transmission, its first included
+    calls = []
+    position_of = World.position_of
+
+    def counting(self, node_id, t_us):
+        calls.append(node_id)
+        return position_of(self, node_id, t_us)
+
+    monkeypatch.setattr(World, "position_of", counting)
+    world = World(build_five_node(), master_seed=1)
+    world.run()
+    samples = [rec for rec in world.trace if rec.event == tc.POSITION]
+    assert len(samples) == len(world.nodes) * (
+        world.cfg.duration_us // world.cfg.position_sample_interval_us + 1)
+    assert len(calls) == len(samples)
+    assert any(rec.event == tc.INTEREST_TX for rec in world.trace)
+
+
+def test_the_recorder_fake_has_the_worlds_handler_facing_api():
+    # conftest.Recorder stands in for the World in handler tests; a renamed
+    # method or parameter of the World must show up here, not as a silent drift
+    def params(cls, method):
+        return list(inspect.signature(getattr(cls, method)).parameters)
+
+    handler_facing = ("note", "send", "emit", "timer", "originate")
+    public = {name for name in vars(Recorder)
+              if not name.startswith("_") and callable(vars(Recorder)[name])}
+    assert public - {"take"} == set(handler_facing)
+    for method in handler_facing:
+        assert params(Recorder, method) == params(World, method), method
+    assert params(World, "timer") == ["self", "node_id", "handler", "delay_us"]
 
 
 # -- origination order ---------------------------------------------------------
