@@ -11,8 +11,8 @@ The app arms its own timers: `out.timer` takes the handler that the World
 calls back when the timer fires. The node's forwarding plane calls the
 receive handlers directly with the beacons, bitmaps and piece interests it
 classed as the app's own, and with each piece that arrives for its torrent.
-The app draws every nonce and jitter from its own RNG stream, given at
-construction, and holds its download state itself: `have`, the node's store
+The app draws every nonce and jitter from its own app stream, derived on
+first use, and holds its download state itself: `have`, the node's store
 bitmap for the torrent, `known_remote` and `pending`. Handlers change only
 the application state and act on the world through `out`, the World. Every
 interest the app creates goes out through `out.originate`, which records its
@@ -21,10 +21,10 @@ app, and is relayed only if a radio arrival asked for the same name too.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .engine import stream
 from .forwarding import jittered
 from .names import (
     Bitmap,
@@ -71,15 +71,17 @@ class PendingRequest:
 class PeerApp:
     """One torrent peer bound to a node's piece store."""
 
+    rng = stream("app")
+
     def __init__(self, node_id: str, torrent: str, seeder: bool, cfg: AppConfig,
-                 have: Bitmap, data_response_delay_us: int, rng: random.Random) -> None:
+                 have: Bitmap, data_response_delay_us: int, master_seed: int) -> None:
         self.node_id = node_id
+        self.master_seed = master_seed
         self.torrent = torrent
         self.n_pieces = have.n_pieces
         self.seeder = seeder
         self.cfg = cfg
         self.data_response_delay_us = data_response_delay_us
-        self.rng = rng
         if seeder:
             have.bits = (1 << self.n_pieces) - 1
         self.have = have  # the node's store bitmap for the torrent

@@ -7,11 +7,10 @@ comparison never reaches a payload, ties dispatch in scheduling order and a
 run is a pure function of the scenario and the master seed. Randomness is
 split into named per-node streams, each derived from the master seed by
 derive_stream, which keeps one node's draw sequence independent of event
-interleaving at other nodes. Each stream has one owner, which derives it
-once: a node's forwarding state its strategy stream, its app its app stream
-and the World's per-node station record its mobility and medium streams.
-The module also holds `cached`, the compute-once attribute that names,
-mobility and the forwarding state use.
+interleaving at other nodes. Each stream has one owner, the node record that
+declares it as a `stream` attribute and derives it on its first read, so a
+stream that nothing draws from is never derived. `stream` is a kind of
+`cached`, the compute-once attribute that names and mobility use too.
 """
 from __future__ import annotations
 
@@ -45,14 +44,25 @@ class cached:
 
     def __init__(self, compute: Callable) -> None:
         self._compute = compute
-        self._name = compute.__name__
         self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
 
     def __get__(self, instance: object, owner: type | None = None):
         if instance is None:
             return self
         value = instance.__dict__[self._name] = self._compute(instance)
         return value
+
+
+class stream(cached):
+    """A node record's RNG stream for purpose: the first read derives
+    derive_stream(record.master_seed, purpose, record.node_id)."""
+
+    def __init__(self, purpose: str) -> None:
+        super().__init__(lambda record: derive_stream(record.master_seed, purpose,
+                                                      record.node_id))
 
 
 class EventLoop:

@@ -17,8 +17,9 @@ to the node's app as a piece if the node peers on that torrent.
 Handlers change only the given node's state, call its app directly, and act
 on the world through `out`, the World: they note trace rows, send packets and
 schedule emissions. Interests and data leave through `out.send`. Relay coins,
-jitter and data response delays draw from the node's own strategy stream,
-`NodeState.rng`, which the node derives from the master seed on first use.
+jitter and data response delays draw from the node's strategy stream, which
+it derives on first use, as its store makes a torrent's bitmap; pit_gc also
+expires the node's overheard-name table.
 """
 from __future__ import annotations
 
@@ -26,13 +27,14 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .engine import cached, derive_stream
+from .engine import stream
 from .names import Beacon, Bitmap, BitmapAnnounce, Data, Interest, Name, PieceInterest
 from .strategies import OverheardNameTable, StrategyParams, peer_decide, pure_decide
 from . import trace as tc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .app import PeerApp
+    from .scenario import TorrentSpec
     from .world import World
 
 
@@ -48,29 +50,28 @@ class PitEntry:
 
 
 class PieceStore:
-    """Bitmapped piece inventory per torrent, plus payload sizes."""
+    """Bitmapped piece inventory over the declared torrents, given as one
+    {torrent_id: TorrentSpec} map; a torrent's bitmap is made on first use."""
 
-    def __init__(self) -> None:
+    def __init__(self, torrents: dict[str, TorrentSpec]) -> None:
+        self._torrents = torrents
         self._bitmaps: dict[str, Bitmap] = {}
-        self._piece_bytes: dict[str, int] = {}
 
-    def ensure(self, torrent: str, n_pieces: int, piece_bytes: int) -> Bitmap:
+    def bitmap(self, torrent: str) -> Bitmap:
         bitmap = self._bitmaps.get(torrent)
         if bitmap is None:
-            bitmap = Bitmap(n_pieces)
-            self._bitmaps[torrent] = bitmap
-            self._piece_bytes[torrent] = piece_bytes
+            bitmap = self._bitmaps[torrent] = Bitmap(self._torrents[torrent].n_pieces)
         return bitmap
 
     def piece_bytes(self, torrent: str) -> int:
-        return self._piece_bytes[torrent]
+        return self._torrents[torrent].piece_bytes
 
     def has(self, torrent: str, piece: int) -> bool:
         bitmap = self._bitmaps.get(torrent)
         return bitmap is not None and bitmap.has(piece)
 
     def add(self, torrent: str, piece: int) -> None:
-        self._bitmaps[torrent].set(piece)
+        self.bitmap(torrent).set(piece)
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,7 @@ class NodeState:
     # late flood copies stay duplicates instead of re-seeding the PIT
     dead_nonces: dict[str, PitEntry] = field(default_factory=dict)
 
-    @cached
-    def rng(self) -> random.Random:
-        """The node's ("strategy", node_id) stream, derived on first use."""
-        return derive_stream(self.master_seed, "strategy", self.node_id)
+    rng = stream("strategy")
 
     def peers_on(self, torrent: str) -> bool:
         return self.app is not None and self.app.torrent == torrent
@@ -223,8 +221,7 @@ def on_incoming_data(node: NodeState, pkt: Data, now_us: int, out: World) -> Non
 
 def _absorb_piece(node: NodeState, cls: PieceInterest, now_us: int, out: World) -> None:
     # peers get the piece through the app (which tracks completion); other
-    # nodes only store it when the overheard-data cache is enabled, and then
-    # hold a bitmap for every declared torrent
+    # nodes only store it when the overheard-data cache is enabled
     if node.peers_on(cls.torrent):
         node.app.on_receive_piece(cls.piece, now_us, out)
     elif node.params.cache_overheard_data:
@@ -252,11 +249,13 @@ def on_data_emission(node: NodeState, name: Name, now_us: int, out: World) -> No
 
 
 def pit_gc(node: NodeState, now_us: int) -> int:
-    """Remove entries with expiry <= now; returns how many were removed."""
+    """Remove PIT entries, dead-nonce records and overheard-name table entries
+    with expiry <= now; returns how many PIT entries were removed."""
     stale = [key for key, entry in node.pit.items() if entry.expiry_us <= now_us]
     for key in stale:
         del node.pit[key]
     dead = [key for key, entry in node.dead_nonces.items() if entry.expiry_us <= now_us]
     for key in dead:
         del node.dead_nonces[key]
+    node.table.gc(now_us)
     return len(stale)

@@ -106,11 +106,12 @@ def in_range(a: Position, b: Position, radio: RadioConfig) -> bool:
 
 
 def broadcast_receivers(sender: str, positions: dict[str, Position],
-                        radio: RadioConfig, rng: random.Random) -> list[str]:
+                        radio: RadioConfig, rng: random.Random | None) -> list[str]:
     """Nodes that receive a transmission sent now by sender.
 
     Iterates positions in insertion order so loss draws are reproducible.
-    The sender never hears itself. With loss_prob 0 no randomness is consumed.
+    The sender never hears itself. With loss_prob 0 no randomness is consumed
+    and rng may be None.
     """
     origin = positions[sender]
     receivers = []

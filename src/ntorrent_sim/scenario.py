@@ -109,12 +109,6 @@ class ScenarioConfig:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "torrents", tuple(self.torrents))
 
-    def torrent_spec(self, torrent_id: str) -> TorrentSpec:
-        for spec in self.torrents:
-            if spec.torrent_id == torrent_id:
-                return spec
-        raise KeyError(torrent_id)
-
     def leechers(self) -> dict[str, str]:
         return {n.node_id: n.torrent for n in self.nodes if n.kind is NodeKind.LEECHER}
 

@@ -2,10 +2,11 @@
 
 One World owns the event loop and all per-node state for a single run: each
 node's forwarding state, with its app if it peers, and its station record of
-where it is, what may hear it and what is on its way to it. Each RNG stream
-is derived from the master seed once, by the record that draws it: the
-station its mobility and medium streams, the forwarding state its strategy
-stream and the app its app stream. The forwarding and app handlers get the
+where it is, what may hear it and what is on its way to it. The World only
+creates these records from the node specs: each derives the streams it draws
+on first use, the station its mobility and medium streams, the forwarding
+state its strategy stream and the app its app stream, and the piece store
+makes each bitmap on first use. The forwarding and app handlers get the
 World as `out` and call its note, send, emit, timer and originate methods,
 which act at the current time. The World only carries packets and keeps the
 clock: it notes each reception and hands it to the node's forwarding plane,
@@ -19,17 +20,17 @@ run's result.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 from . import forwarding as fw
 from . import trace as tc
 from .app import PeerApp
-from .engine import EventLoop, RunReport, derive_stream
+from .engine import EventLoop, RunReport, stream
 from .mobility import (
     EPOCH_INTERVAL_US,
     SPEED_MAX_MS,
+    GridBounds,
     Position,
     WalkState,
     broadcast_receivers,
@@ -63,20 +64,31 @@ class _DeliveryMark:
 class _Station:
     """Where a node is, what may hear it and what is on its way to it."""
 
-    anchor: Position
-    epoch_start_us: int
-    walk: WalkState | None  # None for static nodes
+    node_id: str
+    master_seed: int
+    place: InitVar[tuple[float, float] | None]  # None: drawn from the mobility stream
+    grid: InitVar[GridBounds]
+    anchor: Position = field(init=False)
     # a position the node had at seen_us, to within rounding (a static node's
     # anchor); _positions_near bounds where it can be now from it
-    seen: Position
-    seen_us: int
-    mobility: random.Random
+    seen: Position = field(init=False)
+    seen_us: int = 0
+    epoch_start_us: int = 0
+    walk: WalkState | None = None  # None for static nodes
     # filled by _reach before the node's first transmission
     candidates: list[tuple[str, _Station]] | None = None
     fixed: dict[str, Position] | None = None
-    medium: random.Random | None = None
     # collision mode: the deliveries on their way to this node
     inflight: list[_DeliveryMark] = field(default_factory=list)
+
+    mobility = stream("mobility")
+    medium = stream("medium")  # read only when the radio loses frames
+
+    def __post_init__(self, place: tuple[float, float] | None, grid: GridBounds) -> None:
+        if place is None:
+            place = (self.mobility.uniform(0.0, grid.width),
+                     self.mobility.uniform(0.0, grid.height))
+        self.anchor = self.seen = Position(*place)
 
 
 class World:
@@ -100,41 +112,20 @@ class World:
 
     def _build_nodes(self) -> None:
         cfg = self.cfg
+        torrents = {torrent.torrent_id: torrent for torrent in cfg.torrents}
         for spec in cfg.nodes:
-            store = fw.PieceStore()
+            store = fw.PieceStore(torrents)
             app = None
             if spec.kind is not NodeKind.PURE_FORWARDER:
-                torrent = cfg.torrent_spec(spec.torrent)
-                have = store.ensure(torrent.torrent_id, torrent.n_pieces, torrent.piece_bytes)
-                app = PeerApp(
-                    node_id=spec.node_id,
-                    torrent=torrent.torrent_id,
-                    seeder=spec.kind is NodeKind.SEEDER,
-                    cfg=cfg.app,
-                    have=have,
-                    data_response_delay_us=cfg.forwarding.data_response_delay_us,
-                    rng=derive_stream(self.master_seed, "app", spec.node_id),
-                )
-            if cfg.forwarding.cache_overheard_data:
-                # cache needs a bitmap per declared torrent to store into
-                for torrent in cfg.torrents:
-                    store.ensure(torrent.torrent_id, torrent.n_pieces, torrent.piece_bytes)
+                app = PeerApp(node_id=spec.node_id, torrent=spec.torrent,
+                              seeder=spec.kind is NodeKind.SEEDER, cfg=cfg.app,
+                              have=store.bitmap(spec.torrent),
+                              data_response_delay_us=cfg.forwarding.data_response_delay_us,
+                              master_seed=self.master_seed)
             self.nodes[spec.node_id] = fw.NodeState(
-                node_id=spec.node_id,
-                strategy=cfg.strategy,
-                store=store,
-                params=cfg.forwarding,
-                master_seed=self.master_seed,
-                app=app,
-            )
-            mob_rng = derive_stream(self.master_seed, "mobility", spec.node_id)
-            if spec.position is not None:
-                anchor = Position(*spec.position)
-            else:
-                anchor = Position(mob_rng.uniform(0.0, cfg.grid.width),
-                                  mob_rng.uniform(0.0, cfg.grid.height))
-            station = _Station(anchor=anchor, epoch_start_us=0, walk=None,
-                               seen=anchor, seen_us=0, mobility=mob_rng)
+                node_id=spec.node_id, strategy=cfg.strategy, store=store,
+                params=cfg.forwarding, master_seed=self.master_seed, app=app)
+            station = _Station(spec.node_id, self.master_seed, spec.position, cfg.grid)
             if spec.mobility is MobilityKind.RANDOM_WALK:
                 self._new_leg(spec.node_id, station)
             self._stations[spec.node_id] = station
@@ -208,8 +199,8 @@ class World:
     def _reach(self, sender: str, own: _Station) -> None:
         """Fill own before sender's first transmission: its candidates, the nodes
         that may hear it in insertion order (every other node for a walking
-        sender, else the walkers and the static nodes in range); its and their
-        anchors as fixed, for good, when none of them walks; its medium stream."""
+        sender, else the walkers and the static nodes in range); and its and
+        their anchors as fixed, for good, when none of them walks."""
         own.candidates = [(node_id, station) for node_id, station in self._stations.items()
                           if node_id != sender and (
                               own.walk is not None or station.walk is not None
@@ -217,7 +208,6 @@ class World:
         if own.walk is None and all(station.walk is None for _, station in own.candidates):
             own.fixed = {sender: own.anchor,
                          **{node_id: station.anchor for node_id, station in own.candidates}}
-        own.medium = derive_stream(self.master_seed, "medium", sender)
 
     def _positions_near(self, sender: str, own: _Station, now: int) -> dict[str, Position]:
         """Exact positions of sender, then of each candidate that may be in
@@ -244,18 +234,20 @@ class World:
         positions = own.fixed
         if positions is None:
             positions = self._positions_near(sender, own, now)
-        receivers = broadcast_receivers(sender, positions, self.cfg.radio, own.medium)
-        arrival = now + self.cfg.radio.one_hop_delay_us
+        radio = self.cfg.radio
+        receivers = broadcast_receivers(sender, positions, radio,
+                                        own.medium if radio.loss_prob > 0.0 else None)
+        arrival = now + radio.one_hop_delay_us
         for receiver in receivers:
             mark = None
             if self.cfg.collision_mode:
                 mark = _DeliveryMark(arrival)
                 pending = self._stations[receiver].inflight
                 pending[:] = [m for m in pending if m.time_us > now]
+                # each pending frame arrives in (now, arrival], so within one hop delay
                 for other in pending:
-                    if abs(other.time_us - arrival) < self.cfg.radio.one_hop_delay_us:
-                        other.collided = True
-                        mark.collided = True
+                    other.collided = True
+                mark.collided = bool(pending)
                 pending.append(mark)
             self.loop.schedule(arrival, EV_DELIVERY, receiver, (pkt, mark))
 
@@ -319,7 +311,6 @@ class World:
         now = self.loop.now_us
         for node in self.nodes.values():
             fw.pit_gc(node, now)
-            node.table.gc(now)
         nxt = now + GC_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_GC)

@@ -10,9 +10,10 @@ from ntorrent_sim.names import Bitmap, BitmapAnnounce, PieceInterest
 
 
 def make_app(seeder=False, n_pieces=8, cfg=None, node_id="n1", torrent="movie1", seed=3):
-    return PeerApp(node_id=node_id, torrent=torrent, seeder=seeder, cfg=cfg or AppConfig(),
-                   have=Bitmap(n_pieces), data_response_delay_us=1_000,
-                   rng=random.Random(seed))
+    app = PeerApp(node_id=node_id, torrent=torrent, seeder=seeder, cfg=cfg or AppConfig(),
+                  have=Bitmap(n_pieces), data_response_delay_us=1_000, master_seed=0)
+    app.rng = random.Random(seed)
+    return app
 
 
 def originated(calls):

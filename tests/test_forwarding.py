@@ -30,15 +30,21 @@ from ntorrent_sim.names import (
     piece_name,
     render_name,
 )
+from ntorrent_sim.scenario import TorrentSpec
 from ntorrent_sim.strategies import StrategyParams, peer_decide, pure_decide
 
 PIECE = piece_name("movie1", 3)
 KEY = render_name(PIECE)
 
 
+def piece_store(piece_bytes=1024):
+    """A store over the declared torrent movie1, 8 pieces of piece_bytes."""
+    return PieceStore({"movie1": TorrentSpec("movie1", n_pieces=8, piece_bytes=piece_bytes)})
+
+
 def forwarder_node(p=1.0, params=None, store=None):
     node = NodeState(node_id="f0", strategy=StrategyParams(p_forward=p),
-                     store=store or PieceStore(), params=params or ForwardingParams(),
+                     store=store or piece_store(), params=params or ForwardingParams(),
                      master_seed=0)
     node.rng = rng()
     return node
@@ -66,7 +72,7 @@ class FakeApp:
 
 
 def peer_node(own="movie1", store=None):
-    node = NodeState(node_id="p0", strategy=StrategyParams(), store=store or PieceStore(),
+    node = NodeState(node_id="p0", strategy=StrategyParams(), store=store or piece_store(),
                      params=ForwardingParams(), master_seed=0, app=FakeApp(own))
     node.rng = rng()
     return node
@@ -123,8 +129,7 @@ def test_new_nonce_joins_existing_entry(out):
 
 
 def test_store_holder_schedules_data_instead_of_forwarding(out):
-    store = PieceStore()
-    store.ensure("movie1", 8, 1024)
+    store = piece_store()
     store.add("movie1", 3)
     node = forwarder_node(store=store)
     on_incoming_interest(node, interest(), 0, out)
@@ -319,8 +324,7 @@ def test_nonce_suppression_survives_multiple_rounds(out):
 
 
 def test_overheard_cache_absorbs_when_enabled(out):
-    store = PieceStore()
-    store.ensure("movie1", 8, 1024)
+    store = piece_store()
     node = forwarder_node(params=ForwardingParams(cache_overheard_data=True),
                           store=store)
     on_incoming_data(node, data_pkt(), 0, out)
@@ -359,8 +363,7 @@ def test_relayed_copies_keep_the_name_and_count_the_hop(out):
 # -- deferred emission ------------------------------------------------------------
 
 def emitting_node():
-    store = PieceStore()
-    store.ensure("movie1", 8, 512)
+    store = piece_store(piece_bytes=512)
     store.add("movie1", 3)
     return forwarder_node(store=store)
 
@@ -428,12 +431,24 @@ def test_pit_gc_boundary_and_dead_nonce_purge(out):
     assert "send" in kinds(out.take())
 
 
-def test_piece_store_ensure_is_idempotent():
-    store = PieceStore()
-    first = store.ensure("movie1", 8, 1024)
+def test_pit_gc_also_expires_the_overheard_name_table():
+    node = peer_node()
+    node.table.touch("movie2", 0, 10_000_000)
+    assert pit_gc(node, 10_000_000 - 1) == 0
+    assert node.table._expiry == {"movie2": 10_000_000}
+    pit_gc(node, 10_000_000)  # expiry exactly at now is stale
+    assert node.table._expiry == {}
+
+
+def test_piece_store_makes_a_bitmap_once_on_first_use():
+    store = piece_store()
+    # asking an unwritten or undeclared torrent makes no bitmap
+    assert not store.has("movie1", 2)
+    assert not store.has("movie9", 0)
+    assert store._bitmaps == {}
+    first = store.bitmap("movie1")
     first.set(2)
-    again = store.ensure("movie1", 8, 1024)
-    assert again is first
+    assert store.bitmap("movie1") is first
+    assert first.n_pieces == 8
     assert store.piece_bytes("movie1") == 1024
     assert store.has("movie1", 2)
-    assert not store.has("movie9", 0)

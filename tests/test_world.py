@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from conftest import Recorder
@@ -212,10 +213,10 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
             node_id: station.anchor if station.walk is None else position_at(
                 station.anchor, station.walk, station.epoch_start_us, now, cfg.grid)
             for node_id, station in world._stations.items()}
-        # the sender's medium stream, or a fresh one before its first transmission
+        # the sender's medium stream; the first read derives it
         own = world._stations[sender]
         scan_rng = random.Random()
-        scan_rng.setstate((own.medium or derive_stream(3, "medium", sender)).getstate())
+        scan_rng.setstate(own.medium.getstate())
         expected = broadcast_receivers(sender, positions, cfg.radio, scan_rng)
         pruned_broadcast(sender, pkt)
         assert picked.pop() == expected, (case, now, sender)
@@ -423,34 +424,66 @@ def test_streams_are_derived_lazily_and_once(derived):
     world = World(build_five_node(), 1)
     peers = [node_id for node_id, node in world.nodes.items() if node.app is not None]
     assert len(peers) == 4
-    assert sorted(derived) == sorted([("app", node_id) for node_id in peers]
-                                     + [("mobility", node_id) for node_id in world.nodes])
+    # placed static nodes draw no place and no leg; each app draws at its start
+    assert sorted(derived) == sorted([("app", node_id) for node_id in peers])
     world.run()
     assert all(len(streams) == 1 for streams in derived.values())
+    # nothing walks and the radio loses nothing, so no draw needs these streams
+    assert not [key for key in derived if key[0] in ("mobility", "medium")]
+
+
+def held_streams(world):
+    """(purpose, node) -> stream for every stream a record of world holds, read
+    from the instance dicts, where engine.stream stores them, so that reading
+    them here derives nothing."""
+    held = {}
+    for node_id, node in world.nodes.items():
+        station = vars(world._stations[node_id])
+        records = [("mobility", station, "mobility"), ("medium", station, "medium"),
+                   ("strategy", vars(node), "rng")]
+        if node.app is not None:
+            records.append(("app", vars(node.app), "rng"))
+        for purpose, attrs, attr in records:
+            if attr in attrs:
+                held[purpose, node_id] = attrs[attr]
+    return held
 
 
 def test_each_record_owns_its_node_streams(derived):
-    world = World(build_five_node(1.0), master_seed=1)
-    world.run()
-    owners = {}
-    for node_id, node in world.nodes.items():
-        station = world._stations[node_id]
-        owners["mobility", node_id] = station.mobility
-        owners["medium", node_id] = station.medium
-        # read from the instance dict, where engine.cached stores it, so that
-        # reading it here derives nothing
-        owners["strategy", node_id] = node.__dict__.get("rng")
-        if node.app is not None:
-            owners["app", node_id] = node.app.rng
-    assert len(owners) == 19
-    # every stream was derived once during the run and is still held by its owner
-    assert sorted(derived) == sorted(owners)
-    for (purpose, node_id), owner in owners.items():
-        [(stream, state)] = derived[purpose, node_id]
-        assert owner is stream, (purpose, node_id)
-        first = random.Random()
-        first.setstate(state)
-        assert first.random() == derive_stream(1, purpose, node_id).random()
+    five_node = build_five_node(1.0)
+    lossy = validate(replace(five_node, radio=replace(five_node.radio, loss_prob=0.1)))
+    field = build_random_field(12, 3)
+    for cfg in (five_node, lossy, field):
+        derived.clear()
+        world = World(cfg, master_seed=1)
+        placed = {node_id for purpose, node_id in derived if purpose == "mobility"}
+        world.run()
+        owners = held_streams(world)
+        by_purpose = defaultdict(set)
+        for purpose, node_id in owners:
+            by_purpose[purpose].add(node_id)
+        senders = {rec.node for rec in world.trace if rec.event in (tc.INTEREST_TX, tc.DATA_TX)}
+        assert by_purpose["strategy"] == set(world.nodes)
+        assert by_purpose["app"] == {node_id for node_id, node in world.nodes.items()
+                                     if node.app is not None}
+        if cfg is field:
+            # every node draws its place from its mobility stream at construction
+            assert placed == by_purpose["mobility"] == set(world.nodes)
+        else:
+            assert not by_purpose["mobility"]
+        if cfg is lossy:
+            # derived exactly for the nodes that transmitted: all five here
+            assert by_purpose["medium"] == senders == set(world.nodes)
+        else:
+            assert not by_purpose["medium"]
+        # every stream was derived once during the run and is still held by its owner
+        assert sorted(derived) == sorted(owners)
+        for (purpose, node_id), owner in owners.items():
+            [(stream, state)] = derived[purpose, node_id]
+            assert owner is stream, (purpose, node_id)
+            first = random.Random()
+            first.setstate(state)
+            assert first.random() == derive_stream(1, purpose, node_id).random()
 
 
 def test_own_interest_is_sent_at_once_without_a_strategy_coin():
