@@ -2,16 +2,20 @@
 
 Walkers pick a fresh heading and speed at fixed 20 s epochs and travel in a
 straight line between epochs, reflecting specularly off the grid walls; a
-leg's velocity is computed once. Radio reception is a closed disk: every node
+leg's velocity is computed once, and so is its straight-line window, the time
+it runs before it first meets a wall, within which its position is plain
+arithmetic. Radio reception is a closed disk: every node
 within range hears a broadcast after one fixed hop delay, except the sender
 itself. The world computes exact positions only for candidate receivers (see
-`World._positions_near`) and then applies the exact disk test to them.
+`World._positions_near`) and then applies the exact disk test to them; a
+static sender whose candidates are all static makes that test once.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import cached
 
@@ -22,8 +26,7 @@ SPEED_MAX_MS = 10.0
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     x: float
     y: float
 
@@ -60,10 +63,28 @@ def walk_epoch(rng: random.Random) -> WalkState:
     return WalkState(heading, speed)
 
 
+def _wall_time(coord: float, velocity: float, limit: float) -> float:
+    """Seconds until coord, moving at velocity, meets a wall of [0, limit]."""
+    if velocity > 0.0:
+        return (limit - coord) / velocity
+    if velocity < 0.0:
+        return coord / -velocity
+    return math.inf
+
+
+def _nudge_inside(coord: float, limit: float) -> float:
+    """A coordinate on or past a wall, moved to the nearest float inside."""
+    if coord <= 0.0:
+        return math.nextafter(0.0, limit)
+    if coord >= limit:
+        return math.nextafter(limit, 0.0)
+    return coord
+
+
 def _advance_reflect(coord: float, velocity: float, dt_s: float, limit: float) -> float:
     # walk wall crossings one at a time; each bounce flips the velocity sign
     while dt_s > 0.0 and velocity != 0.0:
-        t_wall = (limit - coord) / velocity if velocity > 0.0 else coord / -velocity
+        t_wall = _wall_time(coord, velocity, limit)
         if t_wall >= dt_s:
             coord += velocity * dt_s
             break
@@ -76,11 +97,7 @@ def _advance_reflect(coord: float, velocity: float, dt_s: float, limit: float) -
         coord = limit if velocity > 0.0 else 0.0
         velocity = -velocity
         dt_s -= t_wall
-    if coord <= 0.0:
-        coord = math.nextafter(0.0, limit)
-    elif coord >= limit:
-        coord = math.nextafter(limit, 0.0)
-    return coord
+    return _nudge_inside(coord, limit)
 
 
 def position_at(initial: Position, state: WalkState, t0_us: int, t_us: int,
@@ -98,6 +115,52 @@ def position_at(initial: Position, state: WalkState, t0_us: int, t_us: int,
         _advance_reflect(initial.x, vx, dt_s, bounds.width),
         _advance_reflect(initial.y, vy, dt_s, bounds.height),
     )
+
+
+class Leg:
+    """A walk leg: state's velocity from anchor, starting at t0_us.
+
+    position(t_us) is position_at(anchor, state, t0_us, t_us, bounds), bit for
+    bit. Until the leg first meets a wall, _advance_reflect takes its first
+    branch on both axes, so within that window, computed on the first query,
+    the position is anchor + v * dt_s nudged inside, without position_at. A
+    second query in the same microsecond returns the position this leg
+    computed for the first.
+    """
+
+    __slots__ = ("anchor", "state", "t0_us", "bounds", "_window", "_last_us", "_last")
+
+    def __init__(self, anchor: Position, state: WalkState, t0_us: int,
+                 bounds: GridBounds) -> None:
+        self.anchor = anchor
+        self.state = state
+        self.t0_us = t0_us
+        self.bounds = bounds
+        self._window: float | None = None
+        self._last_us = -1
+        self._last: Position | None = None
+
+    def position(self, t_us: int) -> Position:
+        if t_us == self._last_us:
+            return self._last
+        dt_s = (t_us - self.t0_us) / 1e6
+        x0, y0 = self.anchor
+        vx, vy = self.state.velocity
+        width, height = self.bounds.width, self.bounds.height
+        window = self._window
+        if window is None:
+            window = self._window = min(_wall_time(x0, vx, width), _wall_time(y0, vy, height))
+        if 0.0 <= dt_s <= window:
+            x = x0 + vx * dt_s
+            y = y0 + vy * dt_s
+            if not (0.0 < x < width and 0.0 < y < height):
+                x, y = _nudge_inside(x, width), _nudge_inside(y, height)
+            pos = Position(x, y)
+        else:
+            pos = position_at(self.anchor, self.state, self.t0_us, t_us, self.bounds)
+        self._last_us = t_us
+        self._last = pos
+        return pos
 
 
 def in_range(a: Position, b: Position, radio: RadioConfig) -> bool:

@@ -57,6 +57,11 @@ REASON_COLLISION = "COLLISION"
 
 DROP_DECISIONS = frozenset({REASON_PROB_DROP, REASON_FOREIGN_LEARN, REASON_UNKNOWN_DROP})
 
+# the events metrics_from_trace counts; it passes over every other row
+_COUNTED = frozenset({INTEREST_TX, DATA_TX, PIECE_RX, COMPLETED, DROP, DECISION})
+# the counted events whose node must be in `nodes`
+_NODE_COUNTED = frozenset({INTEREST_TX, DATA_TX, PIECE_RX, DROP, DECISION})
+
 TRACE_COLUMNS = ("time_us", "node", "event", "name", "detail")
 POSITION_COLUMNS = ("time_us", "node", "x", "y")
 
@@ -128,10 +133,11 @@ def detail_fields(detail: str) -> dict[str, str]:
 
 
 def _position_rows(records: Iterable[TraceRecord]):
-    for rec in records:
-        if rec.event == POSITION:
-            fields = detail_fields(rec.detail)
-            yield rec.time_us, rec.node, fields["x"], fields["y"]
+    for time_us, node, event, _, detail in records:
+        if event == POSITION:
+            # the World writes every POSITION detail as x=...;y=...
+            x, y = detail[2:].split(";y=")
+            yield time_us, node, x, y
 
 
 def write_positions_csv(path: str, records: Iterable[TraceRecord]) -> None:
@@ -171,38 +177,38 @@ def metrics_from_trace(records: Iterable[TraceRecord],
 
     leechers maps leecher node id to its torrent (so never-completed leechers
     still get a row); nodes lists every node for zero-filled counters. An
-    interest, data, drop or decision row from a node not in nodes, or a
+    interest, data, piece, drop or decision row from a node not in nodes, or a
     completion row from a node not in leechers, raises ValueError.
     """
-    summary = MetricsSummary(
-        per_leecher={nid: LeecherMetrics(torrent) for nid, torrent in sorted(leechers.items())},
-        per_node={nid: NodeCounters() for nid in sorted(nodes)},
-    )
-    for rec in records:
-        counters = summary.per_node.get(rec.node)
-        if counters is None and rec.event in (INTEREST_TX, DATA_TX, DROP, DECISION):
-            raise ValueError(f"trace row {rec.event} from unknown node {rec.node!r}")
-        if rec.event == INTEREST_TX:
+    per_leecher = {nid: LeecherMetrics(torrent) for nid, torrent in sorted(leechers.items())}
+    per_node = {nid: NodeCounters() for nid in sorted(nodes)}
+    total_tx = pieces_delivered = 0
+    for time_us, node, event, _, detail in records:
+        if event not in _COUNTED:
+            continue
+        counters = per_node.get(node)
+        if counters is None and event in _NODE_COUNTED:
+            raise ValueError(f"trace row {event} from unknown node {node!r}")
+        if event == INTEREST_TX:
             counters.interests_tx += 1
-            summary.total_tx += 1
-        elif rec.event == DATA_TX:
+            total_tx += 1
+        elif event == DATA_TX:
             counters.data_tx += 1
-            summary.total_tx += 1
-        elif rec.event == PIECE_RX:
-            summary.pieces_delivered += 1
-        elif rec.event == COMPLETED:
-            metrics = summary.per_leecher.get(rec.node)
+            total_tx += 1
+        elif event == PIECE_RX:
+            pieces_delivered += 1
+        elif event == COMPLETED:
+            metrics = per_leecher.get(node)
             if metrics is None:
-                raise ValueError(f"trace row {rec.event} from non-leecher node {rec.node!r}")
+                raise ValueError(f"trace row {event} from non-leecher node {node!r}")
             metrics.completed = True
-            metrics.completion_time_us = rec.time_us
-        elif rec.event == DROP:
-            counters.drops[rec.detail] = counters.drops.get(rec.detail, 0) + 1
-        elif rec.event == DECISION and rec.detail in DROP_DECISIONS:
-            counters.drops[rec.detail] = counters.drops.get(rec.detail, 0) + 1
-    if summary.pieces_delivered > 0:
-        summary.overhead_ratio = summary.total_tx / summary.pieces_delivered
-    return summary
+            metrics.completion_time_us = time_us
+        elif event == DROP or detail in DROP_DECISIONS:  # a DECISION that drops
+            counters.drops[detail] = counters.drops.get(detail, 0) + 1
+    return MetricsSummary(
+        per_leecher=per_leecher, per_node=per_node, total_tx=total_tx,
+        pieces_delivered=pieces_delivered,
+        overhead_ratio=total_tx / pieces_delivered if pieces_delivered > 0 else None)
 
 
 def write_metrics_csv(path: str, summary: MetricsSummary) -> None:

@@ -26,16 +26,15 @@ from typing import Callable
 from . import forwarding as fw
 from . import trace as tc
 from .app import PeerApp
-from .engine import EventLoop, RunReport, stream
+from .engine import EventLoop, RunReport, cached, stream
 from .mobility import (
     EPOCH_INTERVAL_US,
     SPEED_MAX_MS,
     GridBounds,
+    Leg,
     Position,
-    WalkState,
     broadcast_receivers,
     in_range,
-    position_at,
     walk_epoch,
 )
 from .names import Data, Interest, Name
@@ -68,16 +67,16 @@ class _Station:
     master_seed: int
     place: InitVar[tuple[float, float] | None]  # None: drawn from the mobility stream
     grid: InitVar[GridBounds]
-    anchor: Position = field(init=False)
+    anchor: Position = field(init=False)  # where the node was placed
     # a position the node had at seen_us, to within rounding (a static node's
     # anchor); _positions_near bounds where it can be now from it
     seen: Position = field(init=False)
     seen_us: int = 0
-    epoch_start_us: int = 0
-    walk: WalkState | None = None  # None for static nodes
+    leg: Leg | None = None  # the walk leg it is on; None for static nodes
     # filled by _reach before the node's first transmission
     candidates: list[tuple[str, _Station]] | None = None
-    fixed: dict[str, Position] | None = None
+    # a static sender whose candidates are all static: the ones in range, in order
+    hearers: list[str] | None = None
     # collision mode: the deliveries on their way to this node
     inflight: list[_DeliveryMark] = field(default_factory=list)
 
@@ -89,6 +88,15 @@ class _Station:
             place = (self.mobility.uniform(0.0, grid.width),
                      self.mobility.uniform(0.0, grid.height))
         self.anchor = self.seen = Position(*place)
+
+    @cached
+    def fixed_detail(self) -> str:
+        """A static node's POSITION detail, the same at every sample."""
+        return _position_detail(self.anchor)
+
+
+def _position_detail(pos: Position) -> str:
+    return f"x={pos.x!r};y={pos.y!r}"
 
 
 class World:
@@ -127,7 +135,7 @@ class World:
                 params=cfg.forwarding, master_seed=self.master_seed, app=app)
             station = _Station(spec.node_id, self.master_seed, spec.position, cfg.grid)
             if spec.mobility is MobilityKind.RANDOM_WALK:
-                self._new_leg(spec.node_id, station)
+                self._new_leg(spec.node_id, station, station.anchor)
             self._stations[spec.node_id] = station
 
     def _schedule_initial(self) -> None:
@@ -135,7 +143,7 @@ class World:
         self.loop.schedule(0, EV_TIMER, None, ("sample",))
         if cfg.duration_us > 0:
             self.loop.schedule(min(GC_INTERVAL_US, cfg.duration_us), EV_GC)
-            if any(station.walk is not None for station in self._stations.values()):
+            if any(station.leg is not None for station in self._stations.values()):
                 self.loop.schedule(min(EPOCH_INTERVAL_US, cfg.duration_us), EV_MOBILITY)
         for node in self.nodes.values():
             if node.app is not None:
@@ -143,18 +151,20 @@ class World:
 
     # -- helpers --------------------------------------------------------------
 
-    def _new_leg(self, node_id: str, station: _Station) -> None:
-        """Draw the station's next walk leg from its mobility stream and note it."""
-        walk = station.walk = walk_epoch(station.mobility)
+    def _new_leg(self, node_id: str, station: _Station, start: Position) -> None:
+        """Start the station's next walk leg from start now, drawn from its
+        mobility stream, and note it."""
+        walk = walk_epoch(station.mobility)
+        station.leg = Leg(start, walk, self.loop.now_us, self.cfg.grid)
         self.note(node_id, tc.WALK_EPOCH, "",
                   f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
 
     def position_of(self, node_id: str, t_us: int) -> Position:
         station = self._stations[node_id]
-        if station.walk is None:
+        leg = station.leg
+        if leg is None:
             return station.anchor
-        station.seen = position_at(station.anchor, station.walk, station.epoch_start_us,
-                                   t_us, self.cfg.grid)
+        station.seen = leg.position(t_us)
         station.seen_us = t_us
         return station.seen
 
@@ -199,30 +209,30 @@ class World:
     def _reach(self, sender: str, own: _Station) -> None:
         """Fill own before sender's first transmission: its candidates, the nodes
         that may hear it in insertion order (every other node for a walking
-        sender, else the walkers and the static nodes in range); and its and
-        their anchors as fixed, for good, when none of them walks."""
+        sender, else the walkers and the static nodes in range); and, when none
+        of them walks, their ids as its hearers for good, since the disk test
+        broadcast_receivers would make on every frame is the one made here."""
         own.candidates = [(node_id, station) for node_id, station in self._stations.items()
                           if node_id != sender and (
-                              own.walk is not None or station.walk is not None
+                              own.leg is not None or station.leg is not None
                               or in_range(own.anchor, station.anchor, self.cfg.radio))]
-        if own.walk is None and all(station.walk is None for _, station in own.candidates):
-            own.fixed = {sender: own.anchor,
-                         **{node_id: station.anchor for node_id, station in own.candidates}}
+        if own.leg is None and all(station.leg is None for _, station in own.candidates):
+            own.hearers = [node_id for node_id, _ in own.candidates]
 
     def _positions_near(self, sender: str, own: _Station, now: int) -> dict[str, Position]:
         """Exact positions of sender, then of each candidate that may be in
         range now, in insertion order; broadcast_receivers' exact disk test
         then decides."""
-        origin = self.position_of(sender, now)
+        ox, oy = origin = self.position_of(sender, now)
         reach = self.cfg.radio.range_m + self._margin_m
         positions = {sender: origin}
         for node_id, station in own.candidates:
-            seen = station.seen
+            sx, sy = station.seen
+            leg = station.leg
             # reflection only folds a walker's path, so it is now at most
             # speed * elapsed from where it was last seen
-            slack = 0.0 if station.walk is None else (
-                station.walk.speed_ms * (now - station.seen_us) / 1e6)
-            if math.hypot(seen.x - origin.x, seen.y - origin.y) <= reach + slack:
+            slack = 0.0 if leg is None else leg.state.speed_ms * (now - station.seen_us) / 1e6
+            if math.hypot(sx - ox, sy - oy) <= reach + slack:
                 positions[node_id] = self.position_of(node_id, now)
         return positions
 
@@ -231,12 +241,15 @@ class World:
         own = self._stations[sender]
         if own.candidates is None:
             self._reach(sender, own)
-        positions = own.fixed
-        if positions is None:
-            positions = self._positions_near(sender, own, now)
         radio = self.cfg.radio
-        receivers = broadcast_receivers(sender, positions, radio,
-                                        own.medium if radio.loss_prob > 0.0 else None)
+        receivers = own.hearers
+        if receivers is None:
+            receivers = broadcast_receivers(sender, self._positions_near(sender, own, now),
+                                            radio, own.medium if radio.loss_prob > 0.0 else None)
+        elif radio.loss_prob > 0.0:
+            # one loss coin per hearer, in order, as broadcast_receivers draws them
+            coin = own.medium.random
+            receivers = [node_id for node_id in receivers if not coin() < radio.loss_prob]
         arrival = now + radio.one_hop_delay_us
         for receiver in receivers:
             mark = None
@@ -280,9 +293,12 @@ class World:
         tag = payload[0]
         now = self.loop.now_us
         if tag == "sample":
-            for node_id in self.nodes:
-                pos = self.position_of(node_id, now)
-                self.note(node_id, tc.POSITION, "", f"x={pos.x!r};y={pos.y!r}")
+            for node_id, station in self._stations.items():
+                if station.leg is None:
+                    detail = station.fixed_detail
+                else:
+                    detail = _position_detail(self.position_of(node_id, now))
+                self.note(node_id, tc.POSITION, "", detail)
             nxt = now + self.cfg.position_sample_interval_us
             if nxt <= self.cfg.duration_us:
                 self.loop.schedule(nxt, EV_TIMER, None, ("sample",))
@@ -297,12 +313,10 @@ class World:
     def _on_mobility_epoch(self) -> None:
         now = self.loop.now_us
         for node_id, station in self._stations.items():
-            if station.walk is None:
+            if station.leg is None:
                 continue
             # the old leg's end is the new leg's start and its last seen position
-            station.anchor = self.position_of(node_id, now)
-            station.epoch_start_us = now
-            self._new_leg(node_id, station)
+            self._new_leg(node_id, station, self.position_of(node_id, now))
         nxt = now + EPOCH_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_MOBILITY)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from ntorrent_sim import mobility
 from ntorrent_sim.mobility import (
     SPEED_MAX_MS,
     SPEED_MIN_MS,
     GridBounds,
+    Leg,
     Position,
     RadioConfig,
     WalkState,
@@ -118,6 +120,45 @@ def test_position_query_before_leg_start_rejected():
     state = WalkState(0.0, 5.0)
     with pytest.raises(ValueError):
         position_at(Position(0.0, 0.0), state, 1_000, 999, GridBounds(10.0, 10.0))
+
+
+def test_a_straight_line_window_that_ends_on_a_whole_microsecond(monkeypatch):
+    # from x = 50 at 10 m/s toward the wall at x = 100, the leg meets it after
+    # exactly 5 s: that instant is inside the window, the next microsecond is not
+    bounds = GridBounds(100.0, 100.0)
+    state = WalkState(heading_rad=0.0, speed_ms=10.0)
+    leg = Leg(Position(50.0, 30.0), state, 2_000_000, bounds)
+    exact = position_at
+    slow = []
+
+    def counting_position_at(*args):
+        slow.append(args[3])
+        return exact(*args)
+
+    monkeypatch.setattr(mobility, "position_at", counting_position_at)
+    at_wall = leg.position(7_000_000)
+    assert at_wall == (math.nextafter(100.0, 0.0), 30.0)
+    assert slow == []
+    bounced = leg.position(7_000_001)
+    assert slow == [7_000_001]
+    assert 99.9999 < bounced.x < at_wall.x
+    for t_us, pos in ((7_000_000, at_wall), (7_000_001, bounced)):
+        want = exact(leg.anchor, state, leg.t0_us, t_us, bounds)
+        assert [c.hex() for c in pos] == [c.hex() for c in want]
+    # a second query in the same microsecond computes nothing
+    assert leg.position(7_000_001) is bounced
+    assert slow == [7_000_001]
+    with pytest.raises(ValueError):
+        leg.position(1_999_999)
+
+
+def test_a_leg_from_a_wall_starts_just_inside_it():
+    # a drawn or placed anchor may lie on 0.0; position_at moves it one step in
+    bounds = GridBounds(100.0, 100.0)
+    state = WalkState(heading_rad=math.pi, speed_ms=10.0)
+    leg = Leg(Position(0.0, 30.0), state, 0, bounds)
+    assert leg.position(0) == position_at(leg.anchor, state, 0, 0, bounds)
+    assert leg.position(0).x == math.nextafter(0.0, 100.0)
 
 
 @given(

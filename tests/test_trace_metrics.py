@@ -1,11 +1,16 @@
 """Trace CSV round trips and the metrics reduction over traces."""
 import csv
+import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ntorrent_sim import trace as tc
 from ntorrent_sim.trace import (
+    LeecherMetrics,
+    MetricsSummary,
+    NodeCounters,
     TraceRecord,
     detail_fields,
     metrics_from_trace,
@@ -160,6 +165,8 @@ def test_forwarding_decisions_count_only_drop_reasons():
     (tc.INTEREST_TX, "nonce=00000000000000ff;hop=0;origin=ghost"),
     (tc.DATA_TX, "hop=0;origin=ghost;bytes=1024"),
     (tc.DROP, tc.REASON_PIT_DUP),
+    (tc.DECISION, tc.REASON_PROB_FWD),
+    (tc.PIECE_RX, "piece=0"),
 ])
 def test_rows_from_unknown_nodes_are_rejected(event, detail):
     records = [TraceRecord(0, "ghost", event, "/ntorrent/movie1/data/0", detail)]
@@ -197,3 +204,102 @@ def test_metrics_csv_layout(tmp_path):
     # the float is written with repr so rereading it loses nothing
     overhead_row = [r for r in rows if r[0] == "overhead_ratio"][0]
     assert float(overhead_row[3]) == 3 / 7
+
+
+# -- the one-pass readers against the per-row reductions they replace -----------
+
+def reference_metrics(records, leechers, nodes):
+    """The per-row reduction metrics_from_trace must equal: each row's fields
+    read by name, and a PIECE_RX row from an unknown node rejected."""
+    summary = MetricsSummary(
+        per_leecher={nid: LeecherMetrics(torrent) for nid, torrent in sorted(leechers.items())},
+        per_node={nid: NodeCounters() for nid in sorted(nodes)},
+    )
+    for rec in records:
+        counters = summary.per_node.get(rec.node)
+        if counters is None and rec.event in (tc.INTEREST_TX, tc.DATA_TX, tc.PIECE_RX,
+                                              tc.DROP, tc.DECISION):
+            raise ValueError(f"trace row {rec.event} from unknown node {rec.node!r}")
+        if rec.event == tc.INTEREST_TX:
+            counters.interests_tx += 1
+            summary.total_tx += 1
+        elif rec.event == tc.DATA_TX:
+            counters.data_tx += 1
+            summary.total_tx += 1
+        elif rec.event == tc.PIECE_RX:
+            summary.pieces_delivered += 1
+        elif rec.event == tc.COMPLETED:
+            metrics = summary.per_leecher.get(rec.node)
+            if metrics is None:
+                raise ValueError(f"trace row {rec.event} from non-leecher node {rec.node!r}")
+            metrics.completed = True
+            metrics.completion_time_us = rec.time_us
+        elif rec.event == tc.DROP:
+            counters.drops[rec.detail] = counters.drops.get(rec.detail, 0) + 1
+        elif rec.event == tc.DECISION and rec.detail in tc.DROP_DECISIONS:
+            counters.drops[rec.detail] = counters.drops.get(rec.detail, 0) + 1
+    if summary.pieces_delivered > 0:
+        summary.overhead_ratio = summary.total_tx / summary.pieces_delivered
+    return summary
+
+
+EVENTS = [tc.INTEREST_TX, tc.INTEREST_RX, tc.DATA_TX, tc.DATA_RX, tc.DECISION, tc.DROP,
+          tc.SATISFY, tc.BEACON_TX, tc.BITMAP_TX, tc.PIECE_REQ, tc.PIECE_RX, tc.COMPLETED,
+          tc.POSITION, tc.WALK_EPOCH, tc.END]
+DETAILS = [tc.REASON_PROB_FWD, tc.REASON_PROB_DROP, tc.REASON_FOREIGN_LEARN,
+           tc.REASON_FOREIGN_FWD, tc.REASON_OWN_APP, tc.REASON_UNKNOWN_DROP,
+           tc.REASON_PIT_DUP, tc.REASON_UNSOLICITED, tc.REASON_HOP_CAP,
+           tc.REASON_EMIT_STALE, tc.REASON_COLLISION, "", "piece=0"]
+KNOWN = ["n0", "n1", "n2"]
+rows = st.builds(TraceRecord, st.integers(0, 10**9),
+                 st.sampled_from(KNOWN + ["", "ghost"]), st.sampled_from(EVENTS),
+                 st.just("/ntorrent/movie1/data/0"), st.sampled_from(DETAILS))
+
+
+def reduce_or_raise(reduction, records, leechers):
+    try:
+        return reduction(records, leechers, KNOWN)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@given(records=st.lists(rows, max_size=40),
+       leechers=st.dictionaries(st.sampled_from(KNOWN + ["ghost"]),
+                                st.sampled_from(["movie1", "movie2"])))
+@settings(max_examples=400)
+def test_metrics_equal_the_per_row_reduction(records, leechers):
+    # the same summary, or the same exception and message from the first bad row
+    assert (reduce_or_raise(metrics_from_trace, records, leechers)
+            == reduce_or_raise(reference_metrics, records, leechers))
+
+
+def reference_positions(path, records):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(tc.POSITION_COLUMNS)
+        for rec in records:
+            if rec.event == tc.POSITION:
+                fields = detail_fields(rec.detail)
+                writer.writerow((rec.time_us, rec.node, fields["x"], fields["y"]))
+
+
+SIDE = 300.0
+coords = st.one_of(
+    st.floats(0.0, SIDE),
+    st.sampled_from([0.0, 1e-05, 5e-324, math.nextafter(0.0, SIDE),
+                     math.nextafter(SIDE, 0.0), SIDE, 1e16, 123456789.0]))
+position_rows = st.builds(
+    lambda t, node, x, y: TraceRecord(t, node, tc.POSITION, "", f"x={x!r};y={y!r}"),
+    st.integers(0, 10**9), st.sampled_from(KNOWN), coords, coords)
+other_rows = st.builds(TraceRecord, st.integers(0, 10**9), st.sampled_from(KNOWN),
+                       st.sampled_from([tc.INTEREST_TX, tc.WALK_EPOCH, tc.END]),
+                       st.just(""), st.just("x=1.0;y=2.0;z=3.0"))
+
+
+@given(records=st.lists(st.one_of(position_rows, other_rows), max_size=30))
+@settings(max_examples=200)
+def test_positions_csv_equals_the_detail_fields_projection(records, tmp_path_factory):
+    out = tmp_path_factory.mktemp("positions")
+    write_positions_csv(str(out / "got.csv"), records)
+    reference_positions(str(out / "want.csv"), records)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()

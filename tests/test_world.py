@@ -12,6 +12,7 @@ import pytest
 from conftest import Recorder
 
 from ntorrent_sim import forwarding as fw
+from ntorrent_sim import mobility
 from ntorrent_sim import trace as tc
 from ntorrent_sim import world as world_module
 from ntorrent_sim.engine import derive_stream
@@ -193,33 +194,41 @@ PRUNING_CASES = {
 }
 
 
+def exact_positions(world, now):
+    """Every node's position at now, each walker's from position_at."""
+    return {node_id: station.anchor if station.leg is None else position_at(
+                station.leg.anchor, station.leg.state, station.leg.t0_us, now, world.cfg.grid)
+            for node_id, station in world._stations.items()}
+
+
 @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
-def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypatch):
+def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case):
     cfg = PRUNING_CASES[case]
     world = World(cfg, master_seed=3)
-    picked = []
+    delivered = []
+    schedule = world.loop.schedule
 
-    def recording_receivers(*args):
-        picked.append(broadcast_receivers(*args))
-        return picked[-1]
+    def recording_schedule(time_us, kind, target=None, payload=None):
+        if kind == world_module.EV_DELIVERY:
+            delivered.append((time_us, target))
+        schedule(time_us, kind, target, payload)
 
-    monkeypatch.setattr(world_module, "broadcast_receivers", recording_receivers)
+    world.loop.schedule = recording_schedule
     pruned_broadcast = world._broadcast
     covered = {"tx": 0, "after_epoch": 0, "exact_range_pair": 0}
 
     def checked_broadcast(sender, pkt):
         now = world.loop.now_us
-        positions = {
-            node_id: station.anchor if station.walk is None else position_at(
-                station.anchor, station.walk, station.epoch_start_us, now, cfg.grid)
-            for node_id, station in world._stations.items()}
         # the sender's medium stream; the first read derives it
         own = world._stations[sender]
         scan_rng = random.Random()
         scan_rng.setstate(own.medium.getstate())
-        expected = broadcast_receivers(sender, positions, cfg.radio, scan_rng)
+        expected = broadcast_receivers(sender, exact_positions(world, now), cfg.radio,
+                                       scan_rng)
+        delivered.clear()
         pruned_broadcast(sender, pkt)
-        assert picked.pop() == expected, (case, now, sender)
+        arrival = now + cfg.radio.one_hop_delay_us
+        assert delivered == [(arrival, node_id) for node_id in expected], (case, now, sender)
         assert own.medium.getstate() == scan_rng.getstate(), (case, now, sender)
         covered["tx"] += 1
         covered["after_epoch"] += now >= EPOCH_INTERVAL_US and now % EPOCH_INTERVAL_US < 50_000
@@ -232,6 +241,38 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
     assert covered["after_epoch"] > 0 or not walkers
     if case == "static":
         assert covered["exact_range_pair"] > 0
+
+
+@pytest.mark.parametrize("case", ["walking", "tiny-grid", "mixed"])
+def test_every_walker_position_equals_position_at_bit_for_bit(case, monkeypatch):
+    cfg = PRUNING_CASES[case]
+    world = World(cfg, master_seed=3)
+    exact = position_at
+    slow = []
+
+    def counting_position_at(*args):
+        slow.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(mobility, "position_at", counting_position_at)
+    position_of = world.position_of
+    queried = []
+
+    def checked_position_of(node_id, t_us):
+        leg = world._stations[node_id].leg
+        got = position_of(node_id, t_us)
+        if leg is not None:
+            want = exact(leg.anchor, leg.state, leg.t0_us, t_us, cfg.grid)
+            assert [c.hex() for c in got] == [c.hex() for c in want], (case, node_id, t_us)
+            queried.append((leg, t_us))
+        return got
+
+    world.position_of = checked_position_of
+    world.run()
+    # some positions came from the straight-line window, some from position_at,
+    # and some repeated a (leg, microsecond) pair
+    assert 0 < len(slow) < len(queried)
+    assert len(set(queried)) < len(queried)
 
 
 # -- collision mode ------------------------------------------------------------
@@ -345,8 +386,9 @@ def test_every_interest_reception_reaches_the_forwarding_plane(cfg, seed, monkey
 
 
 def test_static_line_positions_are_computed_only_by_the_sampler(monkeypatch):
-    # every node of the five-node line is static, so each sender's fixed
-    # neighbourhood serves every transmission, its first included
+    # every node of the five-node line is static: each sender's hearers serve
+    # every transmission, its first included, and each sample reuses the
+    # node's formatted place
     calls = []
     position_of = World.position_of
 
@@ -360,7 +402,7 @@ def test_static_line_positions_are_computed_only_by_the_sampler(monkeypatch):
     samples = [rec for rec in world.trace if rec.event == tc.POSITION]
     assert len(samples) == len(world.nodes) * (
         world.cfg.duration_us // world.cfg.position_sample_interval_us + 1)
-    assert len(calls) == len(samples)
+    assert calls == []
     assert any(rec.event == tc.INTEREST_TX for rec in world.trace)
 
 
