@@ -91,8 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_run(out_dir: str, cfg: ScenarioConfig, seed: int) -> None:
-    trace, metrics = run_scenario(cfg, seed)
+    # an output path that cannot be a directory fails here, before the run
     os.makedirs(out_dir, exist_ok=True)
+    trace, metrics = run_scenario(cfg, seed)
     write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
     write_positions_csv(os.path.join(out_dir, "positions.csv"), trace)
@@ -127,8 +128,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "random-field":
             _write_run(args.out, build_random_field(args.nodes, args.seed), args.seed)
         elif args.command == "sweep":
-            rows = sweep(load_scenario(args.scenario), args.p, args.seeds)
+            cfg = load_scenario(args.scenario)
             os.makedirs(args.out, exist_ok=True)
+            rows = sweep(cfg, args.p, args.seeds)
             path = os.path.join(args.out, "sweep.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")

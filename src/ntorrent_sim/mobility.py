@@ -6,8 +6,10 @@ leg's velocity is computed once, and so is its straight-line window, the time
 it runs before it first meets a wall, within which its position is plain
 arithmetic. Radio reception is a closed disk: every node
 within range hears a broadcast after one fixed hop delay, except the sender
-itself. The world computes exact positions only for candidate receivers (see
-`World._positions_near`) and then applies the exact disk test to them; a
+itself. broadcast_receivers states that rule over a set of exact positions.
+The world applies the same rule without most of them (see
+`World._hearers_near`): bounds on how far a walker can have moved decide
+every candidate but those near the range edge, which get the exact test; a
 static sender whose candidates are all static makes that test once.
 """
 from __future__ import annotations

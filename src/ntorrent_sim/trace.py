@@ -133,11 +133,11 @@ def detail_fields(detail: str) -> dict[str, str]:
 
 
 def _position_rows(records: Iterable[TraceRecord]):
-    for time_us, node, event, _, detail in records:
-        if event == POSITION:
-            # the World writes every POSITION detail as x=...;y=...
-            x, y = detail[2:].split(";y=")
-            yield time_us, node, x, y
+    # most rows are not samples: pick the samples out before unpacking any row
+    for time_us, node, _, _, detail in [rec for rec in records if rec[2] == POSITION]:
+        # the World writes every POSITION detail as x=...;y=...
+        x, y = detail[2:].split(";y=")
+        yield time_us, node, x, y
 
 
 def write_positions_csv(path: str, records: Iterable[TraceRecord]) -> None:

@@ -33,7 +33,6 @@ from .mobility import (
     GridBounds,
     Leg,
     Position,
-    broadcast_receivers,
     in_range,
     walk_epoch,
 )
@@ -69,7 +68,7 @@ class _Station:
     grid: InitVar[GridBounds]
     anchor: Position = field(init=False)  # where the node was placed
     # a position the node had at seen_us, to within rounding (a static node's
-    # anchor); _positions_near bounds where it can be now from it
+    # anchor); _hearers_near bounds where it can be now from it
     seen: Position = field(init=False)
     seen_us: int = 0
     leg: Leg | None = None  # the walk leg it is on; None for static nodes
@@ -77,6 +76,9 @@ class _Station:
     candidates: list[tuple[str, _Station]] | None = None
     # a static sender whose candidates are all static: the ones in range, in order
     hearers: list[str] | None = None
+    # any other sender: per candidate, the µs before which it surely cannot hear
+    # this node (set by _hearers_near)
+    due: list[int] | None = None
     # collision mode: the deliveries on their way to this node
     inflight: list[_DeliveryMark] = field(default_factory=list)
 
@@ -109,8 +111,8 @@ class World:
         self._stations: dict[str, _Station] = {}
         # Positions are exact to a few ulps of the largest length in their
         # arithmetic (a grid side, the range, a 200 m leg), and position_at moves
-        # an anchor on a wall by the smallest step, so this margin on the displacement
-        # bound in _positions_near covers both with room to spare.
+        # an anchor on a wall by the smallest step, so this margin on the bounds
+        # in _hearers_near covers both with room to spare.
         self._margin_m = 1e-9 * (cfg.grid.width + cfg.grid.height + cfg.radio.range_m
                                  + SPEED_MAX_MS * EPOCH_INTERVAL_US / 1e6)
         self._build_nodes()
@@ -211,30 +213,58 @@ class World:
         that may hear it in insertion order (every other node for a walking
         sender, else the walkers and the static nodes in range); and, when none
         of them walks, their ids as its hearers for good, since the disk test
-        broadcast_receivers would make on every frame is the one made here."""
+        every frame would repeat is the one made here; else a due time of 0
+        per candidate for _hearers_near."""
         own.candidates = [(node_id, station) for node_id, station in self._stations.items()
                           if node_id != sender and (
                               own.leg is not None or station.leg is not None
                               or in_range(own.anchor, station.anchor, self.cfg.radio))]
         if own.leg is None and all(station.leg is None for _, station in own.candidates):
             own.hearers = [node_id for node_id, _ in own.candidates]
+        else:
+            own.due = [0] * len(own.candidates)
 
-    def _positions_near(self, sender: str, own: _Station, now: int) -> dict[str, Position]:
-        """Exact positions of sender, then of each candidate that may be in
-        range now, in insertion order; broadcast_receivers' exact disk test
-        then decides."""
-        ox, oy = origin = self.position_of(sender, now)
-        reach = self.cfg.radio.range_m + self._margin_m
-        positions = {sender: origin}
-        for node_id, station in own.candidates:
+    def _hearers_near(self, sender: str, own: _Station, now: int) -> list[str]:
+        """The candidates that hear sender now, in candidate order, as the exact
+        closed-disk test on every exact position decides, with one medium coin
+        per candidate in range when the radio loses frames.
+
+        A walker is now at most speed * elapsed from where it was last seen,
+        since reflection only folds its path, and two nodes close in on each
+        other at no more than 2 * SPEED_MAX_MS. From those bounds a candidate
+        is skipped until its due time, accepted without its exact position
+        when it is surely in range, and tested exactly only near the range
+        edge. One in range stays due now: a sender can transmit twice in a µs.
+        """
+        ox, oy = self.position_of(sender, now)
+        radio = self.cfg.radio
+        range_m = radio.range_m
+        far = range_m + self._margin_m
+        near = range_m - self._margin_m
+        coin = own.medium.random if radio.loss_prob > 0.0 else None
+        candidates = own.candidates
+        due = own.due
+        hearers = []
+        for i, due_us in enumerate(due):
+            if now < due_us:
+                continue
+            node_id, station = candidates[i]
             sx, sy = station.seen
             leg = station.leg
-            # reflection only folds a walker's path, so it is now at most
-            # speed * elapsed from where it was last seen
             slack = 0.0 if leg is None else leg.state.speed_ms * (now - station.seen_us) / 1e6
-            if math.hypot(sx - ox, sy - oy) <= reach + slack:
-                positions[node_id] = self.position_of(node_id, now)
-        return positions
+            gap = math.hypot(sx - ox, sy - oy)
+            lower = gap - slack - far
+            if lower > 0.0:
+                due[i] = now + int(lower * 1e6 / (2.0 * SPEED_MAX_MS))
+                continue
+            if gap + slack > near:
+                x, y = self.position_of(node_id, now)
+                if math.hypot(ox - x, oy - y) > range_m:
+                    continue
+            if coin is not None and coin() < radio.loss_prob:
+                continue
+            hearers.append(node_id)
+        return hearers
 
     def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
         now = self.loop.now_us
@@ -244,10 +274,9 @@ class World:
         radio = self.cfg.radio
         receivers = own.hearers
         if receivers is None:
-            receivers = broadcast_receivers(sender, self._positions_near(sender, own, now),
-                                            radio, own.medium if radio.loss_prob > 0.0 else None)
+            receivers = self._hearers_near(sender, own, now)
         elif radio.loss_prob > 0.0:
-            # one loss coin per hearer, in order, as broadcast_receivers draws them
+            # one loss coin per hearer, in order, as _hearers_near draws them
             coin = own.medium.random
             receivers = [node_id for node_id in receivers if not coin() < radio.loss_prob]
         arrival = now + radio.one_hop_delay_us

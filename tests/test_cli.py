@@ -209,6 +209,26 @@ def test_missing_scenario_file_exits_3(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "SCENARIO"],
+    ["five-node"],
+    ["random-field", "--nodes", "5"],
+    ["sweep", "--scenario", "SCENARIO", "--p", "1.0", "--seeds", "1"],
+], ids=lambda argv: argv[0])
+def test_an_output_path_that_is_a_file_exits_3_before_any_run(
+        tiny_scenario, tmp_path, capsys, monkeypatch, argv):
+    def no_run(cfg, seed):
+        raise AssertionError("the run started before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    argv = [tiny_scenario if arg == "SCENARIO" else arg for arg in argv]
+    assert main(argv + ["--out", str(taken)]) == EXIT_IO
+    assert "i/o error:" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_bad_seed_rejected_by_the_parser(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["five-node", "--seed", "-1", "--out", str(tmp_path / "x")])

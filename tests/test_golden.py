@@ -153,6 +153,14 @@ CASES = {
          "metrics.csv": "a5d24724414d02c8ac893240380029a2b128e5c98a17baa3353b89177108f42d",
          "positions.csv": "dec4708c08ce6ddf4154656b2a9dfc2c3cc90faad6bb6bf143afd017e0d6c518"},
     ),
+    # thirty walkers: most pairs are far apart most of the time, so the radio
+    # skips and accepts many candidates without their exact positions
+    "random-field-n30-seed4": (
+        lambda tmp: ["random-field", "--nodes", "30", "--seed", "4"],
+        {"trace.csv": "1414bc1400982bf698a44883990bca45b6e697372a64259d5fbbbd1e305beae3",
+         "metrics.csv": "afb7a35a08ba7230371ed0970ae8e2ec943ac5584b039d446a389bb2b63c4309",
+         "positions.csv": "ea498b717ae9503194438580d37c01cdab7182fc7b32958f82b81a088a23e173"},
+    ),
     # criterion 4 runs layout i with master seed i
     "static-layout0-seed0": (
         lambda tmp: _scenario_argv(tmp, static_layout_document(0), 0),

@@ -121,6 +121,14 @@ def test_positions_csv_projects_position_records(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("detail", ["x=1.0", "x=1.0;y=2.0;y=3.0"])
+def test_positions_csv_refuses_a_detail_without_one_x_and_one_y(tmp_path, detail):
+    records = [TraceRecord(0, "n0", tc.POSITION, "", "x=1.0;y=2.0"),
+               TraceRecord(1, "n0", tc.POSITION, "", detail)]
+    with pytest.raises(ValueError):
+        write_positions_csv(str(tmp_path / "positions.csv"), records)
+
+
 # -- metrics ---------------------------------------------------------------------
 
 def test_metrics_reduction_from_a_hand_built_trace():

@@ -18,9 +18,11 @@ from ntorrent_sim import world as world_module
 from ntorrent_sim.engine import derive_stream
 from ntorrent_sim.mobility import (
     EPOCH_INTERVAL_US,
+    SPEED_MAX_MS,
     GridBounds,
     RadioConfig,
     broadcast_receivers,
+    in_range,
     position_at,
 )
 from ntorrent_sim.names import Interest, piece_name
@@ -147,6 +149,23 @@ def test_event_and_trace_counts_are_pinned(cfg, seed, dispatched, scheduled, row
         dispatched, scheduled, rows)
 
 
+def test_exact_position_counts_are_pinned(monkeypatch):
+    # 7,212 samples, 360 epoch ends and 3,684 transmissions' senders need 11,256
+    # exact positions; the radio adds one only for a candidate near the range
+    # edge. Computing one for every candidate that may be in range took 18,258.
+    calls = []
+    position_of = World.position_of
+
+    def counting(self, node_id, t_us):
+        calls.append(node_id)
+        return position_of(self, node_id, t_us)
+
+    monkeypatch.setattr(World, "position_of", counting)
+    world = World(build_random_field(12, 4), master_seed=4)
+    world.run()
+    assert len(calls) == 11_516
+
+
 def test_metrics_recompute_from_own_trace():
     world = World(three_node_relay(), master_seed=5)
     world.run()
@@ -191,7 +210,15 @@ PRUNING_CASES = {
     "mixed": radio_field(STATIC_PLACES[:5], 7),
     # a 200 m leg folds many times on a 20 x 15 m grid
     "tiny-grid": radio_field([], 8, side=20.0, range_m=6.0, loss_prob=0.2),
+    # every leg walks at SPEED_MAX_MS (see top_speed_walk), so two walkers
+    # heading at each other close in at the full 2 * SPEED_MAX_MS due times allow for
+    "walking-top-speed": radio_field([], 12),
 }
+
+
+def top_speed_walk(rng):
+    """walk_epoch's leg, with its draws, at the top speed."""
+    return replace(mobility.walk_epoch(rng), speed_ms=SPEED_MAX_MS)
 
 
 def exact_positions(world, now):
@@ -202,8 +229,10 @@ def exact_positions(world, now):
 
 
 @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
-def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case):
+def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypatch):
     cfg = PRUNING_CASES[case]
+    if case == "walking-top-speed":
+        monkeypatch.setattr(world_module, "walk_epoch", top_speed_walk)
     world = World(cfg, master_seed=3)
     delivered = []
     schedule = world.loop.schedule
@@ -214,8 +243,18 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case):
         schedule(time_us, kind, target, payload)
 
     world.loop.schedule = recording_schedule
+    exact_calls = []
+    position_of = world.position_of
+
+    def recording_position_of(node_id, t_us):
+        exact_calls.append(node_id)
+        return position_of(node_id, t_us)
+
+    world.position_of = recording_position_of
     pruned_broadcast = world._broadcast
-    covered = {"tx": 0, "after_epoch": 0, "exact_range_pair": 0}
+    covered = {"tx": 0, "after_epoch": 0, "exact_range_pair": 0, "skipped_until_due": 0,
+               "heard_unseen": 0, "again_in_the_same_us": 0}
+    last_tx = {}
 
     def checked_broadcast(sender, pkt):
         now = world.loop.now_us
@@ -223,9 +262,14 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case):
         own = world._stations[sender]
         scan_rng = random.Random()
         scan_rng.setstate(own.medium.getstate())
-        expected = broadcast_receivers(sender, exact_positions(world, now), cfg.radio,
-                                       scan_rng)
+        positions = exact_positions(world, now)
+        expected = broadcast_receivers(sender, positions, cfg.radio, scan_rng)
+        in_range_ids = [node_id for node_id, pos in positions.items()
+                        if node_id != sender and in_range(positions[sender], pos, cfg.radio)]
+        stale = {node_id for node_id, station in world._stations.items() if station.seen_us < now}
+        skipped = 0 if own.due is None else sum(now < due_us for due_us in own.due)
         delivered.clear()
+        exact_calls.clear()
         pruned_broadcast(sender, pkt)
         arrival = now + cfg.radio.one_hop_delay_us
         assert delivered == [(arrival, node_id) for node_id in expected], (case, now, sender)
@@ -233,6 +277,11 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case):
         covered["tx"] += 1
         covered["after_epoch"] += now >= EPOCH_INTERVAL_US and now % EPOCH_INTERVAL_US < 50_000
         covered["exact_range_pair"] += {sender, *expected} >= {"n0", "n1"}
+        covered["skipped_until_due"] += skipped
+        # in range, last seen before now, and judged without an exact position
+        covered["heard_unseen"] += len(stale.intersection(in_range_ids) - set(exact_calls))
+        covered["again_in_the_same_us"] += bool(in_range_ids) and last_tx.get(sender) == now
+        last_tx[sender] = now
 
     world._broadcast = checked_broadcast
     world.run()
@@ -241,6 +290,10 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case):
     assert covered["after_epoch"] > 0 or not walkers
     if case == "static":
         assert covered["exact_range_pair"] > 0
+    if case == "walking":
+        assert covered["skipped_until_due"] > 0, covered
+        assert covered["heard_unseen"] > 0, covered
+        assert covered["again_in_the_same_us"] > 0, covered
 
 
 @pytest.mark.parametrize("case", ["walking", "tiny-grid", "mixed"])
