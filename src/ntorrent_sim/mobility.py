@@ -4,13 +4,15 @@ Walkers pick a fresh heading and speed at fixed 20 s epochs and travel in a
 straight line between epochs, reflecting specularly off the grid walls; a
 leg's velocity is computed once, and so is its straight-line window, the time
 it runs before it first meets a wall, within which its position is plain
-arithmetic. Radio reception is a closed disk: every node
-within range hears a broadcast after one fixed hop delay, except the sender
-itself. broadcast_receivers states that rule over a set of exact positions.
-The world applies the same rule without most of them (see
-`World._hearers_near`): bounds on how far a walker can have moved decide
-every candidate but those near the range edge, which get the exact test; a
-static sender whose candidates are all static makes that test once.
+arithmetic. Radio reception is a closed disk: every node within range hears a
+broadcast after one fixed hop delay, except the sender itself.
+broadcast_receivers states that rule over a set of exact positions. The world
+applies the same rule without most of them (see `World._hearers_near`): bounds
+on how far a walker can have moved decide every candidate but those near the
+range edge, which get the exact test; a static sender whose candidates are all
+static makes that test once. A Leg only computes positions: the World keeps
+each node's last exact position and returns it again for a second query in the
+same microsecond.
 """
 from __future__ import annotations
 
@@ -125,12 +127,11 @@ class Leg:
     position(t_us) is position_at(anchor, state, t0_us, t_us, bounds), bit for
     bit. Until the leg first meets a wall, _advance_reflect takes its first
     branch on both axes, so within that window, computed on the first query,
-    the position is anchor + v * dt_s nudged inside, without position_at. A
-    second query in the same microsecond returns the position this leg
-    computed for the first.
+    the position is anchor + v * dt_s nudged inside, without position_at.
+    Each query computes; the World keeps the last position it asked for.
     """
 
-    __slots__ = ("anchor", "state", "t0_us", "bounds", "_window", "_last_us", "_last")
+    __slots__ = ("anchor", "state", "t0_us", "bounds", "_window")
 
     def __init__(self, anchor: Position, state: WalkState, t0_us: int,
                  bounds: GridBounds) -> None:
@@ -139,12 +140,8 @@ class Leg:
         self.t0_us = t0_us
         self.bounds = bounds
         self._window: float | None = None
-        self._last_us = -1
-        self._last: Position | None = None
 
     def position(self, t_us: int) -> Position:
-        if t_us == self._last_us:
-            return self._last
         dt_s = (t_us - self.t0_us) / 1e6
         x0, y0 = self.anchor
         vx, vy = self.state.velocity
@@ -157,12 +154,8 @@ class Leg:
             y = y0 + vy * dt_s
             if not (0.0 < x < width and 0.0 < y < height):
                 x, y = _nudge_inside(x, width), _nudge_inside(y, height)
-            pos = Position(x, y)
-        else:
-            pos = position_at(self.anchor, self.state, self.t0_us, t_us, self.bounds)
-        self._last_us = t_us
-        self._last = pos
-        return pos
+            return Position(x, y)
+        return position_at(self.anchor, self.state, self.t0_us, t_us, self.bounds)
 
 
 def in_range(a: Position, b: Position, radio: RadioConfig) -> bool:

@@ -66,8 +66,9 @@ DEFAULT_N_PIECES = 32
 # A bitmap announce carries n_pieces/4 hex digits in one name, and a peer holds
 # its bitmaps as integers of n_pieces bits; this bounds both.
 MAX_PIECES = 1 << 16
-# Every walking sender scans the other n-1 nodes per transmission, and the
-# flooding grows faster than n: a 60-node field already runs for about 45 s.
+# A walking sender has the other n-1 nodes as candidates, though it skips most
+# until a due time, and the flooding grows faster than n: a 60-node random
+# field (seed 4) runs for about 25 s and peaks near 400 MiB (CPython 3.11, Xeon).
 MAX_NODES = 1024
 DEFAULT_PIECE_BYTES = 1024
 DEFAULT_DURATION_US = 120_000_000

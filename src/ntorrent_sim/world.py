@@ -2,20 +2,20 @@
 
 One World owns the event loop and all per-node state for a single run: each
 node's forwarding state, with its app if it peers, and its station record of
-where it is, what may hear it and what is on its way to it. The World only
-creates these records from the node specs: each derives the streams it draws
-on first use, the station its mobility and medium streams, the forwarding
-state its strategy stream and the app its app stream, and the piece store
-makes each bitmap on first use. The forwarding and app handlers get the
-World as `out` and call its note, send, emit, timer and originate methods,
-which act at the current time. The World only carries packets and keeps the
-clock: it notes each reception and hands it to the node's forwarding plane,
-which decides what to do with it, and it calls back the handler an app
+where it was last seen, what may hear it and the latest delivery sent to it.
+The World only creates these records from the node specs: each derives the
+streams it draws on first use, the station its mobility and medium streams,
+the forwarding state its strategy stream and the app its app stream, and the
+piece store makes each bitmap on first use. The forwarding and app handlers
+get the World as `out` and call its note, send, emit, timer and originate
+methods, which act at the current time. The World only carries packets and
+keeps the clock: it notes each reception and hands it to the node's forwarding
+plane, which decides what to do with it, and it calls back the handler an app
 armed with `timer` when that timer fires. The World calls an app itself only
-to start it. An app's own interest goes through forwarding.on_own_interest
-and is on the radio before `originate` returns. Every observable action
-lands in the trace, and the trace plus the metrics reduced from it are the
-run's result.
+to start it. An app's own interest goes through forwarding.on_own_interest and
+is on the radio before `originate` returns. Every observable action lands in
+the trace, and the trace plus the metrics reduced from it are the run's
+result.
 """
 from __future__ import annotations
 
@@ -60,27 +60,27 @@ class _DeliveryMark:
 
 @dataclass
 class _Station:
-    """Where a node is, what may hear it and what is on its way to it."""
+    """Where a node was last seen, what may hear it and the latest delivery sent to it."""
 
     node_id: str
     master_seed: int
     place: InitVar[tuple[float, float] | None]  # None: drawn from the mobility stream
     grid: InitVar[GridBounds]
-    anchor: Position = field(init=False)  # where the node was placed
-    # a position the node had at seen_us, to within rounding (a static node's
-    # anchor); _hearers_near bounds where it can be now from it
+    # its exact position at seen_us, or where it was placed: a static node's
+    # place for good, a walker's until its first exact position (seen_us -1);
+    # _hearers_near bounds where it can be now from it
     seen: Position = field(init=False)
     seen_us: int = 0
     leg: Leg | None = None  # the walk leg it is on; None for static nodes
     # filled by _reach before the node's first transmission
-    candidates: list[tuple[str, _Station]] | None = None
+    candidates: list[_Station] | None = None
     # a static sender whose candidates are all static: the ones in range, in order
     hearers: list[str] | None = None
     # any other sender: per candidate, the µs before which it surely cannot hear
     # this node (set by _hearers_near)
     due: list[int] | None = None
-    # collision mode: the deliveries on their way to this node
-    inflight: list[_DeliveryMark] = field(default_factory=list)
+    # collision mode: the latest delivery sent to this node
+    last_mark: _DeliveryMark | None = None
 
     mobility = stream("mobility")
     medium = stream("medium")  # read only when the radio loses frames
@@ -89,12 +89,12 @@ class _Station:
         if place is None:
             place = (self.mobility.uniform(0.0, grid.width),
                      self.mobility.uniform(0.0, grid.height))
-        self.anchor = self.seen = Position(*place)
+        self.seen = Position(*place)
 
     @cached
     def fixed_detail(self) -> str:
         """A static node's POSITION detail, the same at every sample."""
-        return _position_detail(self.anchor)
+        return _position_detail(self.seen)
 
 
 def _position_detail(pos: Position) -> str:
@@ -137,7 +137,8 @@ class World:
                 params=cfg.forwarding, master_seed=self.master_seed, app=app)
             station = _Station(spec.node_id, self.master_seed, spec.position, cfg.grid)
             if spec.mobility is MobilityKind.RANDOM_WALK:
-                self._new_leg(spec.node_id, station, station.anchor)
+                self._new_leg(spec.node_id, station, station.seen)
+                station.seen_us = -1  # a placement on a wall is not yet exact
             self._stations[spec.node_id] = station
 
     def _schedule_initial(self) -> None:
@@ -164,8 +165,8 @@ class World:
     def position_of(self, node_id: str, t_us: int) -> Position:
         station = self._stations[node_id]
         leg = station.leg
-        if leg is None:
-            return station.anchor
+        if leg is None or t_us == station.seen_us:
+            return station.seen
         station.seen = leg.position(t_us)
         station.seen_us = t_us
         return station.seen
@@ -208,19 +209,19 @@ class World:
                       f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
         self._broadcast(node_id, pkt)
 
-    def _reach(self, sender: str, own: _Station) -> None:
-        """Fill own before sender's first transmission: its candidates, the nodes
-        that may hear it in insertion order (every other node for a walking
-        sender, else the walkers and the static nodes in range); and, when none
-        of them walks, their ids as its hearers for good, since the disk test
+    def _reach(self, own: _Station) -> None:
+        """Fill own before its node's first transmission: its candidates, the
+        stations that may hear it in insertion order (every other station for a
+        walking sender, else the walkers and the static nodes in range); and,
+        when none of them walks, their ids as its hearers for good, since the disk test
         every frame would repeat is the one made here; else a due time of 0
         per candidate for _hearers_near."""
-        own.candidates = [(node_id, station) for node_id, station in self._stations.items()
-                          if node_id != sender and (
+        own.candidates = [station for station in self._stations.values()
+                          if station is not own and (
                               own.leg is not None or station.leg is not None
-                              or in_range(own.anchor, station.anchor, self.cfg.radio))]
-        if own.leg is None and all(station.leg is None for _, station in own.candidates):
-            own.hearers = [node_id for node_id, _ in own.candidates]
+                              or in_range(own.seen, station.seen, self.cfg.radio))]
+        if own.leg is None and all(station.leg is None for station in own.candidates):
+            own.hearers = [station.node_id for station in own.candidates]
         else:
             own.due = [0] * len(own.candidates)
 
@@ -242,35 +243,38 @@ class World:
         far = range_m + self._margin_m
         near = range_m - self._margin_m
         coin = own.medium.random if radio.loss_prob > 0.0 else None
+        # a wait past the run skips a candidate for good; int() of it may overflow
+        after = self.cfg.duration_us + 1
         candidates = own.candidates
         due = own.due
         hearers = []
         for i, due_us in enumerate(due):
             if now < due_us:
                 continue
-            node_id, station = candidates[i]
+            station = candidates[i]
             sx, sy = station.seen
             leg = station.leg
             slack = 0.0 if leg is None else leg.state.speed_ms * (now - station.seen_us) / 1e6
             gap = math.hypot(sx - ox, sy - oy)
             lower = gap - slack - far
             if lower > 0.0:
-                due[i] = now + int(lower * 1e6 / (2.0 * SPEED_MAX_MS))
+                wait = lower * 1e6 / (2.0 * SPEED_MAX_MS)
+                due[i] = now + int(wait) if wait < after else after
                 continue
             if gap + slack > near:
-                x, y = self.position_of(node_id, now)
+                x, y = self.position_of(station.node_id, now)
                 if math.hypot(ox - x, oy - y) > range_m:
                     continue
             if coin is not None and coin() < radio.loss_prob:
                 continue
-            hearers.append(node_id)
+            hearers.append(station.node_id)
         return hearers
 
     def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
         now = self.loop.now_us
         own = self._stations[sender]
         if own.candidates is None:
-            self._reach(sender, own)
+            self._reach(own)
         radio = self.cfg.radio
         receivers = own.hearers
         if receivers is None:
@@ -284,13 +288,13 @@ class World:
             mark = None
             if self.cfg.collision_mode:
                 mark = _DeliveryMark(arrival)
-                pending = self._stations[receiver].inflight
-                pending[:] = [m for m in pending if m.time_us > now]
-                # each pending frame arrives in (now, arrival], so within one hop delay
-                for other in pending:
-                    other.collided = True
-                mark.collided = bool(pending)
-                pending.append(mark)
+                station = self._stations[receiver]
+                # a frame still on its way arrives in (now, arrival], so within one
+                # hop delay; any older one arrives first and is already collided
+                last = station.last_mark
+                if last is not None and last.time_us > now:
+                    last.collided = mark.collided = True
+                station.last_mark = mark
             self.loop.schedule(arrival, EV_DELIVERY, receiver, (pkt, mark))
 
     # -- event dispatch ---------------------------------------------------------------

@@ -114,6 +114,9 @@ def _base_with(section, key, value):
 
 @given(documents())
 @example(_base_with("radio", "range_m", 10 ** 400))  # float() of it overflows
+# a radio wait in µs across such a grid overflows to infinity
+@example(_base_with("grid", "width", 1e303))
+@example(_base_with("grid", "width", 1.7e308))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_loader_accepts_or_raises_scenario_error(doc):
     try:

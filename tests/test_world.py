@@ -1,10 +1,12 @@
 """Whole-simulation behaviour: wiring, determinism, radio pruning, collisions,
 bookkeeping."""
 import copy
+import gc
 import inspect
 import itertools
 import random
 import sys
+import weakref
 from collections import defaultdict
 from dataclasses import replace
 
@@ -223,7 +225,7 @@ def top_speed_walk(rng):
 
 def exact_positions(world, now):
     """Every node's position at now, each walker's from position_at."""
-    return {node_id: station.anchor if station.leg is None else position_at(
+    return {node_id: station.seen if station.leg is None else position_at(
                 station.leg.anchor, station.leg.state, station.leg.t0_us, now, world.cfg.grid)
             for node_id, station in world._stations.items()}
 
@@ -326,6 +328,42 @@ def test_every_walker_position_equals_position_at_bit_for_bit(case, monkeypatch)
     # and some repeated a (leg, microsecond) pair
     assert 0 < len(slow) < len(queried)
     assert len(set(queried)) < len(queried)
+
+
+def test_a_repeat_position_query_in_the_same_microsecond_reuses_the_last(monkeypatch):
+    world = World(PRUNING_CASES["walking"], master_seed=3)
+    leg = world._stations["n0"].leg
+    computed = []
+    position = mobility.Leg.position
+
+    def counting_position(self, t_us):
+        computed.append(t_us)
+        return position(self, t_us)
+
+    monkeypatch.setattr(mobility.Leg, "position", counting_position)
+    first = world.position_of("n0", 7_000_001)
+    assert first == position_at(leg.anchor, leg.state, leg.t0_us, 7_000_001, world.cfg.grid)
+    assert world.position_of("n0", 7_000_001) is first
+    assert computed == [7_000_001]
+    world.position_of("n0", 7_000_002)
+    assert computed == [7_000_001, 7_000_002]
+
+
+@pytest.mark.parametrize("cfg", [build_five_node(), build_random_field(8, 2)],
+                         ids=["five-node", "random-field-n8"])
+def test_a_finished_world_is_freed_by_reference_counting(cfg):
+    # a cycle through the World (say, a bound World method kept in an event
+    # payload) would hold every record and the trace until a collection
+    gc.disable()
+    try:
+        world = World(cfg, master_seed=1)
+        world.run()
+        world.metrics()
+        freed = weakref.ref(world)
+        del world
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # -- collision mode ------------------------------------------------------------
