@@ -4,7 +4,12 @@ The clock is an integer microsecond counter. An event is a plain
 (time, seq, kind, target, payload) tuple on a binary heap. The insertion
 sequence is unique, so events are totally ordered by (time, seq), a heap
 comparison never reaches a payload, ties dispatch in scheduling order and a
-run is a pure function of the scenario and the master seed. Randomness is
+run is a pure function of the scenario and the master seed. A batch is the
+same-time events for a list of targets, one per target, in order: it is one
+heap entry that holds the list and reserves one seq per target, so nothing
+can fall between its events, and it is dispatched as one handler call that
+gets the list. The run report counts each target of a batch as one event.
+Randomness is
 split into named per-node streams, each derived from the master seed by
 derive_stream, which keeps one node's draw sequence independent of event
 interleaving at other nodes. Each stream has one owner, the node record that
@@ -69,9 +74,9 @@ class EventLoop:
     """Binary-heap event queue with a monotonic integer-microsecond clock."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, str, str | None, object]] = []
+        # a batch's target is its list; a single event's is a str or None
+        self._heap: list[tuple[int, int, str, str | list[str] | None, object]] = []
         self._next_seq = 0
-        self._dispatched = 0
         self.now_us = 0
 
     def schedule(self, time_us: int, kind: str, target: str | None = None,
@@ -81,23 +86,39 @@ class EventLoop:
         heapq.heappush(self._heap, (time_us, self._next_seq, kind, target, payload))
         self._next_seq += 1
 
+    def schedule_batch(self, time_us: int, kind: str, targets: list[str],
+                       payload: object = None) -> None:
+        """Schedule one event per target at time_us, in order, dispatched as one
+        handler(kind, targets, payload) call. The loop keeps targets, which
+        nobody may mutate afterwards; an empty list schedules nothing."""
+        if time_us < self.now_us:
+            raise SchedulingInPast(f"t={time_us} is before now={self.now_us}")
+        if targets:
+            heapq.heappush(self._heap, (time_us, self._next_seq, kind, targets, payload))
+            self._next_seq += len(targets)
+
     def run_until(self, t_end_us: int,
-                  handler: Callable[[str, str | None, object], None]) -> RunReport:
+                  handler: Callable[[str, str | list[str] | None, object], None]
+                  ) -> RunReport:
         """Dispatch events with time <= t_end_us in (time, seq) order, calling
         handler(kind, target, payload) with now_us set to the event's time.
 
-        The clock finishes at t_end_us even when the queue drains early.
+        The clock finishes at t_end_us even when the queue drains early. Every
+        event scheduled is either dispatched or still queued, so the report
+        derives the dispatched count from the queue left over.
         """
         heap = self._heap
+        pop = heapq.heappop
         while heap and heap[0][0] <= t_end_us:
-            self.now_us, _, kind, target, payload = heapq.heappop(heap)
-            self._dispatched += 1
+            self.now_us, _, kind, target, payload = pop(heap)
             handler(kind, target, payload)
         self.now_us = t_end_us
+        remaining = sum(len(target) if type(target) is list else 1
+                        for _, _, _, target, _ in heap)
         return RunReport(
-            events_dispatched=self._dispatched,
+            events_dispatched=self._next_seq - remaining,
             events_scheduled=self._next_seq,
-            events_remaining=len(self._heap),
+            events_remaining=remaining,
             final_time_us=self.now_us,
         )
 

@@ -9,8 +9,10 @@ the forwarding state its strategy stream and the app its app stream, and the
 piece store makes each bitmap on first use. The forwarding and app handlers
 get the World as `out` and call its note, send, emit, timer and originate
 methods, which act at the current time. The World only carries packets and
-keeps the clock: it notes each reception and hands it to the node's forwarding
-plane, which decides what to do with it, and it calls back the handler an app
+keeps the clock. A transmission is one delivery event, a batch of one event
+per receiver; it notes each reception and hands it to the receiver's
+forwarding plane, which decides what to do with it, before the next receiver
+hears the frame. It calls back the handler an app
 armed with `timer` when that timer fires. The World calls an app itself only
 to start it. An app's own interest goes through forwarding.on_own_interest and
 is on the radio before `originate` returns. Every observable action lands in
@@ -284,9 +286,10 @@ class World:
             coin = own.medium.random
             receivers = [node_id for node_id in receivers if not coin() < radio.loss_prob]
         arrival = now + radio.one_hop_delay_us
-        for receiver in receivers:
-            mark = None
-            if self.cfg.collision_mode:
+        marks = None
+        if self.cfg.collision_mode:
+            marks = []
+            for receiver in receivers:
                 mark = _DeliveryMark(arrival)
                 station = self._stations[receiver]
                 # a frame still on its way arrives in (now, arrival], so within one
@@ -295,7 +298,9 @@ class World:
                 if last is not None and last.time_us > now:
                     last.collided = mark.collided = True
                 station.last_mark = mark
-            self.loop.schedule(arrival, EV_DELIVERY, receiver, (pkt, mark))
+                marks.append(mark)
+        # one event per receiver, in order; receivers may be own.hearers itself
+        self.loop.schedule_batch(arrival, EV_DELIVERY, receivers, (pkt, marks))
 
     # -- event dispatch ---------------------------------------------------------------
 
@@ -309,18 +314,27 @@ class World:
         elif kind == EV_GC:
             self._on_gc()
 
-    def _on_delivery(self, node_id: str, payload: tuple) -> None:
-        pkt, mark = payload
-        if mark is not None and mark.collided:
-            self.note(node_id, tc.DROP, pkt.name.key, tc.REASON_COLLISION)
-            return
+    def _on_delivery(self, receivers: list[str], payload: tuple) -> None:
+        """Deliver one transmission to each receiver in order, as its events would
+        dispatch one by one: each receiver's handler runs before the next one
+        hears the frame."""
+        pkt, marks = payload
+        now = self.loop.now_us
+        key = pkt.name.key
         if isinstance(pkt, Interest):
-            self.note(node_id, tc.INTEREST_RX, pkt.name.key, pkt.wire)
-            fw.on_incoming_interest(self.nodes[node_id], pkt, self.loop.now_us, self)
+            code, detail, handle = tc.INTEREST_RX, pkt.wire, fw.on_incoming_interest
         else:
-            self.note(node_id, tc.DATA_RX, pkt.name.key,
-                      f"hop={pkt.hop_count};origin={pkt.origin}")
-            fw.on_incoming_data(self.nodes[node_id], pkt, self.loop.now_us, self)
+            code, detail = tc.DATA_RX, f"hop={pkt.hop_count};origin={pkt.origin}"
+            handle = fw.on_incoming_data
+        append = self.trace.append
+        nodes = self.nodes
+        for i, node_id in enumerate(receivers):
+            if marks is not None and marks[i].collided:
+                self.note(node_id, tc.DROP, key, tc.REASON_COLLISION)
+                continue
+            # the row note would append
+            append(tuple.__new__(TraceRecord, (now, node_id, code, key, detail)))
+            handle(nodes[node_id], pkt, now, self)
 
     def _on_timer(self, node_id: str | None, payload: tuple) -> None:
         tag = payload[0]

@@ -87,6 +87,49 @@ def test_conservation_of_events():
     assert report.events_dispatched == report.events_scheduled - report.events_remaining
 
 
+def test_a_batch_behaves_as_its_single_events_would():
+    def dispatch_order(schedule_middle):
+        loop = EventLoop()
+        loop.schedule(5, "before")
+        schedule_middle(loop)
+        loop.schedule(5, "after")
+        seen = []
+
+        def handler(kind, target, payload):
+            for one in target if isinstance(target, list) else [target]:
+                seen.append((loop.now_us, kind, one, payload))
+                if kind == "deliver" and one == "a":
+                    # scheduled at now: runs after every event queued at now
+                    loop.schedule(loop.now_us, "echo", one)
+
+        return seen, loop.run_until(10, handler)
+
+    singles, single_report = dispatch_order(
+        lambda loop: [loop.schedule(5, "deliver", target, "pkt") for target in "abc"])
+    batched, batch_report = dispatch_order(
+        lambda loop: loop.schedule_batch(5, "deliver", list("abc"), "pkt"))
+    assert batched == singles == [
+        (5, "before", None, None), (5, "deliver", "a", "pkt"), (5, "deliver", "b", "pkt"),
+        (5, "deliver", "c", "pkt"), (5, "after", None, None), (5, "echo", "a", None)]
+    assert batch_report == single_report
+    assert (batch_report.events_scheduled, batch_report.events_dispatched) == (6, 6)
+
+
+def test_a_batch_counts_one_event_per_target():
+    loop = EventLoop()
+    loop.schedule_batch(3, "deliver", ["a", "b", "c"])
+    loop.schedule_batch(4, "deliver", [])  # schedules nothing
+    loop.schedule_batch(20, "deliver", ["a", "b", "c"])
+    loop.schedule(25, "tick")
+    report = loop.run_until(10, lambda kind, target, payload: None)
+    assert report.events_scheduled == 7
+    assert report.events_dispatched == 3
+    assert report.events_remaining == 4
+    assert report.events_dispatched == report.events_scheduled - report.events_remaining
+    with pytest.raises(SchedulingInPast):
+        loop.schedule_batch(9, "late", ["a"])
+
+
 def test_clock_is_monotone_under_rescheduling():
     loop = EventLoop()
     times = []

@@ -138,12 +138,16 @@ def test_run_report_conserves_events():
     assert report.final_time_us == 30_000_000
 
 
-# Frozen from the code before events became plain tuples: events_per_s in the
+# Frozen from the code before events became plain tuples, and the last two
+# before each transmission's deliveries became one batch: events_per_s in the
 # benchmark divides by these counts, so a speed-up must leave them alone.
 @pytest.mark.parametrize("cfg,seed,dispatched,scheduled,rows", [
     (build_five_node(), 1, 2_968, 2_970, 5_558),
     (build_random_field(12, 4), 4, 11_110, 11_112, 26_364),
-], ids=["five-node", "random-field-12"])
+    (build_random_field(30, 4), 4, 96_919, 96_921, 195_014),
+    # 22 deliveries left past the horizon carry collision marks
+    (replace(build_five_node(), collision_mode=True), 1, 6_798, 6_820, 12_935),
+], ids=["five-node", "random-field-12", "random-field-30", "five-node-collision"])
 def test_event_and_trace_counts_are_pinned(cfg, seed, dispatched, scheduled, rows):
     world = World(cfg, master_seed=seed)
     report = world.run()
@@ -237,14 +241,14 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
         monkeypatch.setattr(world_module, "walk_epoch", top_speed_walk)
     world = World(cfg, master_seed=3)
     delivered = []
-    schedule = world.loop.schedule
+    schedule_batch = world.loop.schedule_batch
 
-    def recording_schedule(time_us, kind, target=None, payload=None):
+    def recording_schedule_batch(time_us, kind, targets, payload=None):
         if kind == world_module.EV_DELIVERY:
-            delivered.append((time_us, target))
-        schedule(time_us, kind, target, payload)
+            delivered.extend((time_us, target) for target in targets)
+        schedule_batch(time_us, kind, targets, payload)
 
-    world.loop.schedule = recording_schedule
+    world.loop.schedule_batch = recording_schedule_batch
     exact_calls = []
     position_of = world.position_of
 
