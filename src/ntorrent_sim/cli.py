@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
             verdicts = reachability_oracle(load_scenario(args.scenario))
             for node_id in sorted(verdicts):
                 print(f"{node_id},{'reachable' if verdicts[node_id] else 'unreachable'}")
-    except (ScenarioError, OracleUnsupported, ValueError) as exc:
+    except (ScenarioError, OracleUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 # node state
 
-@dataclass
+@dataclass(slots=True)
 class PitEntry:
     nonces: set[int] = field(default_factory=set)
     # a radio arrival asked for the name, so its data is relayed back
@@ -131,11 +131,12 @@ def is_duplicate(node: NodeState, pkt: Interest, now_us: int) -> bool:
     entry or a live dead-nonce record. A duplicate is dropped with PIT_DUP
     and changes no state."""
     key = pkt.name.key
+    # _live, inlined: this runs for every reception of every interest
     entry = node.pit.get(key)
-    if _live(entry, now_us) and pkt.nonce in entry.nonces:
+    if entry is not None and entry.expiry_us > now_us and pkt.nonce in entry.nonces:
         return True
     dead = node.dead_nonces.get(key)
-    return _live(dead, now_us) and pkt.nonce in dead.nonces
+    return dead is not None and dead.expiry_us > now_us and pkt.nonce in dead.nonces
 
 
 def _record(node: NodeState, pkt: Interest, now_us: int) -> PitEntry:
@@ -143,7 +144,7 @@ def _record(node: NodeState, pkt: Interest, now_us: int) -> PitEntry:
     the entry's expiry out a full lifetime."""
     key = pkt.name.key
     entry = node.pit.get(key)
-    if not _live(entry, now_us):
+    if entry is None or entry.expiry_us <= now_us:
         entry = PitEntry()
         node.pit[key] = entry
     entry.nonces.add(pkt.nonce)
@@ -250,12 +251,19 @@ def on_data_emission(node: NodeState, name: Name, now_us: int, out: World) -> No
 
 def pit_gc(node: NodeState, now_us: int) -> int:
     """Remove PIT entries, dead-nonce records and overheard-name table entries
-    with expiry <= now; returns how many PIT entries were removed."""
-    stale = [key for key, entry in node.pit.items() if entry.expiry_us <= now_us]
-    for key in stale:
-        del node.pit[key]
-    dead = [key for key, entry in node.dead_nonces.items() if entry.expiry_us <= now_us]
-    for key in dead:
-        del node.dead_nonces[key]
+    with expiry <= now; returns how many PIT entries were removed. Most ticks
+    find most of these tables empty and pass over them."""
+    removed = 0
+    pit = node.pit
+    if pit:
+        stale = [key for key, entry in pit.items() if entry.expiry_us <= now_us]
+        for key in stale:
+            del pit[key]
+        removed = len(stale)
+    dead_nonces = node.dead_nonces
+    if dead_nonces:
+        dead = [key for key, entry in dead_nonces.items() if entry.expiry_us <= now_us]
+        for key in dead:
+            del dead_nonces[key]
     node.table.gc(now_us)
-    return len(stale)
+    return removed

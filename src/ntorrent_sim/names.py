@@ -5,10 +5,16 @@ slash-separated name under the application prefix. The name layout is the
 whole wire protocol: beacons announce presence, bitmap announcements carry a
 peer's piece inventory encoded into name components, and piece interests
 request one piece by index.
+
+A packet object is shared by every receiver of its transmission, so Interest
+and Data are immutable tuples whose constructors validate their fields; an
+Interest formats its wire text, the trace detail of its transmission and
+receptions, when it is made.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import cached
 
@@ -221,42 +227,70 @@ def piece_name(torrent: str, piece: int) -> Name:
 # ---------------------------------------------------------------------------
 # packets
 
-@dataclass(frozen=True)
-class Interest:
-    """A named request; the nonce makes duplicate copies detectable."""
+class _Packet:
+    """What Interest and Data share as tuples: equality by type and fields, and
+    no way to build one but the validating constructor."""
 
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        raise TypeError(f"build {cls.__name__} packets with the constructor")
+
+    def _replace(self, **changes):
+        raise TypeError(f"build {type(self).__name__} packets with the constructor")
+
+
+class _InterestFields(NamedTuple):
     name: Name
     nonce: int
     origin: str
-    hop_count: int = 0
+    hop_count: int
+    # nonce, hop count and origin as the trace detail of this packet's
+    # transmission and of each of its receptions, which share the one string;
+    # a relayed copy is a new Interest with its own
+    wire: str
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.nonce < 1 << 64:
+
+class Interest(_Packet, _InterestFields):
+    """A named request; the nonce makes duplicate copies detectable."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: Name, nonce: int, origin: str, hop_count: int = 0) -> Interest:
+        if not 0 <= nonce < 1 << 64:
             raise ValueError("nonce must fit in 64 bits")
-        if self.hop_count < 0:
+        if hop_count < 0:
             raise ValueError("hop_count must be non-negative")
-
-    @cached
-    def wire(self) -> str:
-        """Nonce, hop count and origin as the trace detail of this packet's
-        transmission and of each of its receptions, which share the one
-        string. A relayed copy is a new Interest with its own."""
-        return f"nonce={self.nonce:016x};hop={self.hop_count};origin={self.origin}"
+        return tuple.__new__(cls, (name, nonce, origin, hop_count,
+                                   f"nonce={nonce:016x};hop={hop_count};origin={origin}"))
 
 
-@dataclass(frozen=True)
-class Data:
-    """A named piece payload; only piece names carry data."""
-
+class _DataFields(NamedTuple):
     name: Name
     payload_bytes: int
     origin: str
-    hop_count: int = 0
+    hop_count: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name.cls, PieceInterest):
-            raise ValueError(f"data name must be a piece name: {self.name.key}")
-        if self.payload_bytes < 0:
+
+class Data(_Packet, _DataFields):
+    """A named piece payload; only piece names carry data."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: Name, payload_bytes: int, origin: str, hop_count: int = 0) -> Data:
+        if not isinstance(name.cls, PieceInterest):
+            raise ValueError(f"data name must be a piece name: {name.key}")
+        if payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
-        if self.hop_count < 0:
+        if hop_count < 0:
             raise ValueError("hop_count must be non-negative")
+        return tuple.__new__(cls, (name, payload_bytes, origin, hop_count))

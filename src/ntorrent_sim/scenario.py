@@ -351,13 +351,18 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
 def load_scenario(path: str) -> ScenarioConfig:
     """Load and validate a scenario file; ParseError/ValidationError on bad input."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ParseError(f"{path}: nesting too deep") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(f"{path}: {exc}") from None
     return scenario_from_json(obj)
 
 

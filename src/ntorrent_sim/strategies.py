@@ -44,6 +44,8 @@ class OverheardNameTable:
 
     def gc(self, now_us: int) -> int:
         """Forget expired names; expiry exactly at now counts as expired."""
+        if not self._expiry:
+            return 0
         stale = [t for t, expiry in self._expiry.items() if expiry <= now_us]
         for torrent in stale:
             del self._expiry[torrent]

@@ -6,7 +6,7 @@ UTF-8 with LF line endings and stable column order, so equal runs produce
 byte-identical output.
 
 trace.csv and positions.csv hold one row per record, so their writer skips
-csv.writer's per-row cost: it formats rows with one format string and
+csv.writer's per-row cost: it formats each row as one f-string line and
 writes them a chunk at a time, and hands a chunk to csv.writer only when
 some field in it could need quoting. The bytes are csv.writer's either way.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 # wire-level events
 INTEREST_TX = "INTEREST_TX"
@@ -87,29 +87,33 @@ def _unquoted(text: str, lines: int, commas: int) -> bool:
             and '"' not in text and "\r" not in text)
 
 
-def _write_rows(path: str, header: tuple[str, ...], line_format: str,
-                rows: Iterable[tuple]) -> None:
+def _write_rows(path: str, header: tuple[str, ...],
+                lines: Callable[[list[tuple]], list[str]], rows: Iterable[tuple]) -> None:
     """Write header and rows as csv.writer(fh, lineterminator="\\n") does.
 
-    line_format renders one row as one line, fields joined by commas. A chunk
-    of rows whose lines need no quoting is written as the joined lines; any
-    other chunk goes through csv.writer.
+    lines renders a chunk of rows as one line each, fields joined by commas. A
+    chunk of rows whose lines need no quoting is written as the joined lines;
+    any other chunk goes through csv.writer.
     """
-    commas = line_format.count(",")
+    commas = len(header) - 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         rows = iter(rows)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
-            text = "".join([line_format % row for row in chunk])
+            text = "".join(lines(chunk))
             if _unquoted(text, len(chunk), commas):
                 fh.write(text)
             else:
                 writer.writerows(chunk)
 
 
+def _trace_lines(records: list[TraceRecord]) -> list[str]:
+    return [f"{t},{n},{e},{k},{d}\n" for t, n, e, k, d in records]
+
+
 def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
-    _write_rows(path, TRACE_COLUMNS, "%d,%s,%s,%s,%s\n", records)
+    _write_rows(path, TRACE_COLUMNS, _trace_lines, records)
 
 
 def read_trace_csv(path: str) -> list[TraceRecord]:
@@ -140,8 +144,12 @@ def _position_rows(records: Iterable[TraceRecord]):
         yield time_us, node, x, y
 
 
+def _position_lines(rows: list[tuple[int, str, str, str]]) -> list[str]:
+    return [f"{t},{n},{x},{y}\n" for t, n, x, y in rows]
+
+
 def write_positions_csv(path: str, records: Iterable[TraceRecord]) -> None:
-    _write_rows(path, POSITION_COLUMNS, "%d,%s,%s,%s\n", _position_rows(records))
+    _write_rows(path, POSITION_COLUMNS, _position_lines, _position_rows(records))
 
 
 # ---------------------------------------------------------------------------

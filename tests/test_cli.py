@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, exit codes, reproducibility."""
 import csv
 import json
+import sys
 
 import pytest
 
@@ -201,6 +202,39 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "error:" in err and "nesting too deep" in err
+
+
+def test_undecodable_scenario_bytes_exit_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(json.dumps(TINY_SCENARIO).encode("utf-8").replace(b'"s"', b'"\xff"'))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # CPython from 3.10.7 on refuses int() of over 4,300 digits, and json.loads
+    # raised that ValueError; without the limit the float range check refuses it
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(TINY_SCENARIO)[:-1] + ', "radio": {"range_m": '
+                    + "9" * 5_000 + "}}", encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if hasattr(sys, "set_int_max_str_digits"):  # the interpreter has the limit
+        assert str(path) in err
+    else:
+        assert "radio.range_m" in err
+
+
+def test_a_value_error_inside_a_run_is_no_configuration_error(tiny_scenario, tmp_path,
+                                                               monkeypatch):
+    def faulty_run(cfg, seed):
+        raise ValueError("fault inside the run")
+
+    monkeypatch.setattr(cli, "run_scenario", faulty_run)
+    with pytest.raises(ValueError, match="fault inside the run"):
+        main(["run", "--scenario", tiny_scenario, "--out", str(tmp_path / "out")])
 
 
 def test_missing_scenario_file_exits_3(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Per-node forwarding plane: PIT dedup, breadcrumbs, store answers, hop caps."""
 import copy
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -234,7 +233,8 @@ def test_each_decision_reason_emits_its_effect(reason, out):
     calls = out.take()
     assert calls[0] == ("note", node.node_id, tc.DECISION, name.key, reason)
     if then == "send":
-        assert calls[1:] == [("send", node.node_id, replace(pkt, hop_count=3), expected[1])]
+        relayed = Interest(pkt.name, pkt.nonce, pkt.origin, hop_count=3)
+        assert calls[1:] == [("send", node.node_id, relayed, expected[1])]
     else:
         assert calls[1:] == []
     if node.app is not None:

@@ -186,11 +186,11 @@ def test_cached_attributes_are_computed_once_per_object(monkeypatch):
     # the value belongs to the object, not to its equal twin
     assert twin.key == name.key and twin.cls == name.cls
     assert calls == {"render_name": 2, "classify": 2}
-    # Interest.wire calls neither; a stored value is the same object each read
+    # Interest.wire calls neither; every read returns the one stored object
     pkt = Interest(name, nonce=7, origin="n0", hop_count=1)
     wire = pkt.wire
     assert wire == "nonce=0000000000000007;hop=1;origin=n0"
-    assert vars(pkt)["wire"] is wire and pkt.wire is wire
+    assert all(pkt.wire is wire for _ in range(3))
     assert calls == {"render_name": 2, "classify": 2}
 
 
@@ -231,3 +231,54 @@ def test_data_requires_a_piece_name():
         Data(beacon_name("n0"), payload_bytes=1024, origin="n0")
     with pytest.raises(ValueError):
         Data(piece_name("movie1", 2), payload_bytes=-1, origin="n0")
+
+
+def test_packets_stay_immutable_and_validated():
+    name = piece_name("movie1", 2)
+    interest = Interest(name, nonce=9, origin="n0", hop_count=1)
+    data = Data(name, payload_bytes=1024, origin="n0", hop_count=1)
+    # every receiver of a transmission shares the one packet object
+    for pkt, fields in ((interest, ("name", "nonce", "origin", "hop_count", "wire")),
+                        (data, ("name", "payload_bytes", "origin", "hop_count"))):
+        assert not hasattr(pkt, "__dict__")
+        for field in fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(pkt, field, getattr(pkt, field, 0))
+    # no path builds a packet that its constructor would refuse
+    bad_builds = [
+        lambda: Interest._make((name, 1 << 64, "n0", 0, "nonce=;hop=0;origin=n0")),
+        lambda: interest._replace(nonce=-1),
+        lambda: interest._replace(hop_count=-1),
+        lambda: Data._make((beacon_name("n0"), 1024, "n0", 0)),
+        lambda: data._replace(name=beacon_name("n0")),
+        lambda: data._replace(payload_bytes=-1),
+        lambda: data._replace(hop_count=-1),
+    ]
+    for build in bad_builds:
+        with pytest.raises((TypeError, ValueError)):
+            build()
+    # nor one whose wire is stale
+    try:
+        relayed = interest._replace(hop_count=2)
+    except TypeError:
+        pass
+    else:
+        assert relayed.wire == "nonce=0000000000000009;hop=2;origin=n0"
+    # a relayed copy's wire names its own hop
+    assert Interest(name, 9, "n0", 2).wire == "nonce=0000000000000009;hop=2;origin=n0"
+    assert interest.wire == "nonce=0000000000000009;hop=1;origin=n0"
+
+
+def test_packets_equal_only_packets_of_their_type():
+    name = piece_name("movie1", 2)
+    interest, data = Interest(name, 5, "n0", 0), Data(name, 5, "n0", 0)
+    assert interest == Interest(name, 5, "n0", 0)
+    assert hash(interest) == hash(Interest(name, 5, "n0", 0))
+    assert data == Data(name, 5, "n0", 0) and not data != Data(name, 5, "n0", 0)
+    assert interest != Interest(name, 5, "n0", 1)
+    assert interest != data and data != interest
+    assert not interest == data and not data == interest
+    for pkt in (interest, data):
+        plain = tuple(pkt)
+        assert pkt != plain and plain != pkt
+        assert not pkt == plain and not plain == pkt

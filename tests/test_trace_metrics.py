@@ -1,10 +1,11 @@
 """Trace CSV round trips and the metrics reduction over traces."""
 import csv
+import io
 import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ntorrent_sim import trace as tc
 from ntorrent_sim.trace import (
@@ -119,6 +120,34 @@ def test_positions_csv_projects_position_records(tmp_path):
         ["time_us", "node", "x", "y"],
         ["2000", "n1", "12.5", "40.25"],
     ]
+
+
+# field text with every character csv.writer may quote, and non-ASCII, but no
+# lone carriage return, which csv.writer quotes only from CPython 3.13 on, and
+# no NUL, which csv.writer refuses before CPython 3.11
+field_text = st.lists(
+    st.one_of(st.sampled_from([",", '"', "\n", "\r\n", "é", "中", "😀"]),
+              st.characters(exclude_categories=("Cs",), exclude_characters="\r\x00")),
+    max_size=4).map("".join)
+trace_row = st.builds(TraceRecord, st.integers(0, 2**63 - 1),
+                      field_text, field_text, field_text, field_text)
+CLEAN_ROW = TraceRecord(7, "n0", tc.INTEREST_TX, "/ntorrent/beacon/n0", "hop=0")
+HOSTILE_ROW = TraceRecord(8, 'n"1', tc.INTEREST_RX, "/ntorrent/mo,vie/data/0", "a\r\nb")
+
+
+# a run repeats one row, so a few draws fill rows past the 1,024-row chunks
+@given(runs=st.lists(st.tuples(trace_row, st.integers(1, 1_100)), max_size=6))
+@example(runs=[(CLEAN_ROW, 1_024), (CLEAN_ROW, 500), (HOSTILE_ROW, 1), (CLEAN_ROW, 500)])
+@settings(max_examples=100, deadline=None)
+def test_trace_csv_bytes_are_csv_writers_at_chunk_boundaries(runs, tmp_path_factory):
+    records = [row for row, count in runs for _ in range(count)][:2_500]
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    write_trace_csv(str(path), records)
+    expected = io.StringIO(newline="")
+    reference = csv.writer(expected, lineterminator="\n")
+    reference.writerow(tc.TRACE_COLUMNS)
+    reference.writerows(records)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("detail", ["x=1.0", "x=1.0;y=2.0;y=3.0"])
