@@ -12,7 +12,8 @@ DECISION; a forward is sent after the rule's delay, OWN_APP calls the node's
 app with the classified name (a beacon's sender, a bitmap announcement or a
 piece request), and the drop reasons do nothing more. Returning data consumes
 the breadcrumb: rebroadcast once if a radio arrival asked for it, and passed
-to the node's app as a piece if the node peers on that torrent.
+to the node's app as a piece if the node peers on that torrent; the entry
+stays as a dead-nonce record, so late copies stay duplicates until it expires.
 
 Handlers change only the given node's state, call its app directly, and act
 on the world through `out`, the World: they note trace rows, send packets and
@@ -93,8 +94,8 @@ class NodeState:
     # torrents overheard recently; only a peer's decisions fill it
     table: OverheardNameTable = field(default_factory=OverheardNameTable)
     pit: dict[str, PitEntry] = field(default_factory=dict)
-    # nonces of satisfied entries, kept until the entry would have expired, so
-    # late flood copies stay duplicates instead of re-seeding the PIT
+    # satisfied entries, kept until they expire, so late flood copies stay
+    # duplicates instead of re-seeding the PIT
     dead_nonces: dict[str, PitEntry] = field(default_factory=dict)
 
     rng = stream("strategy")
@@ -108,14 +109,13 @@ def _live(entry: PitEntry | None, now_us: int) -> bool:
 
 
 def _retire_entry(node: NodeState, key: str, entry: PitEntry, now_us: int) -> None:
-    """Remove a satisfied entry but keep its nonces for duplicate suppression."""
+    """Make a satisfied entry its name's dead-nonce record. A live older record's
+    entries left the PIT before this one was made, so it expires no later."""
     del node.pit[key]
     dead = node.dead_nonces.get(key)
     if _live(dead, now_us):
-        dead.nonces |= entry.nonces
-        dead.expiry_us = max(dead.expiry_us, entry.expiry_us)
-    else:
-        node.dead_nonces[key] = PitEntry(set(entry.nonces), expiry_us=entry.expiry_us)
+        entry.nonces |= dead.nonces
+    node.dead_nonces[key] = entry
 
 
 def jittered(base_us: int, rng: random.Random) -> int:

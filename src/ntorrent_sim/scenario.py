@@ -68,7 +68,7 @@ DEFAULT_N_PIECES = 32
 MAX_PIECES = 1 << 16
 # A walking sender has the other n-1 nodes as candidates, though it skips most
 # until a due time, and the flooding grows faster than n: a 60-node random
-# field (seed 4) runs for about 25 s and peaks near 400 MiB (CPython 3.11, Xeon).
+# field (seed 4) runs for 16-20 s and peaks near 393 MiB (CPython 3.11, Xeon VM).
 MAX_NODES = 1024
 DEFAULT_PIECE_BYTES = 1024
 DEFAULT_DURATION_US = 120_000_000
@@ -119,7 +119,9 @@ class ScenarioConfig:
 
 
 def _check_id(kind: str, text: str) -> None:
-    if not text or "/" in text:
+    # csv.writer refuses NUL before CPython 3.11, and a run encodes ids as UTF-8,
+    # which has no lone surrogate: encoding with "replace" turns one into "?"
+    if not text or "/" in text or "\0" in text or text.encode(errors="replace").decode() != text:
         raise ValidationError(f"bad {kind} id {text!r}")
     # csv.writer leaves a lone carriage return unquoted before CPython 3.13, and
     # a reader then splits the trace row there
@@ -350,13 +352,20 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Load and validate a scenario file; ParseError/ValidationError on bad input."""
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):  # json.loads would keep the last of equal keys
+            keys = [key for key, _ in pairs]
+            raise ParseError(f"{path}: repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8: {exc}") from None
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:

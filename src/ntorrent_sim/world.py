@@ -2,7 +2,7 @@
 
 One World owns the event loop and all per-node state for a single run: each
 node's forwarding state, with its app if it peers, and its station record of
-where it was last seen, what may hear it and the latest delivery sent to it.
+where it was last seen, what may hear it and the latest frame sent to it.
 The World only creates these records from the node specs: each derives the
 streams it draws on first use, the station its mobility and medium streams,
 the forwarding state its strategy stream and the app its app stream, and the
@@ -12,12 +12,12 @@ methods, which act at the current time. The World only carries packets and
 keeps the clock. A transmission is one delivery event, a batch of one event
 per receiver; it notes each reception and hands it to the receiver's
 forwarding plane, which decides what to do with it, before the next receiver
-hears the frame. It calls back the handler an app
-armed with `timer` when that timer fires. The World calls an app itself only
-to start it. An app's own interest goes through forwarding.on_own_interest and
-is on the radio before `originate` returns. Every observable action lands in
-the trace, and the trace plus the metrics reduced from it are the run's
-result.
+hears the frame; in collision mode a receiver in the transmission's collided
+set notes a collision instead. It calls back the handler an app armed with
+`timer` when that timer fires. The World calls an app itself only to start it.
+An app's own interest goes through forwarding.on_own_interest and is on the
+radio before `originate` returns. Every observable action lands in the trace,
+and the trace plus the metrics reduced from it are the run's result.
 """
 from __future__ import annotations
 
@@ -50,19 +50,9 @@ EV_MOBILITY = "MobilityEpoch"
 EV_GC = "GcTick"
 
 
-class _DeliveryMark:
-    """Mutable collision flag shared between overlapping deliveries."""
-
-    __slots__ = ("time_us", "collided")
-
-    def __init__(self, time_us: int) -> None:
-        self.time_us = time_us
-        self.collided = False
-
-
 @dataclass
 class _Station:
-    """Where a node was last seen, what may hear it and the latest delivery sent to it."""
+    """Where a node was last seen, what may hear it and the latest frame sent to it."""
 
     node_id: str
     master_seed: int
@@ -81,8 +71,9 @@ class _Station:
     # any other sender: per candidate, the µs before which it surely cannot hear
     # this node (set by _hearers_near)
     due: list[int] | None = None
-    # collision mode: the latest delivery sent to this node
-    last_mark: _DeliveryMark | None = None
+    # collision mode: the latest frame sent to this node, as its arrival time and
+    # the collided set of its transmission
+    on_air: tuple[int, set[str]] | None = None
 
     mobility = stream("mobility")
     medium = stream("medium")  # read only when the radio loses frames
@@ -286,21 +277,19 @@ class World:
             coin = own.medium.random
             receivers = [node_id for node_id in receivers if not coin() < radio.loss_prob]
         arrival = now + radio.one_hop_delay_us
-        marks = None
-        if self.cfg.collision_mode:
-            marks = []
+        collided = set() if self.cfg.collision_mode else None
+        if collided is not None:
             for receiver in receivers:
-                mark = _DeliveryMark(arrival)
                 station = self._stations[receiver]
                 # a frame still on its way arrives in (now, arrival], so within one
                 # hop delay; any older one arrives first and is already collided
-                last = station.last_mark
-                if last is not None and last.time_us > now:
-                    last.collided = mark.collided = True
-                station.last_mark = mark
-                marks.append(mark)
+                last = station.on_air
+                if last is not None and last[0] > now:
+                    last[1].add(receiver)
+                    collided.add(receiver)
+                station.on_air = (arrival, collided)
         # one event per receiver, in order; receivers may be own.hearers itself
-        self.loop.schedule_batch(arrival, EV_DELIVERY, receivers, (pkt, marks))
+        self.loop.schedule_batch(arrival, EV_DELIVERY, receivers, (pkt, collided))
 
     # -- event dispatch ---------------------------------------------------------------
 
@@ -318,7 +307,7 @@ class World:
         """Deliver one transmission to each receiver in order, as its events would
         dispatch one by one: each receiver's handler runs before the next one
         hears the frame."""
-        pkt, marks = payload
+        pkt, collided = payload
         now = self.loop.now_us
         key = pkt.name.key
         if isinstance(pkt, Interest):
@@ -328,8 +317,8 @@ class World:
             handle = fw.on_incoming_data
         append = self.trace.append
         nodes = self.nodes
-        for i, node_id in enumerate(receivers):
-            if marks is not None and marks[i].collided:
+        for node_id in receivers:
+            if collided and node_id in collided:
                 self.note(node_id, tc.DROP, key, tc.REASON_COLLISION)
                 continue
             # the row note would append

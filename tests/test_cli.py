@@ -176,6 +176,23 @@ def test_lone_carriage_return_in_an_id_exits_2(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    (json.dumps(TINY_SCENARIO).replace('"kind": "seeder"', '"kind": "leecher", "kind": "seeder"'),
+     "repeated key 'kind'"),
+    (json.dumps(TINY_SCENARIO).replace('"id": "s"', '"id": "s\\u0000"'), "bad node id"),
+    (json.dumps(TINY_SCENARIO).replace('"id": "s"', '"id": "\\ud800"'), "bad node id"),
+    (json.dumps(TINY_SCENARIO).replace('"movie1"', '"\\ud800"'), "bad torrent id"),
+], ids=["repeated-key", "nul-id", "surrogate-node-id", "surrogate-torrent-id"])
+def test_files_that_would_run_the_wrong_scenario_or_crash_exit_2(tmp_path, capsys, text,
+                                                                  message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     # json reads a 400-digit integer exactly; float() of it overflows
     huge = dict(ORACLE_SCENARIO, radio={"range_m": 10 ** 400})

@@ -1,9 +1,12 @@
 """Per-node forwarding plane: PIT dedup, breadcrumbs, store answers, hop caps."""
 import copy
 import random
+from dataclasses import replace
 
 import pytest
+from test_acceptance import random_static_layout
 
+from ntorrent_sim import forwarding
 from ntorrent_sim import trace as tc
 from ntorrent_sim.forwarding import (
     ForwardingParams,
@@ -29,8 +32,9 @@ from ntorrent_sim.names import (
     piece_name,
     render_name,
 )
-from ntorrent_sim.scenario import TorrentSpec
+from ntorrent_sim.scenario import TorrentSpec, build_five_node, build_random_field
 from ntorrent_sim.strategies import StrategyParams, peer_decide, pure_decide
+from ntorrent_sim.world import World
 
 PIECE = piece_name("movie1", 3)
 KEY = render_name(PIECE)
@@ -452,3 +456,65 @@ def test_piece_store_makes_a_bitmap_once_on_first_use():
     assert first.n_pieces == 8
     assert store.piece_bytes("movie1") == 1024
     assert store.has("movie1", 2)
+
+
+# -- dead-nonce expiry ---------------------------------------------------------------
+
+def satisfied_then_asked_again(out):
+    """Nonce 1 satisfied at 10 µs; nonce 2 asks for the same name at 1,000 µs."""
+    node = forwarder_node()
+    on_incoming_interest(node, interest(nonce=1), 0, out)
+    on_incoming_data(node, data_pkt(), 10, out)
+    on_incoming_interest(node, interest(nonce=2), 1_000, out)
+    return node, node.params.pit_lifetime_us
+
+
+def test_an_old_nonce_stays_a_duplicate_until_its_own_expiry(out):
+    node, lifetime = satisfied_then_asked_again(out)
+    # the fresh entry lives to 1,000 + lifetime; nonce 1 only to lifetime
+    assert node.pit[KEY].nonces == {2}
+    assert is_duplicate(node, interest(nonce=1), lifetime - 1)
+    assert not is_duplicate(node, interest(nonce=1), lifetime)
+    assert is_duplicate(node, interest(nonce=2), lifetime)
+
+
+def test_a_second_satisfaction_keeps_both_nonces_until_the_later_expiry(out):
+    node, lifetime = satisfied_then_asked_again(out)
+    on_incoming_data(node, data_pkt(), 2_000, out)
+    assert KEY not in node.pit
+    for nonce in (1, 2):
+        assert is_duplicate(node, interest(nonce=nonce), 1_000 + lifetime - 1)
+        assert not is_duplicate(node, interest(nonce=nonce), 1_000 + lifetime)
+
+
+def five_node_lossy():
+    cfg = build_five_node()
+    return replace(cfg, radio=replace(cfg.radio, loss_prob=0.1))
+
+
+@pytest.mark.parametrize("cfg,seed", [
+    (five_node_lossy(), 1),
+    (five_node_lossy(), 2),
+    (replace(build_random_field(12, 3), duration_us=60_000_000), 3),
+    (random_static_layout(3), 3),
+], ids=["five-node-lossy-1", "five-node-lossy-2", "random-field-12", "static-layout-3"])
+def test_a_live_older_dead_record_never_outlives_the_entry_retired_over_it(
+        cfg, seed, monkeypatch):
+    retire = forwarding._retire_entry
+    met = []
+
+    def checked_retire(node, key, entry, now_us):
+        dead = node.dead_nonces.get(key)
+        if dead is not None and dead.expiry_us > now_us:
+            met.append(key)
+            assert dead.expiry_us <= entry.expiry_us
+            held = dead.nonces | entry.nonces
+        else:
+            held = set(entry.nonces)
+        retire(node, key, entry, now_us)
+        assert node.dead_nonces[key].nonces == held
+        assert node.dead_nonces[key].expiry_us == entry.expiry_us
+
+    monkeypatch.setattr(forwarding, "_retire_entry", checked_retire)
+    World(cfg, master_seed=seed).run()
+    assert met

@@ -1,5 +1,6 @@
 """Scenario schema, validation errors, file loading, and the canned builders."""
 import json
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -176,6 +177,21 @@ def test_ids_with_a_lone_carriage_return_rejected(bad):
         validate(base_cfg(nodes=nodes, torrents=(TorrentSpec(bad),)))
 
 
+@pytest.mark.parametrize("bad", ["s\x00", "\x00", "\ud800", "s\udfff1"],
+                         ids=["nul-inside", "nul", "surrogate", "surrogate-inside"])
+def test_ids_that_a_run_cannot_write_rejected(bad):
+    # csv.writer refuses NUL before CPython 3.11, and a run encodes each id as
+    # UTF-8, which a lone surrogate cannot be
+    nodes = (NodeSpec(bad, NodeKind.SEEDER, "movie1", (0.0, 0.0)),
+             NodeSpec("l", NodeKind.LEECHER, "movie1", (10.0, 10.0)))
+    with pytest.raises(ValidationError, match="bad node id"):
+        validate(base_cfg(nodes=nodes))
+    nodes = (NodeSpec("s", NodeKind.SEEDER, bad, (0.0, 0.0)),
+             NodeSpec("l", NodeKind.LEECHER, bad, (10.0, 10.0)))
+    with pytest.raises(ValidationError, match="bad torrent id"):
+        validate(base_cfg(nodes=nodes, torrents=(TorrentSpec(bad),)))
+
+
 def test_ids_with_a_crlf_accepted():
     nodes = (NodeSpec("s", NodeKind.SEEDER, "f\r\n2", (0.0, 0.0)),
              NodeSpec("f\r\n2", NodeKind.LEECHER, "f\r\n2", (10.0, 10.0)))
@@ -212,6 +228,23 @@ def test_non_finite_radio_and_grid_values_rejected(tmp_path, section, key, liter
     path = tmp_path / "scenario.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValidationError, match="finite"):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"duration_us": 1000000, ' + json.dumps(MINIMAL)[1:-1] + ', "duration_us": 2000000}',
+     "duration_us"),
+    (json.dumps(doc(radio={"range_m": 60.0})).replace('"range_m": 60.0',
+                                                      '"range_m": 60.0, "range_m": 90.0'),
+     "range_m"),
+    (json.dumps(MINIMAL).replace('"kind": "leecher"', '"kind": "leecher", "kind": "seeder"'),
+     "kind"),
+], ids=["top-level", "section", "node"])
+def test_a_repeated_key_is_refused_naming_the_file_and_key(tmp_path, text, key):
+    # json keeps the last of two equal keys, which silently picked another run
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: repeated key '{key}'")):
         load_scenario(str(path))
 
 

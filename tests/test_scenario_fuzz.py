@@ -1,11 +1,14 @@
 """Fuzzing the scenario loader: any JSON in, a config or a ScenarioError out."""
 import copy
+import os
+import tempfile
 from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ntorrent_sim.scenario import ScenarioError, scenario_from_json
+from ntorrent_sim.trace import write_metrics_csv, write_positions_csv, write_trace_csv
 from ntorrent_sim.world import World
 
 # A valid document that writes every key, so every key can be mutated. Only
@@ -112,11 +115,26 @@ def _base_with(section, key, value):
     return doc
 
 
+def _renamed(ids):
+    """BASE with each id in ids renamed, wherever a node or torrent names it."""
+    doc = copy.deepcopy(BASE)
+    for item in doc["torrents"] + doc["nodes"]:
+        for key in ("id", "torrent"):
+            if item.get(key) in ids:
+                item[key] = ids[item[key]]
+    return doc
+
+
 @given(documents())
 @example(_base_with("radio", "range_m", 10 ** 400))  # float() of it overflows
 # a radio wait in µs across such a grid overflows to infinity
 @example(_base_with("grid", "width", 1e303))
 @example(_base_with("grid", "width", 1.7e308))
+# csv.writer refuses NUL before CPython 3.11 when a row needs quoting
+@example(_renamed({"s": "s\x00", "l": "l,1"}))
+# a run encodes each id as UTF-8, which a lone surrogate cannot be
+@example(_renamed({"s": "\ud800"}))
+@example(_renamed({"movie1": "\ud800"}))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_loader_accepts_or_raises_scenario_error(doc):
     try:
@@ -124,4 +142,9 @@ def test_loader_accepts_or_raises_scenario_error(doc):
     except ScenarioError:
         return
     if _cheap_to_run(cfg):
-        World(replace(cfg, duration_us=1_000_000), 0).run()
+        world = World(replace(cfg, duration_us=1_000_000), 0)
+        world.run()
+        with tempfile.TemporaryDirectory() as out:
+            write_trace_csv(os.path.join(out, "trace.csv"), world.trace)
+            write_metrics_csv(os.path.join(out, "metrics.csv"), world.metrics())
+            write_positions_csv(os.path.join(out, "positions.csv"), world.trace)

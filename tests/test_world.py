@@ -145,7 +145,7 @@ def test_run_report_conserves_events():
     (build_five_node(), 1, 2_968, 2_970, 5_558),
     (build_random_field(12, 4), 4, 11_110, 11_112, 26_364),
     (build_random_field(30, 4), 4, 96_919, 96_921, 195_014),
-    # 22 deliveries left past the horizon carry collision marks
+    # 22 deliveries are left past the horizon in collision mode
     (replace(build_five_node(), collision_mode=True), 1, 6_798, 6_820, 12_935),
 ], ids=["five-node", "random-field-12", "random-field-30", "five-node-collision"])
 def test_event_and_trace_counts_are_pinned(cfg, seed, dispatched, scheduled, rows):
@@ -412,6 +412,49 @@ def test_single_transmission_is_clean_in_collision_mode():
     fc_events = [rec.event for rec in world.trace if rec.node == "fc"]
     assert tc.INTEREST_RX in fc_events
     assert not any(rec.detail == tc.REASON_COLLISION for rec in world.trace)
+
+
+def collision_field(loss_prob):
+    cfg = build_random_field(12, 3)
+    return replace(cfg, collision_mode=True, duration_us=60_000_000,
+                   radio=replace(cfg.radio, loss_prob=loss_prob))
+
+
+@pytest.mark.parametrize("cfg,seed", [
+    (replace(build_five_node(), collision_mode=True), 1),
+    (replace(build_five_node(), collision_mode=True), 2),
+    (collision_field(0.0), 3),
+    (collision_field(0.1), 3),
+], ids=["five-node-1", "five-node-2", "random-field-12", "random-field-12-lossy"])
+def test_a_frame_collides_iff_another_to_its_receiver_is_sent_within_one_hop_delay(cfg, seed):
+    world = World(cfg, master_seed=seed)
+    frames = defaultdict(list)  # receiver -> [(sent_us, arrival_us, name key)]
+    schedule_batch = world.loop.schedule_batch
+
+    def recording_schedule_batch(time_us, kind, targets, payload=None):
+        if kind == world_module.EV_DELIVERY:
+            for target in targets:
+                frames[target].append((world.loop.now_us, time_us, payload[0].name.key))
+        schedule_batch(time_us, kind, targets, payload)
+
+    world.loop.schedule_batch = recording_schedule_batch
+    world.run()
+    delay = cfg.radio.one_hop_delay_us
+    expected = []
+    for receiver, sent in frames.items():
+        sent.sort()
+        for i, (sent_us, arrival_us, key) in enumerate(sent):
+            if arrival_us > cfg.duration_us:
+                continue
+            collides = (i > 0 and sent_us - sent[i - 1][0] < delay
+                        or i + 1 < len(sent) and sent[i + 1][0] - sent_us < delay)
+            expected.append((arrival_us, receiver, key, "COLLISION" if collides else "RX"))
+    actual = [(rec.time_us, rec.node, rec.name, "COLLISION")
+              for rec in world.trace if rec.detail == tc.REASON_COLLISION]
+    actual += [(rec.time_us, rec.node, rec.name, "RX") for rec in world.trace
+               if rec.event in (tc.INTEREST_RX, tc.DATA_RX)]
+    assert sorted(actual) == sorted(expected)
+    assert any(outcome == "COLLISION" for *_, outcome in expected)
 
 
 def test_collisions_ignored_when_mode_off():
