@@ -18,18 +18,25 @@ the application state and act on the world through `out`, the World. Every
 interest the app creates goes out through `out.originate`, which records its
 nonce in the node's PIT and transmits it at once. Data for it reaches the
 app, and is relayed only if a radio arrival asked for the same name too.
+
+Each app builds each distinct name once, on first use, and reuses the `Name`
+object, so it is rendered and classified once: its beacon name, one name per
+piece, and its latest bitmap announcement, rebuilt only when `have` changed.
+The names live with the app, so none carries over from one run to the next.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .engine import stream
+from .engine import cached, stream
 from .forwarding import jittered
 from .names import (
     Bitmap,
     BitmapAnnounce,
     Interest,
+    Name,
     PieceInterest,
     beacon_name,
     bitmap_announce_name,
@@ -44,12 +51,27 @@ class LengthMismatch(ValueError):
     """Bitmaps with different piece counts cannot be compared."""
 
 
+def _set_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative int, lowest first. Each step
+    jumps to the lowest set bit left and takes the 64 bits from there, so a
+    walk costs a few passes over the int per 64 bits it yields."""
+    base = 0
+    while bits:
+        skip = (bits & -bits).bit_length() - 1
+        word = bits >> skip & 0xFFFF_FFFF_FFFF_FFFF
+        bits >>= skip + 64
+        while word:
+            low = word & -word
+            yield base + skip + low.bit_length() - 1
+            word ^= low
+        base += skip + 64
+
+
 def compute_missing(mine: Bitmap, theirs: Bitmap) -> list[int]:
     """Ascending indices of pieces they hold and we lack."""
     if mine.n_pieces != theirs.n_pieces:
         raise LengthMismatch(f"{mine.n_pieces} != {theirs.n_pieces}")
-    want = theirs.bits & ~mine.bits
-    return [i for i in range(mine.n_pieces) if want >> i & 1]
+    return list(_set_bits(theirs.bits & ~mine.bits))
 
 
 @dataclass(frozen=True)
@@ -88,6 +110,20 @@ class PeerApp:
         self.known_remote = Bitmap(self.n_pieces)
         self.pending: dict[int, PendingRequest] = {}
         self._last_bitmap_us: dict[str, int] = {}
+        self._piece_names: dict[int, Name] = {}
+        # the latest bitmap announcement name and the have.bits it encodes
+        self._bitmap_name: Name | None = None
+        self._bitmap_name_bits = -1
+
+    @cached
+    def _beacon_name(self) -> Name:
+        return beacon_name(self.node_id)
+
+    def _piece_name(self, piece: int) -> Name:
+        name = self._piece_names.get(piece)
+        if name is None:
+            name = self._piece_names[piece] = piece_name(self.torrent, piece)
+        return name
 
     @property
     def completed(self) -> bool:
@@ -105,7 +141,7 @@ class PeerApp:
     def on_beacon_timer(self, now_us: int, out: World) -> None:
         if self.completed and not self.seeder and not self.cfg.keep_seeding:
             return  # done downloading; stop announcing, keep answering
-        name = beacon_name(self.node_id)
+        name = self._beacon_name
         pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
         out.note(self.node_id, tc.BEACON_TX, name.key)
         out.originate(self.node_id, pkt)
@@ -139,7 +175,10 @@ class PeerApp:
         if last is not None and now_us - last < self.cfg.bitmap_min_gap_us:
             return
         self._last_bitmap_us[remote] = now_us
-        name = bitmap_announce_name(self.torrent, self.node_id, self.have)
+        if self._bitmap_name_bits != self.have.bits:
+            self._bitmap_name_bits = self.have.bits
+            self._bitmap_name = bitmap_announce_name(self.torrent, self.node_id, self.have)
+        name = self._bitmap_name
         pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
         out.note(self.node_id, tc.BITMAP_TX, name.key, f"have={self.have.popcount()}")
         out.originate(self.node_id, pkt)
@@ -166,7 +205,7 @@ class PeerApp:
             return  # duplicate delivery, idempotent
         # the only place have grows, so the arrival that completes it comes once
         self.have.set(piece)
-        out.note(self.node_id, tc.PIECE_RX, piece_name(self.torrent, piece).key,
+        out.note(self.node_id, tc.PIECE_RX, self._piece_name(piece).key,
                  f"piece={piece}")
         if self.completed:
             out.note(self.node_id, tc.COMPLETED, "",
@@ -178,12 +217,12 @@ class PeerApp:
         """Serve a held piece through the PIT return path."""
         if self.have.has(request.piece):
             delay = jittered(self.data_response_delay_us, self.rng)
-            out.emit(self.node_id, piece_name(self.torrent, request.piece), delay)
+            out.emit(self.node_id, self._piece_name(request.piece), delay)
 
     # -- pipeline ----------------------------------------------------------------
 
     def _request_piece(self, piece: int, retries: int, out: World) -> None:
-        name = piece_name(self.torrent, piece)
+        name = self._piece_name(piece)
         pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
         out.note(self.node_id, tc.PIECE_REQ, name.key, f"piece={piece};retry={retries}")
         out.originate(self.node_id, pkt)
@@ -192,7 +231,8 @@ class PeerApp:
                        exclude: frozenset[int] = frozenset()) -> None:
         if self.completed:
             return
-        for piece in compute_missing(self.have, self.known_remote):
+        # lowest missing piece first; the walk ends with the window
+        for piece in _set_bits(self.known_remote.bits & ~self.have.bits):
             if len(self.pending) >= self.cfg.pipeline_window:
                 break
             if piece in self.pending or piece in exclude:

@@ -9,7 +9,8 @@ request one piece by index.
 A packet object is shared by every receiver of its transmission, so Interest
 and Data are immutable tuples whose constructors validate their fields; an
 Interest formats its wire text, the trace detail of its transmission and
-receptions, when it is made.
+receptions, when it is made. Each peer app builds each distinct name once per
+run and reuses the `Name` object (see app.py).
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ class Name:
 
     The rendered text (`key`) and the classification (`cls`) are computed on
     first use and kept, so a packet relayed hop after hop with the same Name
-    object is rendered and classified once.
+    object is rendered and classified once. Each peer app builds each distinct
+    name once and reuses it, so its repeats are not rendered or classified again.
     """
 
     components: tuple[str, ...]

@@ -1,12 +1,14 @@
 """Peer application: beacons, bitmap exchange, pipeline, retries, completion."""
 import random
+import time
 from itertools import product
 
 import pytest
 
 from ntorrent_sim import trace as tc
 from ntorrent_sim.app import AppConfig, LengthMismatch, PeerApp, compute_missing
-from ntorrent_sim.names import Bitmap, BitmapAnnounce, PieceInterest
+from ntorrent_sim.names import Bitmap, BitmapAnnounce, PieceInterest, bitmap_announce_name
+from ntorrent_sim.scenario import MAX_PIECES
 
 
 def make_app(seeder=False, n_pieces=8, cfg=None, node_id="n1", torrent="movie1", seed=3):
@@ -36,6 +38,13 @@ def test_compute_missing_matches_bit_scan():
 def test_compute_missing_rejects_length_mismatch():
     with pytest.raises(LengthMismatch):
         compute_missing(Bitmap(4), Bitmap(8))
+
+
+def test_compute_missing_on_the_largest_bitmaps():
+    theirs = Bitmap(MAX_PIECES, 1 << (MAX_PIECES - 1) | 1 << 4_000 | 1 << 3 | 1)
+    mine = Bitmap(MAX_PIECES, 1 << 3)
+    assert compute_missing(mine, theirs) == [0, 4_000, MAX_PIECES - 1]
+    assert compute_missing(Bitmap(MAX_PIECES), Bitmap.full(MAX_PIECES)) == list(range(MAX_PIECES))
 
 
 def test_seeder_starts_complete(out):
@@ -109,6 +118,59 @@ def test_beacon_reply_is_rate_limited_per_remote(out):
     later = 1_000 + AppConfig().bitmap_min_gap_us
     app.on_receive_beacon("n2", later, out)
     assert out.take() != []
+
+
+def test_beacons_and_requests_of_one_piece_reuse_one_name(out):
+    app = make_app(cfg=AppConfig(pipeline_window=1))
+    app.on_beacon_timer(0, out)
+    app.on_beacon_timer(2_000_000, out)
+    first, second = originated(out.take())
+    assert first.name is second.name
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
+    app.on_retry_timer(AppConfig().interest_retry_timeout_us, out)
+    request, retry = originated(out.take())
+    assert request.name is retry.name
+    assert request.nonce != retry.nonce
+    # the arrival's trace row and the data the app serves read the same name
+    app.on_receive_piece(0, 10, out)
+    [piece_rx] = [call for call in out.take() if call[0] == "note" and call[2] == tc.PIECE_RX]
+    assert piece_rx[3] is request.name.key
+    app.on_receive_piece_interest(PieceInterest("movie1", 0), 20, out)
+    [(_, _, served, _)] = out.take()
+    assert served is request.name
+
+
+def test_bitmap_name_is_rebuilt_only_when_have_changes(out):
+    app = make_app()
+    app.on_receive_beacon("n2", 0, out)
+    app.on_receive_beacon("n3", 0, out)
+    first, repeat = originated(out.take())
+    assert repeat.name is first.name
+    assert first.name.cls.bits == Bitmap(8, 0)
+    app.on_receive_piece(3, 10, out)
+    out.take()
+    app.on_receive_beacon("n4", 20, out)
+    [after] = originated(out.take())
+    assert after.name == bitmap_announce_name("movie1", "n1", Bitmap(8, 1 << 3))
+    assert after.name.cls.bits == Bitmap(8, 1 << 3)
+    app.on_receive_beacon("n5", 30, out)
+    [again] = originated(out.take())
+    assert again.name is after.name
+
+
+def test_full_bitmap_fills_the_window_without_scanning_every_piece(out):
+    # a walk of the lowest missing pieces that stops at the window takes tens
+    # of µs for 65,536 pieces; a shift of the bitmap per piece index took 0.2-0.3 s
+    best_s = float("inf")
+    for _ in range(3):
+        app = make_app(n_pieces=MAX_PIECES)
+        announce = BitmapAnnounce("movie1", "n9", Bitmap.full(MAX_PIECES))
+        start = time.perf_counter()
+        app.on_receive_bitmap(announce, 0, out)
+        best_s = min(best_s, time.perf_counter() - start)
+        assert sorted(app.pending) == [0, 1, 2, 3]
+        assert len(originated(out.take())) == 4
+    assert best_s < 0.02
 
 
 def test_own_beacon_is_ignored(out):

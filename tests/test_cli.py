@@ -2,12 +2,14 @@
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
 from ntorrent_sim import cli
 from ntorrent_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from ntorrent_sim.scenario import MAX_PIECES
+from ntorrent_sim.scenario import MAX_PIECES, build_five_node, with_p_forward
+from ntorrent_sim.world import run_scenario
 
 TINY_SCENARIO = {
     "duration_us": 10_000_000,
@@ -85,6 +87,24 @@ def test_sweep_row_count_and_order(tiny_scenario, tmp_path, capsys):
     ]
     # the two-node layout needs no relay, so every run completes
     assert all(r[4] == "1" and r[5] != "" for r in body)
+
+
+def test_a_run_in_a_sweep_depends_only_on_its_scenario_and_seed():
+    # nothing outlives a run: each seed's rows are the same whichever seed runs
+    # first, and the same as a lone run's
+    line = build_five_node()
+    cfg = replace(line, radio=replace(line.radio, loss_prob=0.1))
+    forward = cli.sweep(cfg, [0.5], [1, 2])
+    backward = cli.sweep(cfg, [0.5], [2, 1])
+    for seed in (1, 2):
+        rows = [row for row in forward if row[1] == seed]
+        assert rows == [row for row in backward if row[1] == seed]
+        _, metrics = run_scenario(with_p_forward(cfg, 0.5), seed)
+        assert [row[2:] for row in rows] == [
+            (node_id, lm.torrent, int(lm.completed),
+             "" if lm.completion_time_us is None else lm.completion_time_us)
+            for node_id, lm in metrics.per_leecher.items()]
+    assert any(row[4] for row in forward)
 
 
 @pytest.mark.parametrize("p_list, seed_list", [("", "1"), (",", "1"), ("1.0", ""), ("1.0", ",")])
