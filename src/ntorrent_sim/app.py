@@ -30,7 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .engine import cached, stream
+from .engine import cached, draw_int, stream
 from .forwarding import jittered
 from .names import (
     Bitmap,
@@ -131,7 +131,7 @@ class PeerApp:
 
     def start(self, out: World) -> None:
         """Initial timers: a desynchronising beacon offset, retries for leechers."""
-        offset = self.rng.randint(1, max(1, self.cfg.beacon_interval_us // 10))
+        offset = draw_int(self.rng, 1, max(1, self.cfg.beacon_interval_us // 10))
         out.timer(self.node_id, self.on_beacon_timer, offset)
         if not self.seeder:
             out.timer(self.node_id, self.on_retry_timer, self.cfg.interest_retry_timeout_us)

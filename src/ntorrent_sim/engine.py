@@ -15,7 +15,8 @@ derive_stream, which keeps one node's draw sequence independent of event
 interleaving at other nodes. Each stream has one owner, the node record that
 declares it as a `stream` attribute and derives it on its first read, so a
 stream that nothing draws from is never derived. `stream` is a kind of
-`cached`, the compute-once attribute that names and mobility use too.
+`cached`, the compute-once attribute that names and mobility use too. Every
+uniform integer a run draws comes from draw_int.
 """
 from __future__ import annotations
 
@@ -141,6 +142,21 @@ def _fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * 0x100000001B3) & _MASK64
     return h
+
+
+def draw_int(rng: random.Random, lo: int, hi: int) -> int:
+    """A uniform integer on [lo, hi], drawn as rng.randint(lo, hi) draws it on
+    CPython 3.10-3.13: getrandbits of the width's bit length until the result
+    is below the width. A run then depends on getrandbits alone."""
+    width = hi - lo + 1
+    if width <= 0:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return lo + r
 
 
 def derive_stream(master_seed: int, purpose: str, node: str) -> random.Random:

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .engine import stream
+from .engine import draw_int, stream
 from .names import Beacon, Bitmap, BitmapAnnounce, Data, Interest, Name, PieceInterest
 from .strategies import OverheardNameTable, StrategyParams, peer_decide, pure_decide
 from . import trace as tc
@@ -123,20 +123,20 @@ def jittered(base_us: int, rng: random.Random) -> int:
     spread = base_us // 10
     if spread == 0:
         return base_us
-    return base_us + rng.randint(-spread, spread)
+    return base_us + draw_int(rng, -spread, spread)
 
 
 def is_duplicate(node: NodeState, pkt: Interest, now_us: int) -> bool:
     """Whether the node already holds pkt's nonce for its name, in a live PIT
     entry or a live dead-nonce record. A duplicate is dropped with PIT_DUP
-    and changes no state."""
+    and changes no state. on_incoming_interest applies this rule inline, on
+    the PIT lookup that also records a new nonce."""
     key = pkt.name.key
-    # _live, inlined: this runs for every reception of every interest
     entry = node.pit.get(key)
-    if entry is not None and entry.expiry_us > now_us and pkt.nonce in entry.nonces:
+    if _live(entry, now_us) and pkt.nonce in entry.nonces:
         return True
     dead = node.dead_nonces.get(key)
-    return dead is not None and dead.expiry_us > now_us and pkt.nonce in dead.nonces
+    return _live(dead, now_us) and pkt.nonce in dead.nonces
 
 
 def _record(node: NodeState, pkt: Interest, now_us: int) -> PitEntry:
@@ -163,11 +163,24 @@ def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int, out: World
     """Duplicate check, breadcrumb, store check, then the relay rule for a
     radio arrival."""
     key = pkt.name.key
-    # most flood copies are duplicates; they end here
-    if is_duplicate(node, pkt, now_us):
+    nonce = pkt.nonce
+    # is_duplicate and _record, inlined on one PIT lookup: this runs for every
+    # reception of every interest, and most flood copies are duplicates
+    pit = node.pit
+    entry = pit.get(key)
+    live = entry is not None and entry.expiry_us > now_us
+    if ((live and nonce in entry.nonces)
+            or ((dead := node.dead_nonces.get(key)) is not None
+                and dead.expiry_us > now_us and nonce in dead.nonces)):
         out.note(node.node_id, tc.DROP, key, tc.REASON_PIT_DUP)
         return
-    _record(node, pkt, now_us).from_radio = True
+    expiry_us = now_us + node.params.pit_lifetime_us
+    if live:
+        entry.nonces.add(nonce)
+        entry.expiry_us = expiry_us
+        entry.from_radio = True
+    else:
+        pit[key] = PitEntry({nonce}, True, expiry_us)
     cls = pkt.name.cls
     if isinstance(cls, PieceInterest) and node.store.has(cls.torrent, cls.piece):
         delay = jittered(node.params.data_response_delay_us, node.rng)

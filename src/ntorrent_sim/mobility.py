@@ -9,8 +9,10 @@ broadcast after one fixed hop delay, except the sender itself.
 broadcast_receivers states that rule over a set of exact positions. The world
 applies the same rule without most of them (see `World._hearers_near`): bounds
 on how far a walker can have moved decide every candidate but those near the
-range edge, which get the exact test; a static sender whose candidates are all
-static makes that test once. A Leg only computes positions: the World keeps
+range edge, which get the exact test, and the same bounds tell how long a
+candidate stays surely out of range or surely in range, during which it is
+decided without any arithmetic; a static sender whose candidates are all
+static makes the test once. A Leg only computes positions: the World keeps
 each node's last exact position and returns it again for a second query in the
 same microsecond.
 """
@@ -154,7 +156,8 @@ class Leg:
             y = y0 + vy * dt_s
             if not (0.0 < x < width and 0.0 < y < height):
                 x, y = _nudge_inside(x, width), _nudge_inside(y, height)
-            return Position(x, y)
+            # tuple.__new__ skips the NamedTuple's Python-level __new__; same type
+            return tuple.__new__(Position, (x, y))
         return position_at(self.anchor, self.state, self.t0_us, t_us, self.bounds)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .engine import draw_int
 from .names import Beacon, Interest, Unknown
 from . import trace as tc
 
@@ -55,7 +56,7 @@ class OverheardNameTable:
 def pure_decide(params: StrategyParams, rng: random.Random) -> tuple[str, int | None]:
     """One forward-or-not draw; a forward waits a uniform jitter first."""
     if rng.random() < params.p_forward:
-        return tc.REASON_PROB_FWD, rng.randint(params.jitter_min_us, params.jitter_max_us)
+        return tc.REASON_PROB_FWD, draw_int(rng, params.jitter_min_us, params.jitter_max_us)
     return tc.REASON_PROB_DROP, None
 
 
@@ -73,6 +74,6 @@ def peer_decide(params: StrategyParams, own_torrent: str, table: OverheardNameTa
         return tc.REASON_OWN_APP, None
     if table.live(torrent, now_us):
         table.touch(torrent, now_us, params.t_mem_us)
-        return tc.REASON_FOREIGN_FWD, rng.randint(params.jitter_min_us, params.jitter_max_us)
+        return tc.REASON_FOREIGN_FWD, draw_int(rng, params.jitter_min_us, params.jitter_max_us)
     table.touch(torrent, now_us, params.t_mem_us)
     return tc.REASON_FOREIGN_LEARN, None

@@ -1,8 +1,14 @@
 """Run loop: wires nodes, radio medium, mobility, and timers to the engine.
 
 One World owns the event loop and all per-node state for a single run: each
-node's forwarding state, with its app if it peers, and its station record of
-where it was last seen, what may hear it and the latest frame sent to it.
+node's forwarding state, with its app if it peers, its station record of
+where it was last seen and the latest frame sent to it, and, from its first
+transmission on, its sender record of what may hear it, with a two-sided
+range certificate per candidate (see `_hearers_near`). Only the World and
+the sender records refer to station records, and no station refers to
+another, so a run makes no reference cycle: `run` pauses automatic garbage
+collection, which would only walk the growing trace again and again, and
+reference counting frees all a run drops.
 The World only creates these records from the node specs: each derives the
 streams it draws on first use, the station its mobility and medium streams,
 the forwarding state its strategy stream and the app its app stream, and the
@@ -21,6 +27,7 @@ and the trace plus the metrics reduced from it are the run's result.
 """
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable
@@ -52,7 +59,7 @@ EV_GC = "GcTick"
 
 @dataclass
 class _Station:
-    """Where a node was last seen, what may hear it and the latest frame sent to it."""
+    """Where a node was last seen and the latest frame sent to it."""
 
     node_id: str
     master_seed: int
@@ -64,13 +71,6 @@ class _Station:
     seen: Position = field(init=False)
     seen_us: int = 0
     leg: Leg | None = None  # the walk leg it is on; None for static nodes
-    # filled by _reach before the node's first transmission
-    candidates: list[_Station] | None = None
-    # a static sender whose candidates are all static: the ones in range, in order
-    hearers: list[str] | None = None
-    # any other sender: per candidate, the µs before which it surely cannot hear
-    # this node (set by _hearers_near)
-    due: list[int] | None = None
     # collision mode: the latest frame sent to this node, as its arrival time and
     # the collided set of its transmission
     on_air: tuple[int, set[str]] | None = None
@@ -90,6 +90,24 @@ class _Station:
         return _position_detail(self.seen)
 
 
+@dataclass(slots=True)
+class _Sender:
+    """What may hear a node's transmissions, made by World._reach before its
+    first one. The World keeps these apart from the stations, so no station
+    refers to another and a finished World is freed by reference counting."""
+
+    own: _Station
+    # a static sender whose candidates are all static: the ones in range, in
+    # order, for good
+    hearers: list[str] | None = None
+    # any other sender: the stations that may hear it, in insertion order, and
+    # per candidate the µs before which it surely cannot hear the sender (due)
+    # and the µs before which it surely can (sure), both set by _hearers_near
+    candidates: list[_Station] | None = None
+    due: list[int] | None = None
+    sure: list[int] | None = None
+
+
 def _position_detail(pos: Position) -> str:
     return f"x={pos.x!r};y={pos.y!r}"
 
@@ -102,6 +120,7 @@ class World:
         self.trace: list[TraceRecord] = []
         self.nodes: dict[str, fw.NodeState] = {}
         self._stations: dict[str, _Station] = {}
+        self._senders: dict[str, _Sender] = {}  # filled as each node first transmits
         # Positions are exact to a few ulps of the largest length in their
         # arithmetic (a grid side, the range, a 200 m leg), and position_at moves
         # an anchor on a wall by the smallest step, so this margin on the bounds
@@ -202,79 +221,97 @@ class World:
                       f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
         self._broadcast(node_id, pkt)
 
-    def _reach(self, own: _Station) -> None:
-        """Fill own before its node's first transmission: its candidates, the
-        stations that may hear it in insertion order (every other station for a
-        walking sender, else the walkers and the static nodes in range); and,
-        when none of them walks, their ids as its hearers for good, since the disk test
-        every frame would repeat is the one made here; else a due time of 0
-        per candidate for _hearers_near."""
-        own.candidates = [station for station in self._stations.values()
-                          if station is not own and (
-                              own.leg is not None or station.leg is not None
-                              or in_range(own.seen, station.seen, self.cfg.radio))]
-        if own.leg is None and all(station.leg is None for station in own.candidates):
-            own.hearers = [station.node_id for station in own.candidates]
+    def _reach(self, sender: str) -> _Sender:
+        """The sender's record, made before its first transmission: its
+        candidates, the stations that may hear it in insertion order (every
+        other station for a walking sender, else the walkers and the static
+        nodes in range); and, when none of them walks, their ids as its hearers
+        for good, since the disk test every frame would repeat is the one made
+        here; else a due and a sure time of 0 per candidate for _hearers_near."""
+        own = self._stations[sender]
+        candidates = [station for station in self._stations.values()
+                      if station is not own and (
+                          own.leg is not None or station.leg is not None
+                          or in_range(own.seen, station.seen, self.cfg.radio))]
+        if own.leg is None and all(station.leg is None for station in candidates):
+            record = _Sender(own, hearers=[station.node_id for station in candidates])
         else:
-            own.due = [0] * len(own.candidates)
+            record = _Sender(own, candidates=candidates, due=[0] * len(candidates),
+                             sure=[0] * len(candidates))
+        self._senders[sender] = record
+        return record
 
-    def _hearers_near(self, sender: str, own: _Station, now: int) -> list[str]:
+    def _hearers_near(self, sender: str, record: _Sender, now: int) -> list[str]:
         """The candidates that hear sender now, in candidate order, as the exact
         closed-disk test on every exact position decides, with one medium coin
         per candidate in range when the radio loses frames.
 
         A walker is now at most speed * elapsed from where it was last seen,
         since reflection only folds its path, and two nodes close in on each
-        other at no more than 2 * SPEED_MAX_MS. From those bounds a candidate
-        is skipped until its due time, accepted without its exact position
-        when it is surely in range, and tested exactly only near the range
-        edge. One in range stays due now: a sender can transmit twice in a µs.
+        other or move apart at no more than 2 * SPEED_MAX_MS. From those bounds
+        each candidate gets a two-sided certificate: it is skipped until its
+        due time, when it may first be in range, and accepted with one
+        comparison until its sure time, when it may first be out of range.
+        Past both, the bounds decide it without its exact position unless it is
+        near the range edge, where it is tested exactly, and they renew the
+        certificate. A certificate shorter than 1 µs leaves the candidate due
+        now: a sender can transmit twice in a µs. The sender's own exact
+        position is computed only when some candidate needs the arithmetic.
         """
-        ox, oy = self.position_of(sender, now)
         radio = self.cfg.radio
         range_m = radio.range_m
         far = range_m + self._margin_m
         near = range_m - self._margin_m
-        coin = own.medium.random if radio.loss_prob > 0.0 else None
-        # a wait past the run skips a candidate for good; int() of it may overflow
+        loss_prob = radio.loss_prob
+        coin = record.own.medium.random if loss_prob > 0.0 else None
+        # a certificate past the run holds for good; int() of it may overflow
         after = self.cfg.duration_us + 1
-        candidates = own.candidates
-        due = own.due
+        candidates = record.candidates
+        due = record.due
+        sure = record.sure
+        ox = oy = None
         hearers = []
         for i, due_us in enumerate(due):
             if now < due_us:
                 continue
             station = candidates[i]
-            sx, sy = station.seen
-            leg = station.leg
-            slack = 0.0 if leg is None else leg.state.speed_ms * (now - station.seen_us) / 1e6
-            gap = math.hypot(sx - ox, sy - oy)
-            lower = gap - slack - far
-            if lower > 0.0:
-                wait = lower * 1e6 / (2.0 * SPEED_MAX_MS)
-                due[i] = now + int(wait) if wait < after else after
-                continue
-            if gap + slack > near:
-                x, y = self.position_of(station.node_id, now)
-                if math.hypot(ox - x, oy - y) > range_m:
+            if now >= sure[i]:
+                if ox is None:
+                    ox, oy = self.position_of(sender, now)
+                sx, sy = station.seen
+                leg = station.leg
+                slack = 0.0 if leg is None else leg.state.speed_ms * (now - station.seen_us) / 1e6
+                gap = math.hypot(sx - ox, sy - oy)
+                lower = gap - slack - far
+                if lower > 0.0:
+                    wait = lower * 1e6 / (2.0 * SPEED_MAX_MS)
+                    due[i] = now + int(wait) if wait < after else after
                     continue
-            if coin is not None and coin() < radio.loss_prob:
+                upper = gap + slack
+                if upper > near:
+                    x, y = self.position_of(station.node_id, now)
+                    if math.hypot(ox - x, oy - y) > range_m:
+                        continue
+                else:
+                    hold = (near - upper) * 1e6 / (2.0 * SPEED_MAX_MS)
+                    sure[i] = now + int(hold) if hold < after else after
+            if coin is not None and coin() < loss_prob:
                 continue
             hearers.append(station.node_id)
         return hearers
 
     def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
         now = self.loop.now_us
-        own = self._stations[sender]
-        if own.candidates is None:
-            self._reach(own)
+        record = self._senders.get(sender)
+        if record is None:
+            record = self._reach(sender)
         radio = self.cfg.radio
-        receivers = own.hearers
+        receivers = record.hearers
         if receivers is None:
-            receivers = self._hearers_near(sender, own, now)
+            receivers = self._hearers_near(sender, record, now)
         elif radio.loss_prob > 0.0:
             # one loss coin per hearer, in order, as _hearers_near draws them
-            coin = own.medium.random
+            coin = record.own.medium.random
             receivers = [node_id for node_id in receivers if not coin() < radio.loss_prob]
         arrival = now + radio.one_hop_delay_us
         collided = set() if self.cfg.collision_mode else None
@@ -288,7 +325,7 @@ class World:
                     last[1].add(receiver)
                     collided.add(receiver)
                 station.on_air = (arrival, collided)
-        # one event per receiver, in order; receivers may be own.hearers itself
+        # one event per receiver, in order; receivers may be record.hearers itself
         self.loop.schedule_batch(arrival, EV_DELIVERY, receivers, (pkt, collided))
 
     # -- event dispatch ---------------------------------------------------------------
@@ -329,12 +366,15 @@ class World:
         tag = payload[0]
         now = self.loop.now_us
         if tag == "sample":
+            append = self.trace.append
             for node_id, station in self._stations.items():
                 if station.leg is None:
                     detail = station.fixed_detail
                 else:
-                    detail = _position_detail(self.position_of(node_id, now))
-                self.note(node_id, tc.POSITION, "", detail)
+                    x, y = self.position_of(node_id, now)
+                    detail = f"x={x!r};y={y!r}"  # _position_detail, inlined
+                # the row note would append
+                append(tuple.__new__(TraceRecord, (now, node_id, tc.POSITION, "", detail)))
             nxt = now + self.cfg.position_sample_interval_us
             if nxt <= self.cfg.duration_us:
                 self.loop.schedule(nxt, EV_TIMER, None, ("sample",))
@@ -368,10 +408,18 @@ class World:
     # -- run -------------------------------------------------------------------------
 
     def run(self) -> RunReport:
-        report = self.loop.run_until(self.cfg.duration_us, self._dispatch)
-        # the boundary marker always closes the trace, after anything that
-        # fired exactly at the horizon
-        self.note("", tc.END, "", "")
+        # A run makes no reference cycles, so reference counting frees all it
+        # drops, and automatic collection would only walk the growing trace
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report = self.loop.run_until(self.cfg.duration_us, self._dispatch)
+            # the boundary marker always closes the trace, after anything that
+            # fired exactly at the horizon
+            self.note("", tc.END, "", "")
+        finally:
+            if enabled:
+                gc.enable()
         return report
 
     def metrics(self) -> MetricsSummary:

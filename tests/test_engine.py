@@ -1,4 +1,7 @@
-"""Event loop ordering, clock bounds, and seeded stream derivation."""
+"""Event loop ordering, clock bounds, seeded stream derivation and integer
+draws."""
+
+import random
 
 import pytest
 
@@ -7,6 +10,7 @@ from ntorrent_sim.engine import (
     EventLoop,
     SchedulingInPast,
     derive_stream,
+    draw_int,
     _fnv1a64,
     _splitmix64,
 )
@@ -195,3 +199,22 @@ def test_unknown_purpose_rejected():
     with pytest.raises(ValueError):
         derive_stream(1, "weather", "n0")
 
+
+# widths 1, 2, 2^k and 2^k + 1 (rejection draws most often just past a power
+# of two), from negative, zero and positive low ends
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 16, 17, 2**16, 2**16 + 1, 2**40, 2**40 + 1])
+@pytest.mark.parametrize("lo", [-(2**20) - 3, -1, 0, 1_000])
+def test_draw_int_draws_as_randint_draws(width, lo):
+    ours, theirs = random.Random(width * 31 + lo), random.Random(width * 31 + lo)
+    hi = lo + width - 1
+    for _ in range(200):
+        drawn = draw_int(ours, lo, hi)
+        assert drawn == theirs.randint(lo, hi)
+        assert lo <= drawn <= hi
+    # the same bits were consumed, so the streams go on alike
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_draw_int_refuses_an_empty_range():
+    with pytest.raises(ValueError):
+        draw_int(random.Random(1), 5, 4)

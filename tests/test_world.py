@@ -12,11 +12,13 @@ from dataclasses import replace
 
 import pytest
 from conftest import Recorder
+from test_acceptance import random_static_layout
 
 from ntorrent_sim import forwarding as fw
 from ntorrent_sim import mobility
 from ntorrent_sim import trace as tc
 from ntorrent_sim import world as world_module
+from ntorrent_sim.cli import sweep
 from ntorrent_sim.engine import derive_stream
 from ntorrent_sim.mobility import (
     EPOCH_INTERVAL_US,
@@ -156,9 +158,11 @@ def test_event_and_trace_counts_are_pinned(cfg, seed, dispatched, scheduled, row
 
 
 def test_exact_position_counts_are_pinned(monkeypatch):
-    # 7,212 samples, 360 epoch ends and 3,684 transmissions' senders need 11,256
-    # exact positions; the radio adds one only for a candidate near the range
-    # edge. Computing one for every candidate that may be in range took 18,258.
+    # 7,212 samples and 360 epoch ends need 7,572 exact positions. Of 3,684
+    # transmissions, the 1,725 with a candidate past both its due and its sure
+    # time add the sender's, and the radio adds one for each of 260 candidates
+    # near the range edge. With the sender's at every transmission it took
+    # 11,516; with one for every candidate that may be in range, 18,258.
     calls = []
     position_of = World.position_of
 
@@ -169,7 +173,7 @@ def test_exact_position_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(World, "position_of", counting)
     world = World(build_random_field(12, 4), master_seed=4)
     world.run()
-    assert len(calls) == 11_516
+    assert len(calls) == 9_557
 
 
 def test_metrics_recompute_from_own_trace():
@@ -259,7 +263,7 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
     world.position_of = recording_position_of
     pruned_broadcast = world._broadcast
     covered = {"tx": 0, "after_epoch": 0, "exact_range_pair": 0, "skipped_until_due": 0,
-               "heard_unseen": 0, "again_in_the_same_us": 0}
+               "accepted_until_sure": 0, "heard_unseen": 0, "again_in_the_same_us": 0}
     last_tx = {}
 
     def checked_broadcast(sender, pkt):
@@ -273,17 +277,26 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
         in_range_ids = [node_id for node_id, pos in positions.items()
                         if node_id != sender and in_range(positions[sender], pos, cfg.radio)]
         stale = {node_id for node_id, station in world._stations.items() if station.seen_us < now}
-        skipped = 0 if own.due is None else sum(now < due_us for due_us in own.due)
+        record = world._senders.get(sender)
+        skipped, certified = 0, set()
+        if record is not None and record.due is not None:
+            skipped = sum(now < due_us for due_us in record.due)
+            # accepted on an unexpired sure time, without any arithmetic
+            certified = {station.node_id for station, due_us, sure_us
+                         in zip(record.candidates, record.due, record.sure)
+                         if due_us <= now < sure_us}
         delivered.clear()
         exact_calls.clear()
         pruned_broadcast(sender, pkt)
         arrival = now + cfg.radio.one_hop_delay_us
         assert delivered == [(arrival, node_id) for node_id in expected], (case, now, sender)
         assert own.medium.getstate() == scan_rng.getstate(), (case, now, sender)
+        assert certified <= set(in_range_ids), (case, now, sender)
         covered["tx"] += 1
         covered["after_epoch"] += now >= EPOCH_INTERVAL_US and now % EPOCH_INTERVAL_US < 50_000
         covered["exact_range_pair"] += {sender, *expected} >= {"n0", "n1"}
         covered["skipped_until_due"] += skipped
+        covered["accepted_until_sure"] += len(certified)
         # in range, last seen before now, and judged without an exact position
         covered["heard_unseen"] += len(stale.intersection(in_range_ids) - set(exact_calls))
         covered["again_in_the_same_us"] += bool(in_range_ids) and last_tx.get(sender) == now
@@ -296,6 +309,8 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
     assert covered["after_epoch"] > 0 or not walkers
     if case == "static":
         assert covered["exact_range_pair"] > 0
+    if case in ("walking", "walking-top-speed", "tiny-grid"):
+        assert covered["accepted_until_sure"] > 0, covered
     if case == "walking":
         assert covered["skipped_until_due"] > 0, covered
         assert covered["heard_unseen"] > 0, covered
@@ -357,16 +372,89 @@ def test_a_repeat_position_query_in_the_same_microsecond_reuses_the_last(monkeyp
                          ids=["five-node", "random-field-n8"])
 def test_a_finished_world_is_freed_by_reference_counting(cfg):
     # a cycle through the World (say, a bound World method kept in an event
-    # payload) would hold every record and the trace until a collection
+    # payload) would hold every record and the trace until a collection, and
+    # one between stations (say, each holding the others that may hear it)
+    # would hold every station, leg and stream
     gc.disable()
     try:
         world = World(cfg, master_seed=1)
         world.run()
         world.metrics()
         freed = weakref.ref(world)
+        station = weakref.ref(next(iter(world._stations.values())))
         del world
         assert freed() is None
+        assert station() is None
     finally:
+        gc.enable()
+
+
+def _lossy_five_node():
+    five_node = build_five_node()
+    return validate(replace(five_node, radio=replace(five_node.radio, loss_prob=0.1)))
+
+
+def _run_world(cfg, seed):
+    world = World(cfg, master_seed=seed)
+    world.run()
+    world.metrics()
+
+
+GARBAGE_FREE_RUNS = {
+    "five-node": lambda: _run_world(build_five_node(), 1),
+    "five-node-collision": lambda: _run_world(
+        replace(build_five_node(), collision_mode=True), 1),
+    "random-field-12": lambda: _run_world(build_random_field(12, 4), 4),
+    "random-field-30": lambda: _run_world(build_random_field(30, 4), 4),
+    "criterion-4-layout": lambda: _run_world(random_static_layout(1), 1),
+    "sweep": lambda: sweep(_lossy_five_node(), [0.25, 1.0], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBAGE_FREE_RUNS))
+def test_a_run_leaves_nothing_for_the_collector(case):
+    # World.run pauses automatic collection, which is safe only while a run
+    # makes no reference cycles: every object it drops must go by reference
+    # counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        GARBAGE_FREE_RUNS[case]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_run_restores_the_callers_collector_setting(enabled):
+    world = World(build_five_node(), master_seed=1)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(record)
+    try:
+        world.run()
+        # read before anything allocates: the first allocation once collection
+        # is back on starts the collection the run put off
+        collected_in_run = len(starts)
+        assert gc.isenabled() is enabled
+        # five-node allocates far past gen-0's threshold, yet nothing collects
+        assert collected_in_run == 0
+        failing = World(build_five_node(), master_seed=1)
+
+        def raising(kind, target, payload):
+            raise RuntimeError("handler failed")
+
+        failing._dispatch = raising
+        with pytest.raises(RuntimeError, match="handler failed"):
+            failing.run()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(record)
         gc.enable()
 
 
