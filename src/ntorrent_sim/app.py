@@ -125,6 +125,13 @@ class PeerApp:
             name = self._piece_names[piece] = piece_name(self.torrent, piece)
         return name
 
+    def _originate(self, name: Name, code: str, detail: str, out: World) -> None:
+        """Send an interest of the app's own for name, with a fresh nonce, after
+        noting code and detail for it."""
+        pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
+        out.note(self.node_id, code, name.key, detail)
+        out.originate(self.node_id, pkt)
+
     @property
     def completed(self) -> bool:
         return self.have.complete
@@ -141,10 +148,7 @@ class PeerApp:
     def on_beacon_timer(self, now_us: int, out: World) -> None:
         if self.completed and not self.seeder and not self.cfg.keep_seeding:
             return  # done downloading; stop announcing, keep answering
-        name = self._beacon_name
-        pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
-        out.note(self.node_id, tc.BEACON_TX, name.key)
-        out.originate(self.node_id, pkt)
+        self._originate(self._beacon_name, tc.BEACON_TX, "", out)
         out.timer(self.node_id, self.on_beacon_timer,
                   jittered(self.cfg.beacon_interval_us, self.rng))
 
@@ -178,10 +182,7 @@ class PeerApp:
         if self._bitmap_name_bits != self.have.bits:
             self._bitmap_name_bits = self.have.bits
             self._bitmap_name = bitmap_announce_name(self.torrent, self.node_id, self.have)
-        name = self._bitmap_name
-        pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
-        out.note(self.node_id, tc.BITMAP_TX, name.key, f"have={self.have.popcount()}")
-        out.originate(self.node_id, pkt)
+        self._originate(self._bitmap_name, tc.BITMAP_TX, f"have={self.have.popcount()}", out)
 
     def on_receive_beacon(self, sender: str, now_us: int, out: World) -> None:
         if sender != self.node_id:
@@ -222,10 +223,8 @@ class PeerApp:
     # -- pipeline ----------------------------------------------------------------
 
     def _request_piece(self, piece: int, retries: int, out: World) -> None:
-        name = self._piece_name(piece)
-        pkt = Interest(name, nonce=self.rng.getrandbits(64), origin=self.node_id)
-        out.note(self.node_id, tc.PIECE_REQ, name.key, f"piece={piece};retry={retries}")
-        out.originate(self.node_id, pkt)
+        self._originate(self._piece_name(piece), tc.PIECE_REQ,
+                        f"piece={piece};retry={retries}", out)
 
     def _fill_pipeline(self, now_us: int, out: World,
                        exclude: frozenset[int] = frozenset()) -> None:

@@ -3,17 +3,19 @@
 Every node, peer or not, runs the same plane. An app's own interest
 (on_own_interest) leaves its nonce in the PIT and goes straight to the radio.
 An interest heard on the radio (on_incoming_interest) whose nonce the node
-already holds (is_duplicate) is dropped as PIT_DUP; a new one leaves a PIT
-breadcrumb for the return path, is answered from the local piece store when
-possible, and otherwise goes to a relay rule: a pure forwarder (no app) calls
-strategies.pure_decide, a peer calls strategies.peer_decide with its own
-torrent and its overheard-name table. The rule's reason code is noted as the
-DECISION; a forward is sent after the rule's delay, OWN_APP calls the node's
-app with the classified name (a beacon's sender, a bitmap announcement or a
-piece request), and the drop reasons do nothing more. Returning data consumes
-the breadcrumb: rebroadcast once if a radio arrival asked for it, and passed
-to the node's app as a piece if the node peers on that torrent; the entry
-stays as a dead-nonce record, so late copies stay duplicates until it expires.
+already holds, in a live PIT entry or a live dead-nonce record, is dropped as
+PIT_DUP and changes nothing; this handler is the one place that rule is
+stated. A new one leaves a PIT breadcrumb for the return path, is answered
+from the local piece store when possible, and otherwise goes to a relay rule:
+a pure forwarder (no app) calls strategies.pure_decide, a peer calls
+strategies.peer_decide with its own torrent and its overheard-name table. The
+rule's reason code is noted as the DECISION; a forward is sent after the
+rule's delay, OWN_APP calls the node's app with the classified name (a
+beacon's sender, a bitmap announcement or a piece request), and the drop
+reasons do nothing more. Returning data consumes the breadcrumb: rebroadcast
+once if a radio arrival asked for it, and passed to the node's app as a piece
+if the node peers on that torrent; the entry stays as a dead-nonce record, so
+late copies stay duplicates until it expires.
 
 Handlers change only the given node's state, call its app directly, and act
 on the world through `out`, the World: they note trace rows, send packets and
@@ -126,19 +128,6 @@ def jittered(base_us: int, rng: random.Random) -> int:
     return base_us + draw_int(rng, -spread, spread)
 
 
-def is_duplicate(node: NodeState, pkt: Interest, now_us: int) -> bool:
-    """Whether the node already holds pkt's nonce for its name, in a live PIT
-    entry or a live dead-nonce record. A duplicate is dropped with PIT_DUP
-    and changes no state. on_incoming_interest applies this rule inline, on
-    the PIT lookup that also records a new nonce."""
-    key = pkt.name.key
-    entry = node.pit.get(key)
-    if _live(entry, now_us) and pkt.nonce in entry.nonces:
-        return True
-    dead = node.dead_nonces.get(key)
-    return _live(dead, now_us) and pkt.nonce in dead.nonces
-
-
 def _record(node: NodeState, pkt: Interest, now_us: int) -> PitEntry:
     """Add pkt's nonce to its name's live PIT entry, or to a new one, and push
     the entry's expiry out a full lifetime."""
@@ -164,7 +153,7 @@ def on_incoming_interest(node: NodeState, pkt: Interest, now_us: int, out: World
     radio arrival."""
     key = pkt.name.key
     nonce = pkt.nonce
-    # is_duplicate and _record, inlined on one PIT lookup: this runs for every
+    # the duplicate rule and _record's, on one PIT lookup: this runs for every
     # reception of every interest, and most flood copies are duplicates
     pit = node.pit
     entry = pit.get(key)
@@ -247,18 +236,17 @@ def on_data_emission(node: NodeState, name: Name, now_us: int, out: World) -> No
 
     The entry may have been satisfied by a copy from elsewhere in the
     meantime; then there is nothing left to answer. Only a radio arrival
-    schedules an emission, and an app never asks for a piece its store
-    holds, so a live entry is always answered on the radio.
+    that the store satisfied schedules an emission, and a store never loses
+    a piece, so the piece is still held; an app never asks for a piece its
+    store holds, so a live entry is always answered on the radio.
     """
     key = name.key
     entry = node.pit.get(key)
-    cls = name.cls
-    assert isinstance(cls, PieceInterest)
-    if not _live(entry, now_us) or not node.store.has(cls.torrent, cls.piece):
+    if not _live(entry, now_us):
         out.note(node.node_id, tc.DROP, key, tc.REASON_EMIT_STALE)
         return
     _retire_entry(node, key, entry, now_us)
-    pkt = Data(name, node.store.piece_bytes(cls.torrent), node.node_id, 0)
+    pkt = Data(name, node.store.piece_bytes(name.cls.torrent), node.node_id, 0)
     out.send(node.node_id, pkt, 0)
 
 

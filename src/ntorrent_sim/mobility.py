@@ -128,7 +128,7 @@ class Leg:
 
     position(t_us) is position_at(anchor, state, t0_us, t_us, bounds), bit for
     bit. Until the leg first meets a wall, _advance_reflect takes its first
-    branch on both axes, so within that window, computed on the first query,
+    branch on both axes, so within that window, computed when the leg is made,
     the position is anchor + v * dt_s nudged inside, without position_at.
     Each query computes; the World keeps the last position it asked for.
     """
@@ -141,17 +141,16 @@ class Leg:
         self.state = state
         self.t0_us = t0_us
         self.bounds = bounds
-        self._window: float | None = None
+        vx, vy = state.velocity
+        self._window = min(_wall_time(anchor.x, vx, bounds.width),
+                           _wall_time(anchor.y, vy, bounds.height))
 
     def position(self, t_us: int) -> Position:
         dt_s = (t_us - self.t0_us) / 1e6
         x0, y0 = self.anchor
         vx, vy = self.state.velocity
         width, height = self.bounds.width, self.bounds.height
-        window = self._window
-        if window is None:
-            window = self._window = min(_wall_time(x0, vx, width), _wall_time(y0, vy, height))
-        if 0.0 <= dt_s <= window:
+        if 0.0 <= dt_s <= self._window:
             x = x0 + vx * dt_s
             y = y0 + vy * dt_s
             if not (0.0 < x < width and 0.0 < y < height):

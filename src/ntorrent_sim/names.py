@@ -107,10 +107,6 @@ class Bitmap:
         if not 0 <= piece < self.n_pieces:
             raise IndexError(f"piece {piece} outside [0, {self.n_pieces})")
 
-    @classmethod
-    def full(cls, n_pieces: int) -> "Bitmap":
-        return cls(n_pieces, (1 << n_pieces) - 1)
-
 
 def encode_bitmap(bitmap: Bitmap) -> tuple[str, str]:
     """Encode as (lowercase-hex bits, decimal piece count) name components.

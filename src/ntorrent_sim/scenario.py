@@ -68,7 +68,7 @@ DEFAULT_N_PIECES = 32
 MAX_PIECES = 1 << 16
 # A walking sender has the other n-1 nodes as candidates, though it skips most
 # until a due time, and the flooding grows faster than n: a 60-node random
-# field (seed 4) runs for 16-20 s and peaks near 393 MiB (CPython 3.11, Xeon VM).
+# field (seed 4) runs for 8-11 s and peaks near 393 MiB (CPython 3.11, Xeon VM).
 MAX_NODES = 1024
 DEFAULT_PIECE_BYTES = 1024
 DEFAULT_DURATION_US = 120_000_000

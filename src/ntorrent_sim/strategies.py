@@ -72,8 +72,8 @@ def peer_decide(params: StrategyParams, own_torrent: str, table: OverheardNameTa
     torrent = cls.torrent
     if torrent == own_torrent:
         return tc.REASON_OWN_APP, None
-    if table.live(torrent, now_us):
-        table.touch(torrent, now_us, params.t_mem_us)
-        return tc.REASON_FOREIGN_FWD, draw_int(rng, params.jitter_min_us, params.jitter_max_us)
+    learned = table.live(torrent, now_us)
     table.touch(torrent, now_us, params.t_mem_us)
+    if learned:
+        return tc.REASON_FOREIGN_FWD, draw_int(rng, params.jitter_min_us, params.jitter_max_us)
     return tc.REASON_FOREIGN_LEARN, None

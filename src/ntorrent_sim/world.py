@@ -242,9 +242,8 @@ class World:
         return record
 
     def _hearers_near(self, sender: str, record: _Sender, now: int) -> list[str]:
-        """The candidates that hear sender now, in candidate order, as the exact
-        closed-disk test on every exact position decides, with one medium coin
-        per candidate in range when the radio loses frames.
+        """The candidates in range of sender now, in candidate order, as the
+        exact closed-disk test on every exact position decides.
 
         A walker is now at most speed * elapsed from where it was last seen,
         since reflection only folds its path, and two nodes close in on each
@@ -259,25 +258,23 @@ class World:
         position is computed only when some candidate needs the arithmetic.
         """
         radio = self.cfg.radio
-        range_m = radio.range_m
-        far = range_m + self._margin_m
-        near = range_m - self._margin_m
-        loss_prob = radio.loss_prob
-        coin = record.own.medium.random if loss_prob > 0.0 else None
+        far = radio.range_m + self._margin_m
+        near = radio.range_m - self._margin_m
         # a certificate past the run holds for good; int() of it may overflow
         after = self.cfg.duration_us + 1
         candidates = record.candidates
         due = record.due
         sure = record.sure
-        ox = oy = None
+        origin = None
         hearers = []
         for i, due_us in enumerate(due):
             if now < due_us:
                 continue
             station = candidates[i]
             if now >= sure[i]:
-                if ox is None:
-                    ox, oy = self.position_of(sender, now)
+                if origin is None:
+                    origin = self.position_of(sender, now)
+                    ox, oy = origin
                 sx, sy = station.seen
                 leg = station.leg
                 slack = 0.0 if leg is None else leg.state.speed_ms * (now - station.seen_us) / 1e6
@@ -289,14 +286,11 @@ class World:
                     continue
                 upper = gap + slack
                 if upper > near:
-                    x, y = self.position_of(station.node_id, now)
-                    if math.hypot(ox - x, oy - y) > range_m:
+                    if not in_range(origin, self.position_of(station.node_id, now), radio):
                         continue
                 else:
                     hold = (near - upper) * 1e6 / (2.0 * SPEED_MAX_MS)
                     sure[i] = now + int(hold) if hold < after else after
-            if coin is not None and coin() < loss_prob:
-                continue
             hearers.append(station.node_id)
         return hearers
 
@@ -309,8 +303,8 @@ class World:
         receivers = record.hearers
         if receivers is None:
             receivers = self._hearers_near(sender, record, now)
-        elif radio.loss_prob > 0.0:
-            # one loss coin per hearer, in order, as _hearers_near draws them
+        if radio.loss_prob > 0.0:
+            # one loss coin per node in range, in order
             coin = record.own.medium.random
             receivers = [node_id for node_id in receivers if not coin() < radio.loss_prob]
         arrival = now + radio.one_hop_delay_us

@@ -18,6 +18,11 @@ def make_app(seeder=False, n_pieces=8, cfg=None, node_id="n1", torrent="movie1",
     return app
 
 
+def full_bitmap(n_pieces):
+    """A bitmap holding every one of n_pieces pieces."""
+    return Bitmap(n_pieces, (1 << n_pieces) - 1)
+
+
 def originated(calls):
     return [call[2] for call in calls if call[0] == "originate"]
 
@@ -44,7 +49,7 @@ def test_compute_missing_on_the_largest_bitmaps():
     theirs = Bitmap(MAX_PIECES, 1 << (MAX_PIECES - 1) | 1 << 4_000 | 1 << 3 | 1)
     mine = Bitmap(MAX_PIECES, 1 << 3)
     assert compute_missing(mine, theirs) == [0, 4_000, MAX_PIECES - 1]
-    assert compute_missing(Bitmap(MAX_PIECES), Bitmap.full(MAX_PIECES)) == list(range(MAX_PIECES))
+    assert compute_missing(Bitmap(MAX_PIECES), full_bitmap(MAX_PIECES)) == list(range(MAX_PIECES))
 
 
 def test_seeder_starts_complete(out):
@@ -52,9 +57,9 @@ def test_seeder_starts_complete(out):
     assert app.completed
     assert app.have.popcount() == 8
     # a seeder's have never grows, so no arrival completes it
-    app.known_remote = Bitmap.full(8)
+    app.known_remote = full_bitmap(8)
     app.on_receive_piece(3, 100, out)
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap.full(8)), 200, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n2", full_bitmap(8)), 200, out)
     assert notes(out.take(), tc.COMPLETED) == []
 
 
@@ -126,7 +131,7 @@ def test_beacons_and_requests_of_one_piece_reuse_one_name(out):
     app.on_beacon_timer(2_000_000, out)
     first, second = originated(out.take())
     assert first.name is second.name
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", full_bitmap(8)), 0, out)
     app.on_retry_timer(AppConfig().interest_retry_timeout_us, out)
     request, retry = originated(out.take())
     assert request.name is retry.name
@@ -164,7 +169,7 @@ def test_full_bitmap_fills_the_window_without_scanning_every_piece(out):
     best_s = float("inf")
     for _ in range(3):
         app = make_app(n_pieces=MAX_PIECES)
-        announce = BitmapAnnounce("movie1", "n9", Bitmap.full(MAX_PIECES))
+        announce = BitmapAnnounce("movie1", "n9", full_bitmap(MAX_PIECES))
         start = time.perf_counter()
         app.on_receive_bitmap(announce, 0, out)
         best_s = min(best_s, time.perf_counter() - start)
@@ -226,7 +231,7 @@ def test_bitmap_exchange_replies_when_the_announcer_is_behind(out):
     assert notes(out.take(), tc.BITMAP_TX) == ["have=8"]
     # no reply when the announcer already holds everything we do
     app2 = make_app(seeder=True)
-    app2.on_receive_bitmap(BitmapAnnounce("movie1", "n2", Bitmap.full(8)), 1_000, out)
+    app2.on_receive_bitmap(BitmapAnnounce("movie1", "n2", full_bitmap(8)), 1_000, out)
     assert out.take() == []
 
 
@@ -240,7 +245,7 @@ def test_bitmap_exchange_reply_shares_the_beacon_rate_limit(out):
 
 def test_piece_arrival_updates_state_and_requests_more(out):
     app = make_app(cfg=AppConfig(pipeline_window=2))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", full_bitmap(8)), 0, out)
     assert set(app.pending) == {0, 1}
     out.take()
     app.on_receive_piece(0, 100, out)
@@ -251,7 +256,7 @@ def test_piece_arrival_updates_state_and_requests_more(out):
 
 def test_duplicate_piece_is_idempotent(out):
     app = make_app()
-    app.known_remote = Bitmap.full(8)
+    app.known_remote = full_bitmap(8)
     app.on_receive_piece(0, 100, out)
     out.take()
     app.on_receive_piece(0, 200, out)
@@ -261,7 +266,7 @@ def test_duplicate_piece_is_idempotent(out):
 
 def test_completion_recorded_once_with_details(out):
     app = make_app(n_pieces=2)
-    app.known_remote = Bitmap.full(2)
+    app.known_remote = full_bitmap(2)
     app.on_receive_piece(1, 50, out)
     assert notes(out.take(), tc.COMPLETED) == []
     app.on_receive_piece(0, 80, out)
@@ -290,7 +295,7 @@ def test_piece_interest_served_only_when_held(out):
 
 def test_retry_resends_stale_requests(out):
     app = make_app(cfg=AppConfig(pipeline_window=1))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", full_bitmap(8)), 0, out)
     timeout = AppConfig().interest_retry_timeout_us
     out.take()
     app.on_retry_timer(timeout, out)
@@ -306,7 +311,7 @@ def test_retry_resends_stale_requests(out):
 
 def test_retry_nonces_differ_between_attempts(out):
     app = make_app(cfg=AppConfig(pipeline_window=1), seed=21)
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", full_bitmap(8)), 0, out)
     first = originated(out.take())[0]
     timeout = AppConfig().interest_retry_timeout_us
     app.on_retry_timer(timeout, out)
@@ -317,7 +322,7 @@ def test_retry_nonces_differ_between_attempts(out):
 
 def test_retry_skips_recent_requests(out):
     app = make_app()
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 500_000, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", full_bitmap(8)), 500_000, out)
     out.take()
     app.on_retry_timer(1_000_000, out)
     # requests are only half a timeout old; nothing is resent
@@ -328,7 +333,7 @@ def test_retry_skips_recent_requests(out):
 def test_retry_abandons_after_max_and_frees_the_window(out):
     cfg = AppConfig(pipeline_window=2, max_retries=1)
     app = make_app(cfg=cfg)
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", full_bitmap(8)), 0, out)
     timeout = cfg.interest_retry_timeout_us
     app.on_retry_timer(timeout, out)      # retry 1 for pieces 0 and 1
     out.take()
@@ -354,7 +359,7 @@ def test_retry_abandons_after_max_and_frees_the_window(out):
 
 def test_retry_timer_stops_after_completion(out):
     app = make_app(n_pieces=1)
-    app.known_remote = Bitmap.full(1)
+    app.known_remote = full_bitmap(1)
     app.on_receive_piece(0, 10, out)
     out.take()
     app.on_retry_timer(1_000_000, out)
@@ -363,9 +368,9 @@ def test_retry_timer_stops_after_completion(out):
 
 def test_pipeline_window_is_never_exceeded(out):
     app = make_app(cfg=AppConfig(pipeline_window=3))
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", Bitmap.full(8)), 0, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n9", full_bitmap(8)), 0, out)
     assert len(app.pending) == 3
-    app.on_receive_bitmap(BitmapAnnounce("movie1", "n8", Bitmap.full(8)), 1, out)
+    app.on_receive_bitmap(BitmapAnnounce("movie1", "n8", full_bitmap(8)), 1, out)
     assert len(app.pending) == 3
     app.on_receive_piece(0, 100, out)
     assert len(app.pending) == 3

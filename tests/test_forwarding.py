@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from conftest import Recorder
+from hypothesis import example, given, settings, strategies as st
 from test_acceptance import random_static_layout
 
 from ntorrent_sim import forwarding
@@ -13,7 +15,6 @@ from ntorrent_sim.forwarding import (
     NodeState,
     PieceStore,
     PitEntry,
-    is_duplicate,
     on_data_emission,
     on_incoming_data,
     on_incoming_interest,
@@ -93,24 +94,48 @@ def kinds(calls):
     return [call[0] for call in calls]
 
 
+def pit_dup(node, pkt):
+    return ("note", node.node_id, tc.DROP, pkt.name.key, tc.REASON_PIT_DUP)
+
+
+def heard_as_duplicate(node, pkt, now_us):
+    """Whether on_incoming_interest notes DROP PIT_DUP for pkt heard at now_us.
+    It runs on a copy of node, so node is left as it was. A duplicate notes
+    only the drop, and leaves the PIT, the dead nonces, the overheard-name
+    table and the strategy stream as they were."""
+    trial = copy.deepcopy(node)
+    before = copy.deepcopy((trial.pit, trial.dead_nonces, trial.table._expiry))
+    stream = trial.rng.getstate()
+    out = Recorder()
+    on_incoming_interest(trial, pkt, now_us, out)
+    calls = out.take()
+    if pit_dup(node, pkt) not in calls:
+        return False
+    assert calls == [pit_dup(node, pkt)]
+    assert (trial.pit, trial.dead_nonces, trial.table._expiry) == before
+    assert trial.rng.getstate() == stream
+    return True
+
+
 def test_duplicate_nonce_drops_and_leaves_pit_alone(out):
     node = forwarder_node()
-    assert not is_duplicate(node, interest(), 0)
     on_incoming_interest(node, interest(), 0, out)
-    assert "send" in kinds(out.take())
+    calls = out.take()
+    assert "send" in kinds(calls)
+    assert pit_dup(node, interest()) not in calls
     entry = node.pit[KEY]
     before = copy.deepcopy((node.pit, node.dead_nonces))
-    assert is_duplicate(node, interest(), 100)
-    assert not is_duplicate(node, interest(nonce=2), 100)
-    assert (node.pit, node.dead_nonces) == before
-    assert node.pit[KEY] is entry
-    assert entry.nonces == {1}
+    assert not heard_as_duplicate(node, interest(nonce=2), 100)
     # the plane drops a held nonce itself, from a live PIT entry or a live
     # dead-nonce record, with one note and no other effect
-    dup = [("note", "f0", tc.DROP, KEY, tc.REASON_PIT_DUP)]
+    dup = [pit_dup(node, interest())]
+    stream = node.rng.getstate()
     on_incoming_interest(node, interest(), 100, out)
     assert out.take() == dup
     assert (node.pit, node.dead_nonces) == before
+    assert node.pit[KEY] is entry
+    assert entry.nonces == {1}
+    assert node.rng.getstate() == stream
     dead = forwarder_node()
     dead.dead_nonces[KEY] = PitEntry({1}, True, 2_000)
     before = copy.deepcopy((dead.pit, dead.dead_nonces))
@@ -155,7 +180,7 @@ def test_own_interest_bypasses_the_strategy(out):
     assert not entry.from_radio
     assert entry.expiry_us == 40 + node.params.pit_lifetime_us
     # a copy of it heard back on the radio is a duplicate
-    assert is_duplicate(node, interest(), 50)
+    assert heard_as_duplicate(node, interest(), 50)
 
 
 def test_hop_cap_drops_before_the_strategy_runs(out):
@@ -308,12 +333,13 @@ def test_satisfied_entry_still_suppresses_its_nonces(out):
     on_incoming_interest(node, interest(nonce=9), 0, out)
     on_incoming_data(node, data_pkt(), 5_000, out)
     assert KEY not in node.pit
-    assert is_duplicate(node, interest(nonce=9), 6_000)
+    assert heard_as_duplicate(node, interest(nonce=9), 6_000)
     # a genuinely new nonce is a fresh request and forwards again
-    assert not is_duplicate(node, interest(nonce=10), 7_000)
     out.take()
     on_incoming_interest(node, interest(nonce=10), 7_000, out)
-    assert "send" in kinds(out.take())
+    calls = out.take()
+    assert pit_dup(node, interest(nonce=10)) not in calls
+    assert "send" in kinds(calls)
 
 
 def test_nonce_suppression_survives_multiple_rounds(out):
@@ -323,8 +349,8 @@ def test_nonce_suppression_survives_multiple_rounds(out):
     on_incoming_interest(node, interest(nonce=2), 2_000, out)
     on_incoming_data(node, data_pkt(), 3_000, out)
     for nonce in (1, 2):
-        assert is_duplicate(node, interest(nonce=nonce), 4_000)
-    assert not is_duplicate(node, interest(nonce=3), 4_000)
+        assert heard_as_duplicate(node, interest(nonce=nonce), 4_000)
+    assert not heard_as_duplicate(node, interest(nonce=3), 4_000)
 
 
 def test_overheard_cache_absorbs_when_enabled(out):
@@ -396,12 +422,24 @@ def test_emission_goes_stale_when_entry_already_consumed(out):
     assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_EMIT_STALE)]
 
 
-def test_emission_without_the_piece_is_stale(out):
-    node = forwarder_node()
-    on_incoming_interest(node, interest(), 0, out)
-    out.take()
-    on_data_emission(node, PIECE, 1_000, out)
-    assert out.take() == [("note", "f0", tc.DROP, KEY, tc.REASON_EMIT_STALE)]
+def test_only_a_store_answer_schedules_an_emission(out, monkeypatch):
+    # on_data_emission checks liveness only: an emission is scheduled for an
+    # interest the store satisfied, and a store never loses a piece
+    on_incoming_interest(forwarder_node(), interest(), 0, out)
+    assert "emit" not in kinds(out.take())
+    emit = forwarding.on_data_emission
+    emitted = []
+
+    def checked_emission(node, name, now_us, out):
+        cls = name.cls
+        assert node.store.has(cls.torrent, cls.piece), (node.node_id, name.key, now_us)
+        emitted.append(name.key)
+        emit(node, name, now_us, out)
+
+    monkeypatch.setattr(forwarding, "on_data_emission", checked_emission)
+    for cfg, seed in ((five_node_lossy(), 1), (random_static_layout(3), 3)):
+        World(cfg, master_seed=seed).run()
+    assert emitted
 
 
 def test_expired_entry_is_not_answered(out):
@@ -430,9 +468,10 @@ def test_pit_gc_boundary_and_dead_nonce_purge(out):
     assert node.dead_nonces == {}
     out.take()
     # with the dead record gone the old nonce is accepted as new again
-    assert not is_duplicate(node, interest(nonce=6), 2 * lifetime)
     on_incoming_interest(node, interest(nonce=6), 2 * lifetime, out)
-    assert "send" in kinds(out.take())
+    calls = out.take()
+    assert pit_dup(node, interest(nonce=6)) not in calls
+    assert "send" in kinds(calls)
 
 
 def test_pit_gc_also_expires_the_overheard_name_table():
@@ -473,9 +512,9 @@ def test_an_old_nonce_stays_a_duplicate_until_its_own_expiry(out):
     node, lifetime = satisfied_then_asked_again(out)
     # the fresh entry lives to 1,000 + lifetime; nonce 1 only to lifetime
     assert node.pit[KEY].nonces == {2}
-    assert is_duplicate(node, interest(nonce=1), lifetime - 1)
-    assert not is_duplicate(node, interest(nonce=1), lifetime)
-    assert is_duplicate(node, interest(nonce=2), lifetime)
+    assert heard_as_duplicate(node, interest(nonce=1), lifetime - 1)
+    assert not heard_as_duplicate(node, interest(nonce=1), lifetime)
+    assert heard_as_duplicate(node, interest(nonce=2), lifetime)
 
 
 def test_a_second_satisfaction_keeps_both_nonces_until_the_later_expiry(out):
@@ -483,8 +522,74 @@ def test_a_second_satisfaction_keeps_both_nonces_until_the_later_expiry(out):
     on_incoming_data(node, data_pkt(), 2_000, out)
     assert KEY not in node.pit
     for nonce in (1, 2):
-        assert is_duplicate(node, interest(nonce=nonce), 1_000 + lifetime - 1)
-        assert not is_duplicate(node, interest(nonce=nonce), 1_000 + lifetime)
+        assert heard_as_duplicate(node, interest(nonce=nonce), 1_000 + lifetime - 1)
+        assert not heard_as_duplicate(node, interest(nonce=nonce), 1_000 + lifetime)
+
+
+# -- the duplicate rule against a model ------------------------------------------
+
+OTHER_PIECE = piece_name("movie1", 5)
+STEPS = st.lists(st.tuples(st.sampled_from(["own", "heard", "data", "emit", "gc"]),
+                           st.sampled_from([PIECE, OTHER_PIECE]),
+                           st.integers(0, 3),    # nonce
+                           st.integers(0, 20)),  # µs since the step before
+                 max_size=40)
+
+
+@settings(deadline=None, max_examples=300)
+@given(STEPS)
+# nonce 1 is satisfied, then nonce 2 for the same name: the second record
+# takes in the first one's nonces, so nonce 1 stays a duplicate
+@example([("heard", PIECE, 1, 0), ("data", PIECE, 0, 1), ("heard", PIECE, 2, 1),
+          ("data", PIECE, 0, 1), ("heard", PIECE, 1, 1)])
+def test_pit_dup_follows_the_live_and_dead_nonces_of_each_name(steps):
+    # a 50 µs lifetime, so entries and dead records expire within a few steps;
+    # the store holds piece 3 (PIECE), so only it is answered and emitted
+    lifetime = 50
+    store = piece_store()
+    store.add("movie1", 3)
+    node = forwarder_node(p=0.5, params=ForwardingParams(pit_lifetime_us=lifetime),
+                          store=store)
+    out = Recorder()
+    # the model: name key -> [nonces, expiry] of its PIT entry and of its
+    # dead-nonce record; pit_gc removes only what is no longer live
+    live, dead = {}, {}
+
+    def holds(record, nonce, now):
+        return record is not None and record[1] > now and nonce in record[0]
+
+    now = 0
+    for step, name, nonce, elapsed in steps:
+        now += elapsed
+        key = name.key
+        entry = live.get(key)
+        if entry is not None and entry[1] <= now:
+            entry = None
+        pkt = interest(nonce=nonce, name=name)
+        if step in ("own", "heard"):
+            if step == "heard":
+                expected = holds(entry, nonce, now) or holds(dead.get(key), nonce, now)
+                on_incoming_interest(node, pkt, now, out)
+                assert (pit_dup(node, pkt) in out.take()) == expected, (step, key, nonce, now)
+                if expected:
+                    continue
+            else:
+                on_own_interest(node, pkt, now, out)
+            live[key] = [(entry[0] if entry else set()) | {nonce}, now + lifetime]
+        elif step == "data" or (step == "emit" and name == PIECE):
+            if step == "data":
+                on_incoming_data(node, Data(name, 1024, "seed", 0), now, out)
+            else:
+                on_data_emission(node, name, now, out)
+            if entry is not None:
+                older = dead.get(key)
+                if older is not None and older[1] > now:
+                    entry[0] |= older[0]
+                dead[key] = entry
+                del live[key]
+        elif step == "gc":
+            pit_gc(node, now)
+        out.take()
 
 
 def five_node_lossy():

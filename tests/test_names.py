@@ -72,7 +72,7 @@ def test_bitmap_bit_operations():
     assert bm.has(3)
     assert bm.popcount() == 1
     assert not bm.complete
-    full = Bitmap.full(8)
+    full = Bitmap(8, 0xFF)
     assert full.complete and full.popcount() == 8
 
 

@@ -218,6 +218,9 @@ PRUNING_CASES = {
     "walking-sparse-samples": radio_field([], 12, sample_us=120_000_000),
     "static": radio_field(STATIC_PLACES, 0, loss_prob=0.2),
     "mixed": radio_field(STATIC_PLACES[:5], 7),
+    # static senders with walking candidates draw their loss coins after the
+    # pruned scan, as every sender does; a second loss rate checks their order
+    "mixed-lossy": radio_field(STATIC_PLACES[:5], 7, loss_prob=0.2),
     # a 200 m leg folds many times on a 20 x 15 m grid
     "tiny-grid": radio_field([], 8, side=20.0, range_m=6.0, loss_prob=0.2),
     # every leg walks at SPEED_MAX_MS (see top_speed_walk), so two walkers
