@@ -12,6 +12,7 @@ directory. Exit codes: 0 success, 2 configuration error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -26,8 +27,8 @@ from .scenario import (
     load_scenario,
     with_p_forward,
 )
-from .trace import write_metrics_csv, write_positions_csv, write_trace_csv
-from .world import run_scenario
+from .trace import CompletionsFold, MetricsFold, PositionsWriter, TraceWriter, write_metrics_csv
+from .world import World
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,12 +92,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_run(out_dir: str, cfg: ScenarioConfig, seed: int) -> None:
+    """Run once, streaming the trace into trace.csv, positions.csv and the
+    metrics fold. The two row files are written under a .part name and take
+    their own names only once the run has finished, so a run that raises
+    leaves neither behind."""
     # an output path that cannot be a directory fails here, before the run
     os.makedirs(out_dir, exist_ok=True)
-    trace, metrics = run_scenario(cfg, seed)
-    write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
+    paths = [os.path.join(out_dir, name) for name in ("trace.csv", "positions.csv")]
+    fold = MetricsFold(cfg.leechers(), [spec.node_id for spec in cfg.nodes])
+    try:
+        with TraceWriter(paths[0] + ".part") as trace_out, \
+                PositionsWriter(paths[1] + ".part") as positions_out:
+            def sink(rows):
+                trace_out.add(rows)
+                positions_out.add(rows)
+                fold.add(rows)
+
+            World(cfg, seed, sink).run()
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".part")
+        raise
+    for path in paths:
+        os.replace(path + ".part", path)
+    metrics = fold.summary()
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
-    write_positions_csv(os.path.join(out_dir, "positions.csv"), trace)
     for node_id, lm in metrics.per_leecher.items():
         state = f"completed at {lm.completion_time_us} us" if lm.completed else "incomplete"
         print(f"{node_id} [{lm.torrent}] {state}")
@@ -110,9 +131,12 @@ def sweep(cfg: ScenarioConfig, p_values: list[float], seeds: list[int]):
     varied_by_p = [(p_value, with_p_forward(cfg, p_value)) for p_value in p_values]
     rows = []
     for p_value, varied in varied_by_p:
+        leechers = varied.leechers()
         for seed in seeds:
-            _, metrics = run_scenario(varied, seed)
-            for node_id, lm in metrics.per_leecher.items():
+            # the table reports completions only, so that is all each run folds
+            completions = CompletionsFold(leechers)
+            World(varied, seed, completions.add).run()
+            for node_id, lm in completions.per_leecher.items():
                 rows.append((p_value, seed, node_id, lm.torrent, int(lm.completed),
                              "" if lm.completion_time_us is None else lm.completion_time_us))
     return rows

@@ -1,9 +1,11 @@
 """Trace records, CSV writers, and the metrics reduction.
 
-The trace is the single source of truth for a run: metrics are recomputed
-from it, and positions.csv is a projection of its POSITION rows. Files are
-UTF-8 with LF line endings and stable column order, so equal runs produce
-byte-identical output.
+The trace is the single source of truth for a run: metrics are a fold over
+its rows, and positions.csv is a projection of its POSITION rows. Writers and
+folds take the rows a batch at a time, so a run can stream its trace through
+them and keep none of it; the one-call forms (write_trace_csv,
+metrics_from_trace, ...) are the one-batch case. Files are UTF-8 with LF line
+endings and stable column order, so equal runs produce byte-identical output.
 
 trace.csv and positions.csv hold one row per record, so their writer skips
 csv.writer's per-row cost: it formats each row as one f-string line and
@@ -57,7 +59,7 @@ REASON_COLLISION = "COLLISION"
 
 DROP_DECISIONS = frozenset({REASON_PROB_DROP, REASON_FOREIGN_LEARN, REASON_UNKNOWN_DROP})
 
-# the events metrics_from_trace counts; it passes over every other row
+# the events MetricsFold counts; it passes over every other row
 _COUNTED = frozenset({INTEREST_TX, DATA_TX, PIECE_RX, COMPLETED, DROP, DECISION})
 # the counted events whose node must be in `nodes`
 _NODE_COUNTED = frozenset({INTEREST_TX, DATA_TX, PIECE_RX, DROP, DECISION})
@@ -87,33 +89,62 @@ def _unquoted(text: str, lines: int, commas: int) -> bool:
             and '"' not in text and "\r" not in text)
 
 
-def _write_rows(path: str, header: tuple[str, ...],
-                lines: Callable[[list[tuple]], list[str]], rows: Iterable[tuple]) -> None:
-    """Write header and rows as csv.writer(fh, lineterminator="\\n") does.
+class RowWriter:
+    """A CSV file written as csv.writer(fh, lineterminator="\\n") writes header
+    and rows, fed a batch of rows at a time.
 
-    lines renders a chunk of rows as one line each, fields joined by commas. A
-    chunk of rows whose lines need no quoting is written as the joined lines;
-    any other chunk goes through csv.writer.
+    `lines` renders a chunk of rows as one line each, fields joined by commas.
+    A chunk whose lines need no quoting is written as the joined lines; any
+    other chunk goes through csv.writer. Either way the bytes are csv.writer's,
+    so where batches and chunks begin and end does not change them.
     """
-    commas = len(header) - 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+
+    header: tuple[str, ...]
+    lines: Callable[[list[tuple]], list[str]]
+
+    def __init__(self, path: str) -> None:
+        self._fh = open(path, "w", encoding="utf-8", newline="")
+        self._writer = csv.writer(self._fh, lineterminator="\n")
+        self._commas = len(self.header) - 1
+        try:
+            self._writer.writerow(self.header)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def add(self, rows: Iterable[tuple]) -> None:
+        fh, lines, commas = self._fh, self.lines, self._commas
         rows = iter(rows)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             text = "".join(lines(chunk))
             if _unquoted(text, len(chunk), commas):
                 fh.write(text)
             else:
-                writer.writerows(chunk)
+                self._writer.writerows(chunk)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> RowWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def _trace_lines(records: list[TraceRecord]) -> list[str]:
-    return [f"{t},{n},{e},{k},{d}\n" for t, n, e, k, d in records]
+class TraceWriter(RowWriter):
+    """trace.csv, one row per trace record."""
+
+    header = TRACE_COLUMNS
+
+    @staticmethod
+    def lines(records: list[TraceRecord]) -> list[str]:
+        return [f"{t},{n},{e},{k},{d}\n" for t, n, e, k, d in records]
 
 
 def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
-    _write_rows(path, TRACE_COLUMNS, _trace_lines, records)
+    with TraceWriter(path) as writer:
+        writer.add(records)
 
 
 def read_trace_csv(path: str) -> list[TraceRecord]:
@@ -144,12 +175,22 @@ def _position_rows(records: Iterable[TraceRecord]):
         yield time_us, node, x, y
 
 
-def _position_lines(rows: list[tuple[int, str, str, str]]) -> list[str]:
-    return [f"{t},{n},{x},{y}\n" for t, n, x, y in rows]
+class PositionsWriter(RowWriter):
+    """positions.csv, one row per POSITION record of the trace rows it is fed."""
+
+    header = POSITION_COLUMNS
+
+    @staticmethod
+    def lines(rows: list[tuple[int, str, str, str]]) -> list[str]:
+        return [f"{t},{n},{x},{y}\n" for t, n, x, y in rows]
+
+    def add(self, records: Iterable[TraceRecord]) -> None:
+        super().add(_position_rows(records))
 
 
 def write_positions_csv(path: str, records: Iterable[TraceRecord]) -> None:
-    _write_rows(path, POSITION_COLUMNS, _position_lines, _position_rows(records))
+    with PositionsWriter(path) as writer:
+        writer.add(records)
 
 
 # ---------------------------------------------------------------------------
@@ -178,45 +219,85 @@ class MetricsSummary:
     overhead_ratio: float | None = None
 
 
+class CompletionsFold:
+    """Each leecher's completion, folded over the COMPLETED rows of the rows
+    it is fed.
+
+    leechers maps leecher node id to its torrent, so a leecher that never
+    completes still gets an entry; a completion row from a node not in
+    leechers raises ValueError. A leecher's completion is its last such row.
+    """
+
+    def __init__(self, leechers: dict[str, str]) -> None:
+        self.per_leecher = {nid: LeecherMetrics(torrent)
+                            for nid, torrent in sorted(leechers.items())}
+
+    def add(self, records: Iterable[TraceRecord]) -> None:
+        for time_us, node, _, _, _ in [rec for rec in records if rec[2] == COMPLETED]:
+            self.complete(time_us, node)
+
+    def complete(self, time_us: int, node: str) -> None:
+        metrics = self.per_leecher.get(node)
+        if metrics is None:
+            raise ValueError(f"trace row {COMPLETED} from non-leecher node {node!r}")
+        metrics.completed = True
+        metrics.completion_time_us = time_us
+
+
+class MetricsFold:
+    """The run summary, folded over the rows it is fed, a batch at a time.
+
+    leechers and COMPLETED rows go to a CompletionsFold; nodes lists every
+    node for zero-filled counters. An interest, data, piece, drop or decision
+    row from a node not in nodes raises ValueError, and the fold is then of no
+    further use. summary() shares the fold's records, so take it after the
+    last batch.
+    """
+
+    def __init__(self, leechers: dict[str, str], nodes: Iterable[str]) -> None:
+        self.completions = CompletionsFold(leechers)
+        self.per_node = {nid: NodeCounters() for nid in sorted(nodes)}
+        self.total_tx = self.pieces_delivered = 0
+
+    def add(self, records: Iterable[TraceRecord]) -> None:
+        per_node = self.per_node
+        complete = self.completions.complete
+        total_tx, pieces_delivered = self.total_tx, self.pieces_delivered
+        for time_us, node, event, _, detail in records:
+            if event not in _COUNTED:
+                continue
+            counters = per_node.get(node)
+            if counters is None and event in _NODE_COUNTED:
+                raise ValueError(f"trace row {event} from unknown node {node!r}")
+            if event == INTEREST_TX:
+                counters.interests_tx += 1
+                total_tx += 1
+            elif event == DATA_TX:
+                counters.data_tx += 1
+                total_tx += 1
+            elif event == PIECE_RX:
+                pieces_delivered += 1
+            elif event == COMPLETED:
+                complete(time_us, node)
+            elif event == DROP or detail in DROP_DECISIONS:  # a DECISION that drops
+                counters.drops[detail] = counters.drops.get(detail, 0) + 1
+        self.total_tx, self.pieces_delivered = total_tx, pieces_delivered
+
+    def summary(self) -> MetricsSummary:
+        total_tx, pieces_delivered = self.total_tx, self.pieces_delivered
+        return MetricsSummary(
+            per_leecher=self.completions.per_leecher, per_node=self.per_node,
+            total_tx=total_tx, pieces_delivered=pieces_delivered,
+            overhead_ratio=total_tx / pieces_delivered if pieces_delivered > 0 else None)
+
+
 def metrics_from_trace(records: Iterable[TraceRecord],
                        leechers: dict[str, str],
                        nodes: Iterable[str]) -> MetricsSummary:
-    """Reduce a trace to the run summary.
-
-    leechers maps leecher node id to its torrent (so never-completed leechers
-    still get a row); nodes lists every node for zero-filled counters. An
-    interest, data, piece, drop or decision row from a node not in nodes, or a
-    completion row from a node not in leechers, raises ValueError.
-    """
-    per_leecher = {nid: LeecherMetrics(torrent) for nid, torrent in sorted(leechers.items())}
-    per_node = {nid: NodeCounters() for nid in sorted(nodes)}
-    total_tx = pieces_delivered = 0
-    for time_us, node, event, _, detail in records:
-        if event not in _COUNTED:
-            continue
-        counters = per_node.get(node)
-        if counters is None and event in _NODE_COUNTED:
-            raise ValueError(f"trace row {event} from unknown node {node!r}")
-        if event == INTEREST_TX:
-            counters.interests_tx += 1
-            total_tx += 1
-        elif event == DATA_TX:
-            counters.data_tx += 1
-            total_tx += 1
-        elif event == PIECE_RX:
-            pieces_delivered += 1
-        elif event == COMPLETED:
-            metrics = per_leecher.get(node)
-            if metrics is None:
-                raise ValueError(f"trace row {event} from non-leecher node {node!r}")
-            metrics.completed = True
-            metrics.completion_time_us = time_us
-        elif event == DROP or detail in DROP_DECISIONS:  # a DECISION that drops
-            counters.drops[detail] = counters.drops.get(detail, 0) + 1
-    return MetricsSummary(
-        per_leecher=per_leecher, per_node=per_node, total_tx=total_tx,
-        pieces_delivered=pieces_delivered,
-        overhead_ratio=total_tx / pieces_delivered if pieces_delivered > 0 else None)
+    """Reduce a whole trace to the run summary: MetricsFold fed it as one batch."""
+    fold = MetricsFold(leechers, nodes)
+    fold.add(records)
+    return fold.summary()
 
 
 def write_metrics_csv(path: str, summary: MetricsSummary) -> None:

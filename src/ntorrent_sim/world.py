@@ -7,8 +7,8 @@ transmission on, its sender record of what may hear it, with a two-sided
 range certificate per candidate (see `_hearers_near`). Only the World and
 the sender records refer to station records, and no station refers to
 another, so a run makes no reference cycle: `run` pauses automatic garbage
-collection, which would only walk the growing trace again and again, and
-reference counting frees all a run drops.
+collection, which would only walk the run's live objects (a kept trace
+among them) again and again, and reference counting frees all a run drops.
 The World only creates these records from the node specs: each derives the
 streams it draws on first use, the station its mobility and medium streams,
 the forwarding state its strategy stream and the app its app stream, and the
@@ -23,7 +23,10 @@ set notes a collision instead. It calls back the handler an app armed with
 `timer` when that timer fires. The World calls an app itself only to start it.
 An app's own interest goes through forwarding.on_own_interest and is on the
 radio before `originate` returns. Every observable action lands in the trace,
-and the trace plus the metrics reduced from it are the run's result.
+and the trace plus the metrics reduced from it are the run's result. A World
+given a sink streams its trace: it hands the rows on once per GC tick and at
+the end, and a caller folds them (trace.MetricsFold, the CSV row writers), so
+a run's memory does not grow with its length.
 """
 from __future__ import annotations
 
@@ -113,11 +116,22 @@ def _position_detail(pos: Position) -> str:
 
 
 class World:
-    def __init__(self, cfg: ScenarioConfig, master_seed: int) -> None:
+    """One run of cfg from master_seed.
+
+    Without a sink, `trace` holds every row of the run. With one, the World
+    hands `trace` to sink(rows) at the end of each GC tick and after the END
+    row, and starts a new list, so `trace` holds only the rows noted since the
+    last hand-off, the World keeps no row it has handed on, and `metrics()`
+    raises.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, master_seed: int,
+                 sink: Callable[[list[TraceRecord]], None] | None = None) -> None:
         self.cfg = cfg
         self.loop = EventLoop()
         self.master_seed = master_seed
         self.trace: list[TraceRecord] = []
+        self._sink = sink
         self.nodes: dict[str, fw.NodeState] = {}
         self._stations: dict[str, _Station] = {}
         self._senders: dict[str, _Sender] = {}  # filled as each node first transmits
@@ -398,12 +412,19 @@ class World:
         nxt = now + GC_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_GC)
+        if self._sink is not None:
+            self._hand_off()
+
+    def _hand_off(self) -> None:
+        """Give the rows noted since the last hand-off to the sink."""
+        rows, self.trace = self.trace, []
+        self._sink(rows)
 
     # -- run -------------------------------------------------------------------------
 
     def run(self) -> RunReport:
         # A run makes no reference cycles, so reference counting frees all it
-        # drops, and automatic collection would only walk the growing trace
+        # drops, and automatic collection would only walk its live objects
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -411,12 +432,17 @@ class World:
             # the boundary marker always closes the trace, after anything that
             # fired exactly at the horizon
             self.note("", tc.END, "", "")
+            if self._sink is not None:
+                self._hand_off()
         finally:
             if enabled:
                 gc.enable()
         return report
 
     def metrics(self) -> MetricsSummary:
+        if self._sink is not None:
+            raise RuntimeError("a World with a sink keeps no trace to reduce; "
+                               "fold the rows its sink receives")
         return metrics_from_trace(self.trace, self.cfg.leechers(), list(self.nodes))
 
 

@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from ntorrent_sim import cli
+from ntorrent_sim import cli, forwarding
 from ntorrent_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from ntorrent_sim.scenario import MAX_PIECES, build_five_node, with_p_forward
-from ntorrent_sim.world import run_scenario
+from ntorrent_sim.world import World, run_scenario
 
 TINY_SCENARIO = {
     "duration_us": 10_000_000,
@@ -107,6 +107,24 @@ def test_a_run_in_a_sweep_depends_only_on_its_scenario_and_seed():
     assert any(row[4] for row in forward)
 
 
+def test_sweep_rows_are_those_of_each_runs_full_metrics():
+    # each sweep run folds only its completions; the rows must be what the
+    # whole-trace reduction of the same run reports
+    line = build_five_node()
+    cfg = replace(line, radio=replace(line.radio, loss_prob=0.1))
+    p_values, seeds = [0.0, 0.5, 1.0], [1, 2, 3]
+    expected = []
+    for p_value in p_values:
+        for seed in seeds:
+            _, metrics = run_scenario(with_p_forward(cfg, p_value), seed)
+            expected += [(p_value, seed, node_id, lm.torrent, int(lm.completed),
+                          "" if lm.completion_time_us is None else lm.completion_time_us)
+                         for node_id, lm in metrics.per_leecher.items()]
+    rows = cli.sweep(cfg, p_values, seeds)
+    assert rows == expected
+    assert {row[4] for row in rows} == {0, 1}
+
+
 @pytest.mark.parametrize("p_list, seed_list", [("", "1"), (",", "1"), ("1.0", ""), ("1.0", ",")])
 def test_empty_sweep_list_exits_2(tiny_scenario, tmp_path, capsys, p_list, seed_list):
     out = tmp_path / "sweep"
@@ -120,13 +138,13 @@ def test_empty_sweep_list_exits_2(tiny_scenario, tmp_path, capsys, p_list, seed_
 
 def test_sweep_refuses_a_bad_p_before_any_run(tiny_scenario, tmp_path, capsys, monkeypatch):
     runs = []
-    real_run = cli.run_scenario
+    real_run = World.run
 
-    def counted_run(cfg, seed):
-        runs.append(seed)
-        return real_run(cfg, seed)
+    def counted_run(world):
+        runs.append(world.master_seed)
+        return real_run(world)
 
-    monkeypatch.setattr(cli, "run_scenario", counted_run)
+    monkeypatch.setattr(World, "run", counted_run)
     out = tmp_path / "sweep"
     code = main(["sweep", "--scenario", tiny_scenario, "--p", "0.5,1.5",
                  "--seeds", "1,2,3", "--out", str(out)])
@@ -266,12 +284,32 @@ def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
 
 def test_a_value_error_inside_a_run_is_no_configuration_error(tiny_scenario, tmp_path,
                                                                monkeypatch):
-    def faulty_run(cfg, seed):
+    def faulty_run(world):
         raise ValueError("fault inside the run")
 
-    monkeypatch.setattr(cli, "run_scenario", faulty_run)
+    monkeypatch.setattr(World, "run", faulty_run)
+    out = tmp_path / "out"
     with pytest.raises(ValueError, match="fault inside the run"):
-        main(["run", "--scenario", tiny_scenario, "--out", str(tmp_path / "out")])
+        main(["run", "--scenario", tiny_scenario, "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
+def test_a_run_that_raises_after_writing_rows_leaves_no_output(tiny_scenario, tmp_path,
+                                                               monkeypatch):
+    # the first GC tick at 1 s hands its rows to the writers; the fault strikes
+    # at the second, with rows already in the partial files
+    real_gc = forwarding.pit_gc
+
+    def faulty_gc(node, now_us):
+        if now_us >= 2_000_000:
+            raise ValueError("fault inside the run")
+        real_gc(node, now_us)
+
+    monkeypatch.setattr(forwarding, "pit_gc", faulty_gc)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="fault inside the run"):
+        main(["run", "--scenario", tiny_scenario, "--out", str(out)])
+    assert list(out.iterdir()) == []
 
 
 def test_missing_scenario_file_exits_3(tmp_path, capsys):
@@ -288,10 +326,10 @@ def test_missing_scenario_file_exits_3(tmp_path, capsys):
 ], ids=lambda argv: argv[0])
 def test_an_output_path_that_is_a_file_exits_3_before_any_run(
         tiny_scenario, tmp_path, capsys, monkeypatch, argv):
-    def no_run(cfg, seed):
+    def no_run(world):
         raise AssertionError("the run started before the output directory was made")
 
-    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(World, "run", no_run)
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")
     argv = [tiny_scenario if arg == "SCENARIO" else arg for arg in argv]
