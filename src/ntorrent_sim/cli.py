@@ -16,6 +16,7 @@ import contextlib
 import csv
 import os
 import sys
+from typing import Callable
 
 from .oracle import OracleUnsupported, reachability_oracle
 from .scenario import (
@@ -63,22 +64,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a scenario file")
-    run.add_argument("--scenario", required=True, metavar="FILE")
-    run.add_argument("--seed", type=_u64, default=1, metavar="N")
-    run.add_argument("--out", required=True, metavar="DIR")
+    single = argparse.ArgumentParser(add_help=False)  # the options of every single run
+    single.add_argument("--seed", type=_u64, default=1, metavar="N")
+    single.add_argument("--out", required=True, metavar="DIR")
 
-    five = sub.add_parser("five-node", help="run the static five-node line")
+    run = sub.add_parser("run", parents=[single], help="run a scenario file")
+    run.add_argument("--scenario", required=True, metavar="FILE")
+
+    five = sub.add_parser("five-node", parents=[single], help="run the static five-node line")
     five.add_argument("--p", type=float, default=1.0, metavar="P",
                       help="pure forwarding probability (default 1.0)")
-    five.add_argument("--seed", type=_u64, default=1, metavar="N")
-    five.add_argument("--out", required=True, metavar="DIR")
 
-    rand = sub.add_parser("random-field", help="run a mobile random field")
+    rand = sub.add_parser("random-field", parents=[single], help="run a mobile random field")
     rand.add_argument("--nodes", type=int, required=True, metavar="N",
                       help=f"node count, 5 to {MAX_NODES}")
-    rand.add_argument("--seed", type=_u64, default=1, metavar="N")
-    rand.add_argument("--out", required=True, metavar="DIR")
 
     sweep = sub.add_parser("sweep", help="run a scenario across p values and seeds")
     sweep.add_argument("--scenario", required=True, metavar="FILE")
@@ -91,31 +90,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_run(out_dir: str, cfg: ScenarioConfig, seed: int) -> None:
-    """Run once, streaming the trace into trace.csv, positions.csv and the
-    metrics fold. The two row files are written under a .part name and take
-    their own names only once the run has finished, so a run that raises
-    leaves neither behind."""
-    # an output path that cannot be a directory fails here, before the run
+@contextlib.contextmanager
+def _outputs(out_dir: str, openers: dict[str, Callable[[str], contextlib.AbstractContextManager]]):
+    """Make out_dir and yield each output as its opener opens name.part; all are
+    renamed once the block ends. On any error, remove the files this made, no other."""
+    # a path that cannot take an output fails here, before the block runs
     os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, name) for name in ("trace.csv", "positions.csv")]
-    fold = MetricsFold(cfg.leechers(), [spec.node_id for spec in cfg.nodes])
+    made: list[str] = []  # each file this made, by the name it has now
     try:
-        with TraceWriter(paths[0] + ".part") as trace_out, \
-                PositionsWriter(paths[1] + ".part") as positions_out:
-            def sink(rows):
-                trace_out.add(rows)
-                positions_out.add(rows)
-                fold.add(rows)
-
-            World(cfg, seed, sink).run()
+        with contextlib.ExitStack() as stack:
+            files = []
+            for name, opener in openers.items():
+                files.append(stack.enter_context(opener(os.path.join(out_dir, name + ".part"))))
+                made.append(os.path.join(out_dir, name + ".part"))
+            yield files
+        for i, part in enumerate(made):
+            os.replace(part, part.removesuffix(".part"))
+            made[i] = part.removesuffix(".part")
     except BaseException:
-        for path in paths:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path + ".part")
+        for path in made:
+            os.remove(path)
         raise
-    for path in paths:
-        os.replace(path + ".part", path)
+
+
+def _write_run(out_dir: str, cfg: ScenarioConfig, seed: int) -> None:
+    """Run once, streaming the trace into trace.csv, positions.csv and the metrics fold."""
+    fold = MetricsFold(cfg.leechers(), [spec.node_id for spec in cfg.nodes])
+    with _outputs(out_dir, {"trace.csv": TraceWriter, "positions.csv": PositionsWriter}) \
+            as (trace_out, positions_out):
+        def sink(rows):
+            trace_out.add(rows)
+            positions_out.add(rows)
+            fold.add(rows)
+
+        World(cfg, seed, sink).run()
     metrics = fold.summary()
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
     for node_id, lm in metrics.per_leecher.items():
@@ -153,15 +161,12 @@ def main(argv: list[str] | None = None) -> int:
             _write_run(args.out, build_random_field(args.nodes, args.seed), args.seed)
         elif args.command == "sweep":
             cfg = load_scenario(args.scenario)
-            os.makedirs(args.out, exist_ok=True)
-            rows = sweep(cfg, args.p, args.seeds)
-            path = os.path.join(args.out, "sweep.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("p", "seed", "node", "torrent", "completed",
-                                 "completion_time_us"))
-                writer.writerows(rows)
-            print(f"wrote {len(rows)} rows to {path}")
+            with _outputs(args.out, {"sweep.csv": lambda path: open(
+                    path, "w", encoding="utf-8", newline="")}) as (fh,):
+                rows = sweep(cfg, args.p, args.seeds)
+                csv.writer(fh, lineterminator="\n").writerows(
+                    [("p", "seed", "node", "torrent", "completed", "completion_time_us"), *rows])
+            print(f"wrote {len(rows)} rows to {os.path.join(args.out, 'sweep.csv')}")
         elif args.command == "oracle":
             verdicts = reachability_oracle(load_scenario(args.scenario))
             for node_id in sorted(verdicts):

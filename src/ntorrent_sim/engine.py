@@ -38,8 +38,6 @@ class SchedulingInPast(RuntimeError):
 class RunReport:
     events_dispatched: int
     events_scheduled: int
-    events_remaining: int
-    final_time_us: int
 
 
 class cached:
@@ -116,12 +114,8 @@ class EventLoop:
         self.now_us = t_end_us
         remaining = sum(len(target) if type(target) is list else 1
                         for _, _, _, target, _ in heap)
-        return RunReport(
-            events_dispatched=self._next_seq - remaining,
-            events_scheduled=self._next_seq,
-            events_remaining=remaining,
-            final_time_us=self.now_us,
-        )
+        return RunReport(events_dispatched=self._next_seq - remaining,
+                         events_scheduled=self._next_seq)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scenario configuration: JSON schema, validation, and canned builders.
+"""Scenario configuration: JSON schema, validation as a config is made, and builders.
 
 A scenario file is one JSON object. Unknown keys are rejected anywhere in the
 document so typos fail loudly instead of silently running defaults. All
@@ -109,6 +109,7 @@ class ScenarioConfig:
         # copies replace() makes share nothing mutable
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "torrents", tuple(self.torrents))
+        validate(self)  # looked up as a module global, so a tracer can wrap it
 
     def leechers(self) -> dict[str, str]:
         return {n.node_id: n.torrent for n in self.nodes if n.kind is NodeKind.LEECHER}
@@ -319,7 +320,7 @@ def _node_from_json(obj: object, index: int) -> NodeSpec:
 
 
 def scenario_from_json(obj: object) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a decoded JSON object."""
+    """Build a ScenarioConfig, which checks itself, from a decoded JSON object."""
     if not isinstance(obj, dict):
         raise ValidationError("scenario document must be a JSON object")
     merged = _take(obj, "scenario", _TOP_DEFAULTS)
@@ -347,7 +348,7 @@ def scenario_from_json(obj: object) -> ScenarioConfig:
         raise ValidationError("nodes must be a list")
     nodes = [_node_from_json(item, i) for i, item in enumerate(nodes_obj)]
     scalars = {name: read(merged[name], name) for name, read in _SCALARS}
-    return validate(ScenarioConfig(nodes=nodes, torrents=torrents, **sections, **scalars))
+    return ScenarioConfig(nodes=nodes, torrents=torrents, **sections, **scalars)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -396,12 +397,11 @@ def build_five_node(p_forward: float = 1.0) -> ScenarioConfig:
                  position=(50.0 + 50.0 * i, 150.0), mobility=MobilityKind.STATIC)
         for i, (kind, torrent) in enumerate(kinds)
     ]
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         nodes=nodes,
         torrents=[TorrentSpec("movie1"), TorrentSpec("movie2")],
         strategy=StrategyParams(p_forward=p_forward),
     )
-    return validate(cfg)
 
 
 def build_random_field(n_nodes: int, seed: int) -> ScenarioConfig:
@@ -428,14 +428,13 @@ def build_random_field(n_nodes: int, seed: int) -> ScenarioConfig:
                  position=None, mobility=MobilityKind.RANDOM_WALK)
         for i, (kind, torrent) in enumerate(roles)
     ]
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         nodes=nodes,
         torrents=[TorrentSpec("movie1"), TorrentSpec("movie2")],
         duration_us=RANDOM_FIELD_DURATION_US,
     )
-    return validate(cfg)
 
 
 def with_p_forward(cfg: ScenarioConfig, p_forward: float) -> ScenarioConfig:
     """Copy of cfg with the pure-forwarding probability replaced."""
-    return validate(replace(cfg, strategy=replace(cfg.strategy, p_forward=p_forward)))
+    return replace(cfg, strategy=replace(cfg.strategy, p_forward=p_forward))

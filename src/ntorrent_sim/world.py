@@ -127,6 +127,8 @@ class World:
 
     def __init__(self, cfg: ScenarioConfig, master_seed: int,
                  sink: Callable[[list[TraceRecord]], None] | None = None) -> None:
+        if not 0 <= master_seed < 1 << 64:  # derive_stream would wrap it onto another run
+            raise ValueError(f"master seed {master_seed} does not fit in 64 bits")
         self.cfg = cfg
         self.loop = EventLoop()
         self.master_seed = master_seed

@@ -312,6 +312,18 @@ def test_a_run_that_raises_after_writing_rows_leaves_no_output(tiny_scenario, tm
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("taken", ["trace.csv", "positions.csv"])
+def test_an_output_that_cannot_take_its_name_leaves_no_part_file(tiny_scenario, tmp_path,
+                                                                 capsys, taken):
+    # the rename after the run fails; for positions.csv, after trace.csv took its name
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert main(["run", "--scenario", tiny_scenario, "--out", str(out)]) == EXIT_IO
+    assert "i/o error:" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == [taken]
+    assert list((out / taken).iterdir()) == []
+
+
 def test_missing_scenario_file_exits_3(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "out")]) == EXIT_IO
@@ -323,19 +335,30 @@ def test_missing_scenario_file_exits_3(tmp_path, capsys):
     ["five-node"],
     ["random-field", "--nodes", "5"],
     ["sweep", "--scenario", "SCENARIO", "--p", "1.0", "--seeds", "1"],
+    # sweep.csv.part cannot be opened: a directory of that name stands in for an
+    # unwritable directory, which root could write anyway
+    pytest.param(["sweep", "--scenario", "SCENARIO", "--p", "1.0", "--seeds", "1",
+                  "--out", "BLOCKED"], id="sweep-part"),
 ], ids=lambda argv: argv[0])
 def test_an_output_path_that_is_a_file_exits_3_before_any_run(
         tiny_scenario, tmp_path, capsys, monkeypatch, argv):
     def no_run(world):
-        raise AssertionError("the run started before the output directory was made")
+        raise AssertionError("the run started before its outputs were opened")
 
     monkeypatch.setattr(World, "run", no_run)
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")
-    argv = [tiny_scenario if arg == "SCENARIO" else arg for arg in argv]
-    assert main(argv + ["--out", str(taken)]) == EXIT_IO
+    blocked = tmp_path / "blocked"
+    (blocked / "sweep.csv.part").mkdir(parents=True)
+    stand_ins = {"SCENARIO": tiny_scenario, "BLOCKED": str(blocked)}
+    argv = [stand_ins.get(arg, arg) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(taken)]
+    assert main(argv) == EXIT_IO
     assert "i/o error:" in capsys.readouterr().err
     assert taken.read_text(encoding="utf-8") == "not a directory"
+    assert [path.name for path in blocked.iterdir()] == ["sweep.csv.part"]
+    assert list((blocked / "sweep.csv.part").iterdir()) == []
 
 
 def test_bad_seed_rejected_by_the_parser(tmp_path, capsys):

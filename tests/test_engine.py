@@ -69,14 +69,14 @@ def test_event_at_horizon_is_dispatched():
     seen = []
     report = loop.run_until(10, lambda kind, target, payload: seen.append(loop.now_us))
     assert seen == [10]
-    assert report.final_time_us == 10
+    assert report.events_dispatched == 1
+    assert loop.now_us == 10
 
 
 def test_empty_queue_still_advances_clock():
     loop = EventLoop()
     report = loop.run_until(123, lambda kind, target, payload: None)
     assert report.events_dispatched == 0
-    assert report.final_time_us == 123
     assert loop.now_us == 123
 
 
@@ -87,8 +87,11 @@ def test_conservation_of_events():
     report = loop.run_until(10, lambda kind, target, payload: None)
     assert report.events_scheduled == 5
     assert report.events_dispatched == 3
-    assert report.events_remaining == 2
-    assert report.events_dispatched == report.events_scheduled - report.events_remaining
+    # the two not dispatched are still queued, and run once the horizon reaches them
+    seen = []
+    later = loop.run_until(30, lambda kind, target, payload: seen.append(loop.now_us))
+    assert seen == [16, 25]
+    assert later.events_dispatched == later.events_scheduled == 5
 
 
 def test_a_batch_behaves_as_its_single_events_would():
@@ -128,10 +131,13 @@ def test_a_batch_counts_one_event_per_target():
     report = loop.run_until(10, lambda kind, target, payload: None)
     assert report.events_scheduled == 7
     assert report.events_dispatched == 3
-    assert report.events_remaining == 4
-    assert report.events_dispatched == report.events_scheduled - report.events_remaining
     with pytest.raises(SchedulingInPast):
         loop.schedule_batch(9, "late", ["a"])
+    # the four not dispatched are a batch of three and one single event, still queued
+    seen = []
+    later = loop.run_until(30, lambda kind, target, payload: seen.append(target))
+    assert seen == [["a", "b", "c"], None]
+    assert later.events_dispatched == later.events_scheduled == 7
 
 
 def test_clock_is_monotone_under_rescheduling():

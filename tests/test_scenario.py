@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ntorrent_sim.mobility import GridBounds
+from ntorrent_sim.mobility import GridBounds, RadioConfig
 from ntorrent_sim.scenario import (
     MAX_NODES,
     MobilityKind,
@@ -158,9 +158,8 @@ def test_cross_field_validation(mutate, message):
 
 
 def test_reserved_torrent_name_rejected():
-    cfg = base_cfg(torrents=[TorrentSpec("movie1"), TorrentSpec("beacon")])
     with pytest.raises(ValidationError, match="reserved"):
-        validate(cfg)
+        base_cfg(torrents=[TorrentSpec("movie1"), TorrentSpec("beacon")])
 
 
 @pytest.mark.parametrize("bad", ["n\r1", "n1\r"])
@@ -206,6 +205,17 @@ def test_probability_and_duration_bounds():
         validate(base_cfg(duration_us=-1))
     with pytest.raises(ValidationError, match="jitter bounds"):
         validate(base_cfg(strategy=StrategyParams(jitter_min_us=10, jitter_max_us=5)))
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"position_sample_interval_us": 0}, "position_sample_interval_us must be positive"),
+    ({"duration_us": -5}, "duration_us must be non-negative"),
+    ({"radio": RadioConfig(60.0, 500, 1.5)}, r"loss_prob must be within \[0, 1\]"),
+], ids=["sample-interval", "duration", "loss"])
+def test_a_replace_copy_is_checked_as_it_is_made(change, message):
+    # unchecked, the first copy makes a run that never ends and the others run out of range
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        replace(build_five_node(), **change)
 
 
 def test_load_scenario_reports_parse_position(tmp_path):

@@ -2,12 +2,18 @@
 import copy
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ntorrent_sim.scenario import ScenarioError, scenario_from_json
+from ntorrent_sim.scenario import (
+    ScenarioConfig,
+    ScenarioError,
+    ValidationError,
+    scenario_from_json,
+    validate,
+)
 from ntorrent_sim.trace import write_metrics_csv, write_positions_csv, write_trace_csv
 from ntorrent_sim.world import World
 
@@ -148,3 +154,43 @@ def test_loader_accepts_or_raises_scenario_error(doc):
             write_trace_csv(os.path.join(out, "trace.csv"), world.trace)
             write_metrics_csv(os.path.join(out, "metrics.csv"), world.metrics())
             write_positions_csv(os.path.join(out, "positions.csv"), world.trace)
+
+
+# Values of each config field type, as a caller of replace() may pass them;
+# the annotations are strings, since the config modules postpone them.
+_VALUES = {"int": st.integers(), "float": st.floats(), "bool": st.booleans(),
+           "int | None": st.none() | st.integers()}
+_DEFAULTS = ScenarioConfig(nodes=(), torrents=())
+
+
+@st.composite
+def field_changes(draw):
+    """cfg -> a replace() copy of cfg, with one scalar field or one field of a
+    section given a generated value."""
+    name, kind = draw(st.sampled_from([(f.name, f.type) for f in fields(ScenarioConfig)
+                                       if f.name not in ("nodes", "torrents")]))
+    if kind in _VALUES:
+        value = draw(_VALUES[kind])
+        return lambda cfg: replace(cfg, **{name: value})
+    key, kind = draw(st.sampled_from([(f.name, f.type) for f in fields(getattr(_DEFAULTS, name))]))
+    value = draw(_VALUES[kind])
+    return lambda cfg: replace(cfg, **{name: replace(getattr(cfg, name), **{key: value})})
+
+
+@given(documents(), field_changes())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_replace_copy_of_a_loaded_config_is_a_checked_config(doc, change):
+    try:
+        cfg = scenario_from_json(doc)
+    except ScenarioError:
+        cfg = scenario_from_json(BASE)
+    try:
+        varied = change(cfg)
+    except ValidationError:
+        return
+    assert validate(varied) is varied
+    if _cheap_to_run(varied):
+        horizon = min(varied.duration_us, 1_000_000)
+        world = World(replace(varied, duration_us=horizon), 0)
+        world.run()
+        assert world.loop.now_us == horizon

@@ -133,11 +133,25 @@ def test_different_seeds_diverge():
     assert trace_a != trace_b
 
 
+@pytest.mark.parametrize("seed,fits", [(-1, False), (1 << 64, False), ((1 << 64) - 1, True)])
+def test_a_master_seed_outside_64_bits_is_refused(seed, fits):
+    # derive_stream masks a seed to 64 bits, so -1 would replay the run of 2**64-1
+    if fits:
+        World(build_five_node(), seed).run()
+    else:
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            World(build_five_node(), seed)
+
+
 def test_run_report_conserves_events():
     world = World(three_node_relay(), master_seed=3)
     report = world.run()
-    assert report.events_dispatched == report.events_scheduled - report.events_remaining
-    assert report.final_time_us == 30_000_000
+    assert world.loop.now_us == 30_000_000
+    # every event not dispatched is still queued, past the horizon
+    left = []
+    world.loop.run_until(1 << 62, lambda kind, target, payload: left.append(
+        len(target) if isinstance(target, list) else 1))
+    assert sum(left) == report.events_scheduled - report.events_dispatched > 0
 
 
 # Frozen from the code before events became plain tuples, and the last two
