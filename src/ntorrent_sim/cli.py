@@ -16,6 +16,7 @@ import contextlib
 import csv
 import os
 import sys
+from functools import partial
 from typing import Callable
 
 from .oracle import OracleUnsupported, reachability_oracle
@@ -28,12 +29,14 @@ from .scenario import (
     load_scenario,
     with_p_forward,
 )
-from .trace import CompletionsFold, MetricsFold, PositionsWriter, TraceWriter, write_metrics_csv
+from .trace import CompletionsFold, MetricsFold, PositionsWriter, TraceWriter, write_metrics
 from .world import World
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+_csv_file = partial(open, mode="w", encoding="utf-8", newline="")  # opens a path for csv.writer
 
 
 def _u64(text: str) -> int:
@@ -114,18 +117,18 @@ def _outputs(out_dir: str, openers: dict[str, Callable[[str], contextlib.Abstrac
 
 
 def _write_run(out_dir: str, cfg: ScenarioConfig, seed: int) -> None:
-    """Run once, streaming the trace into trace.csv, positions.csv and the metrics fold."""
+    """Run once, streaming the trace into trace.csv, positions.csv and metrics.csv's fold."""
     fold = MetricsFold(cfg.leechers(), [spec.node_id for spec in cfg.nodes])
-    with _outputs(out_dir, {"trace.csv": TraceWriter, "positions.csv": PositionsWriter}) \
-            as (trace_out, positions_out):
+    with _outputs(out_dir, {"trace.csv": TraceWriter, "positions.csv": PositionsWriter,
+                            "metrics.csv": _csv_file}) as (trace_out, positions_out, metrics_out):
         def sink(rows):
             trace_out.add(rows)
             positions_out.add(rows)
             fold.add(rows)
 
         World(cfg, seed, sink).run()
-    metrics = fold.summary()
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
+        metrics = fold.summary()
+        write_metrics(metrics_out, metrics)
     for node_id, lm in metrics.per_leecher.items():
         state = f"completed at {lm.completion_time_us} us" if lm.completed else "incomplete"
         print(f"{node_id} [{lm.torrent}] {state}")
@@ -161,8 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             _write_run(args.out, build_random_field(args.nodes, args.seed), args.seed)
         elif args.command == "sweep":
             cfg = load_scenario(args.scenario)
-            with _outputs(args.out, {"sweep.csv": lambda path: open(
-                    path, "w", encoding="utf-8", newline="")}) as (fh,):
+            with _outputs(args.out, {"sweep.csv": _csv_file}) as (fh,):
                 rows = sweep(cfg, args.p, args.seeds)
                 csv.writer(fh, lineterminator="\n").writerows(
                     [("p", "seed", "node", "torrent", "completed", "completion_time_us"), *rows])

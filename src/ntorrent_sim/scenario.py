@@ -1,6 +1,13 @@
 """Scenario configuration: JSON schema, validation as a config is made, and builders.
 
-A scenario file is one JSON object. Unknown keys are rejected anywhere in the
+A scenario file is one JSON object. One reader maps it, and each object in it,
+onto a config dataclass: the document onto ScenarioConfig, its sections grid,
+radio, strategy, app and forwarding onto GridBounds, RadioConfig,
+StrategyParams, AppConfig and ForwardingParams, each torrent onto TorrentSpec
+and each node onto NodeSpec. An object has one key per field, of that field's
+type; node and torrent ids are read from "id". A key left out keeps its default.
+The one top-level key stored in a section is max_hops, the ForwardingParams
+cap on retransmission chains. Unknown keys are rejected anywhere in the
 document so typos fail loudly instead of silently running defaults. All
 durations and delays are integer microseconds.
 
@@ -8,14 +15,6 @@ Only torrents and nodes are required:
 
     torrents    [{id, n_pieces, piece_bytes}], n_pieces at most MAX_PIECES
     nodes       [{id, kind, torrent, position, mobility}], at most MAX_NODES
-
-Every other top-level key is a field of ScenarioConfig, read with that
-field's default and type: the scalars duration_us, collision_mode and
-position_sample_interval_us, and the section objects grid (GridBounds), radio
-(RadioConfig), strategy (StrategyParams), app (AppConfig) and forwarding
-(ForwardingParams). A section's keys, defaults and types are the fields of its
-dataclass. The one top-level key stored in a section is max_hops, the
-ForwardingParams cap on retransmission chains.
 
 node.kind is one of seeder, leecher, pure_forwarder; seeders and leechers
 name a declared torrent, pure forwarders must not. node.position is [x, y]
@@ -26,8 +25,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import partial
 
 from .app import AppConfig
 from .forwarding import ForwardingParams
@@ -68,7 +68,8 @@ DEFAULT_N_PIECES = 32
 MAX_PIECES = 1 << 16
 # A walking sender has the other n-1 nodes as candidates, though it skips most
 # until a due time, and the flooding grows faster than n: a 60-node random
-# field (seed 4) runs for 8-11 s and peaks near 393 MiB (CPython 3.11, Xeon VM).
+# field (seed 4) runs for 7-11 s and peaks near 28 MiB through the CLI
+# (CPython 3.11, 2-core VM).
 MAX_NODES = 1024
 DEFAULT_PIECE_BYTES = 1024
 DEFAULT_DURATION_US = 120_000_000
@@ -210,21 +211,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # JSON loading
 
-def _take(obj: object, context: str, allowed: dict[str, object]) -> dict:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{context} must be an object")
-    unknown = obj.keys() - allowed.keys()
-    if unknown:
-        raise ValidationError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-    return {**allowed, **obj}
-
-
-def _require(obj: dict, context: str, key: str) -> object:
-    if key not in obj or obj[key] is None:
-        raise ValidationError(f"missing required key {key!r} in {context}")
-    return obj[key]
-
-
 def _int_field(value: object, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{context} must be an integer")
@@ -246,109 +232,98 @@ def _num_field(value: object, context: str) -> float:
         raise ValidationError(f"{context} must be a number within float range") from None
 
 
+def _str_field(value: object, context: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{context} must be a string")
+    return value
+
+
+def _enum_field(kind: type[Enum], value: object, context: str) -> Enum:
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValidationError(f"{context} must be one of {[k.value for k in kind]}") from None
+
+
+def _position_field(value: object, context: str) -> tuple[float, float] | None:
+    if value == "random":
+        return None
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValidationError(f"{context} must be [x, y] or \"random\"")
+    return _num_field(value[0], f"{context}[0]"), _num_field(value[1], f"{context}[1]")
+
+
+def _list_field(cls: type, value: object, context: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{context} must be a list")
+    return [_read(cls, item, f"{context}[{i}]") for i, item in enumerate(value)]
+
+
 # Config fields are read by their annotations, which stay strings because every
-# config module postpones the evaluation of annotations.
+# config module postpones the evaluation of annotations. A section, a field
+# whose default is a config dataclass, is read by _read itself.
 _READERS = {
-    "int": _int_field, "float": _num_field, "bool": _bool_field,
+    "int": _int_field, "float": _num_field, "bool": _bool_field, "str": _str_field,
     "int | None": lambda value, context: None if value is None else _int_field(value, context),
+    "str | None": lambda value, context: None if value is None else _str_field(value, context),
+    "NodeKind": partial(_enum_field, NodeKind),
+    "MobilityKind": partial(_enum_field, MobilityKind),
+    "tuple[float, float] | None": _position_field,
+    "tuple[NodeSpec, ...]": partial(_list_field, NodeSpec),
+    "tuple[TorrentSpec, ...]": partial(_list_field, TorrentSpec),
 }
-# ForwardingParams.max_hops is the one section field written at the top level.
-_TOP_LEVEL_FIELDS = {"max_hops": "forwarding"}
-_DEFAULTS = ScenarioConfig(nodes=(), torrents=())
+_SCHEMAS: dict[type, dict[str, tuple]] = {}  # each class's schema, made on first use
 
 
-def _section_schema(name: str) -> tuple[type, dict[str, object], tuple]:
-    """A section's dataclass, its in-section defaults, and (key, reader, context) per field."""
-    default = getattr(_DEFAULTS, name)
-    reads = tuple((f.name, _READERS[f.type],
-                   f.name if f.name in _TOP_LEVEL_FIELDS else f"{name}.{f.name}")
-                  for f in fields(default))
-    return type(default), {key: getattr(default, key) for key, _, at in reads if at != key}, reads
+def _schema(cls: type) -> dict[str, tuple]:
+    """key -> (field name, reader, default) for each key of cls's JSON object, in field order."""
+    schema = {}
+    for f in fields(cls):
+        # a section's keys left out keep ScenarioConfig's default section, since
+        # GridBounds and RadioConfig have no field defaults
+        read = (partial(_read, type(f.default), base=f.default) if is_dataclass(f.default)
+                else _READERS[f.type])
+        schema["id" if f.name in ("node_id", "torrent_id") else f.name] = (f.name, read, f.default)
+    if cls is ForwardingParams:  # a file holds max_hops at its top level
+        del schema["max_hops"]
+    elif cls is ScenarioConfig:
+        schema["max_hops"] = ("max_hops", _int_field, ForwardingParams.max_hops)
+    return schema
 
 
-_SECTIONS = {f.name: _section_schema(f.name) for f in fields(ScenarioConfig)
-             if is_dataclass(getattr(_DEFAULTS, f.name))}
-_SCALARS = tuple((f.name, _READERS[f.type]) for f in fields(ScenarioConfig) if f.type in _READERS)
-_TOP_DEFAULTS = {"torrents": None, "nodes": None, **{name: {} for name in _SECTIONS},
-                 **{name: getattr(_DEFAULTS, name) for name, _ in _SCALARS},
-                 **{key: getattr(getattr(_DEFAULTS, section), key)
-                    for key, section in _TOP_LEVEL_FIELDS.items()}}
-
-
-def _section_from_json(top: dict, name: str) -> object:
-    """Section name of the merged document, read into its dataclass."""
-    cls, defaults, reads = _SECTIONS[name]
-    section = _take(top[name], name, defaults)
-    return cls(**{key: read(section[key] if key in defaults else top[key], context)
-                  for key, read, context in reads})
-
-
-_NODE_DEFAULTS = {"id": None, "kind": None, "torrent": None, "position": "random",
-                  "mobility": "static"}
-
-
-def _node_from_json(obj: object, index: int) -> NodeSpec:
-    context = f"nodes[{index}]"
-    merged = _take(obj, context, _NODE_DEFAULTS)
-    node_id = _require(merged, context, "id")
-    if not isinstance(node_id, str):
-        raise ValidationError(f"{context}.id must be a string")
-    kind_text = _require(merged, context, "kind")
-    try:
-        kind = NodeKind(kind_text)
-    except ValueError:
-        raise ValidationError(f"{context}.kind must be one of "
-                              f"{[k.value for k in NodeKind]}") from None
-    try:
-        mobility = MobilityKind(merged["mobility"])
-    except ValueError:
-        raise ValidationError(f"{context}.mobility must be one of "
-                              f"{[m.value for m in MobilityKind]}") from None
-    position = merged["position"]
-    if position == "random":
-        parsed_position = None
-    elif (isinstance(position, list) and len(position) == 2):
-        parsed_position = (_num_field(position[0], f"{context}.position[0]"),
-                           _num_field(position[1], f"{context}.position[1]"))
-    else:
-        raise ValidationError(f"{context}.position must be [x, y] or \"random\"")
-    torrent = merged["torrent"]
-    if torrent is not None and not isinstance(torrent, str):
-        raise ValidationError(f"{context}.torrent must be a string")
-    return NodeSpec(node_id=node_id, kind=kind, torrent=torrent,
-                    position=parsed_position, mobility=mobility)
+def _read(cls: type, obj: object, context: str, base: object = None) -> object:
+    """Read the JSON object obj into dataclass cls, each key by the reader of its
+    field's annotation. A key left out keeps its value in base, else the field's
+    default; a field with neither is required, and null counts as missing."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{context} must be an object")
+    schema = _SCHEMAS.get(cls) or _SCHEMAS.setdefault(cls, _schema(cls))
+    unknown = obj.keys() - schema.keys()
+    if unknown:
+        raise ValidationError(f"unknown key {sorted(unknown)[0]!r} in {context}")
+    prefix = "" if cls is ScenarioConfig else f"{context}."
+    values = {}
+    for key, (name, read, default) in schema.items():
+        value = obj.get(key)
+        kept = default if base is None else getattr(base, name)
+        if value is not None or key in obj and kept is not MISSING:
+            values[name] = read(value, prefix + key)
+        elif kept is MISSING:
+            raise ValidationError(f"missing required key {key!r} in {context}")
+        else:
+            values[name] = kept
+    if cls is ScenarioConfig:
+        max_hops = values.pop("max_hops")
+        if values["forwarding"].max_hops != max_hops:
+            values["forwarding"] = replace(values["forwarding"], max_hops=max_hops)
+    return cls(**values)
 
 
 def scenario_from_json(obj: object) -> ScenarioConfig:
     """Build a ScenarioConfig, which checks itself, from a decoded JSON object."""
     if not isinstance(obj, dict):
         raise ValidationError("scenario document must be a JSON object")
-    merged = _take(obj, "scenario", _TOP_DEFAULTS)
-    sections = {name: _section_from_json(merged, name) for name in _SECTIONS}
-
-    torrents_obj = _require(merged, "scenario", "torrents")
-    if not isinstance(torrents_obj, list):
-        raise ValidationError("torrents must be a list")
-    torrents = []
-    for i, item in enumerate(torrents_obj):
-        context = f"torrents[{i}]"
-        titem = _take(item, context, {
-            "id": None, "n_pieces": DEFAULT_N_PIECES, "piece_bytes": DEFAULT_PIECE_BYTES})
-        torrent_id = _require(titem, context, "id")
-        if not isinstance(torrent_id, str):
-            raise ValidationError(f"{context}.id must be a string")
-        torrents.append(TorrentSpec(
-            torrent_id=torrent_id,
-            n_pieces=_int_field(titem["n_pieces"], f"{context}.n_pieces"),
-            piece_bytes=_int_field(titem["piece_bytes"], f"{context}.piece_bytes"),
-        ))
-
-    nodes_obj = _require(merged, "scenario", "nodes")
-    if not isinstance(nodes_obj, list):
-        raise ValidationError("nodes must be a list")
-    nodes = [_node_from_json(item, i) for i, item in enumerate(nodes_obj)]
-    scalars = {name: read(merged[name], name) for name, read in _SCALARS}
-    return ScenarioConfig(nodes=nodes, torrents=torrents, **sections, **scalars)
+    return _read(ScenarioConfig, obj, "scenario")
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 # wire-level events
 INTEREST_TX = "INTEREST_TX"
@@ -301,20 +301,25 @@ def metrics_from_trace(records: Iterable[TraceRecord],
 
 
 def write_metrics_csv(path: str, summary: MetricsSummary) -> None:
-    """Key-value rendering with one row per metric entry, sorted for stability."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("metric", "node", "detail", "value"))
-        for node_id, lm in summary.per_leecher.items():
-            writer.writerow(("completed", node_id, lm.torrent, int(lm.completed)))
-            writer.writerow(("completion_time_us", node_id, lm.torrent,
-                             "" if lm.completion_time_us is None else lm.completion_time_us))
-        for node_id, counters in summary.per_node.items():
-            writer.writerow(("interests_tx", node_id, "", counters.interests_tx))
-            writer.writerow(("data_tx", node_id, "", counters.data_tx))
-            for reason in sorted(counters.drops):
-                writer.writerow(("drops", node_id, reason, counters.drops[reason]))
-        writer.writerow(("total_tx", "", "", summary.total_tx))
-        writer.writerow(("pieces_delivered", "", "", summary.pieces_delivered))
-        writer.writerow(("overhead_ratio", "", "",
-                         "" if summary.overhead_ratio is None else repr(summary.overhead_ratio)))
+        write_metrics(fh, summary)
+
+
+def write_metrics(fh: TextIO, summary: MetricsSummary) -> None:
+    """metrics.csv into the open file fh: a key-value rendering with one row per
+    metric entry, sorted for stability."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(("metric", "node", "detail", "value"))
+    for node_id, lm in summary.per_leecher.items():
+        writer.writerow(("completed", node_id, lm.torrent, int(lm.completed)))
+        writer.writerow(("completion_time_us", node_id, lm.torrent,
+                         "" if lm.completion_time_us is None else lm.completion_time_us))
+    for node_id, counters in summary.per_node.items():
+        writer.writerow(("interests_tx", node_id, "", counters.interests_tx))
+        writer.writerow(("data_tx", node_id, "", counters.data_tx))
+        for reason in sorted(counters.drops):
+            writer.writerow(("drops", node_id, reason, counters.drops[reason]))
+    writer.writerow(("total_tx", "", "", summary.total_tx))
+    writer.writerow(("pieces_delivered", "", "", summary.pieces_delivered))
+    writer.writerow(("overhead_ratio", "", "",
+                     "" if summary.overhead_ratio is None else repr(summary.overhead_ratio)))

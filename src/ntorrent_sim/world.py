@@ -24,9 +24,9 @@ set notes a collision instead. It calls back the handler an app armed with
 An app's own interest goes through forwarding.on_own_interest and is on the
 radio before `originate` returns. Every observable action lands in the trace,
 and the trace plus the metrics reduced from it are the run's result. A World
-given a sink streams its trace: it hands the rows on once per GC tick and at
-the end, and a caller folds them (trace.MetricsFold, the CSV row writers), so
-a run's memory does not grow with its length.
+given a sink streams its trace to a caller's folds (trace.MetricsFold, the CSV
+row writers): it hands the rows on once a delivery or a position sample leaves
+HAND_OFF_ROWS of them, and at the end, so a run holds not many more at once.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ from .scenario import MobilityKind, NodeKind, ScenarioConfig
 from .trace import MetricsSummary, TraceRecord, metrics_from_trace
 
 GC_INTERVAL_US = 1_000_000
+HAND_OFF_ROWS = 32_768
 
 EV_DELIVERY = "PacketDelivery"
 EV_TIMER = "Timer"
@@ -119,10 +120,10 @@ class World:
     """One run of cfg from master_seed.
 
     Without a sink, `trace` holds every row of the run. With one, the World
-    hands `trace` to sink(rows) at the end of each GC tick and after the END
-    row, and starts a new list, so `trace` holds only the rows noted since the
-    last hand-off, the World keeps no row it has handed on, and `metrics()`
-    raises.
+    hands `trace` to sink(rows) once a delivery or a position sample leaves
+    HAND_OFF_ROWS rows or more, and after the END row, and starts a new list,
+    so `trace` holds only the rows noted since the last hand-off, the World
+    keeps no row it has handed on, and `metrics()` raises.
     """
 
     def __init__(self, cfg: ScenarioConfig, master_seed: int,
@@ -371,6 +372,8 @@ class World:
             # the row note would append
             append(tuple.__new__(TraceRecord, (now, node_id, code, key, detail)))
             handle(nodes[node_id], pkt, now, self)
+        # past the loop, no local holds the bound append of the list handed on
+        self._hand_off(HAND_OFF_ROWS)
 
     def _on_timer(self, node_id: str | None, payload: tuple) -> None:
         tag = payload[0]
@@ -388,6 +391,7 @@ class World:
             nxt = now + self.cfg.position_sample_interval_us
             if nxt <= self.cfg.duration_us:
                 self.loop.schedule(nxt, EV_TIMER, None, ("sample",))
+            self._hand_off(HAND_OFF_ROWS)  # a run with no deliveries also hands rows on
             return
         if tag == "tx":
             self._transmit(node_id, payload[1])
@@ -414,13 +418,12 @@ class World:
         nxt = now + GC_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_GC)
-        if self._sink is not None:
-            self._hand_off()
 
-    def _hand_off(self) -> None:
-        """Give the rows noted since the last hand-off to the sink."""
-        rows, self.trace = self.trace, []
-        self._sink(rows)
+    def _hand_off(self, at_least: int = 0) -> None:
+        """Give the rows since the last hand-off to the sink, if any, once they are at_least."""
+        if self._sink is not None and len(self.trace) >= at_least:
+            rows, self.trace = self.trace, []
+            self._sink(rows)
 
     # -- run -------------------------------------------------------------------------
 
@@ -434,8 +437,7 @@ class World:
             # the boundary marker always closes the trace, after anything that
             # fired exactly at the horizon
             self.note("", tc.END, "", "")
-            if self._sink is not None:
-                self._hand_off()
+            self._hand_off()
         finally:
             if enabled:
                 gc.enable()

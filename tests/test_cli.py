@@ -324,6 +324,16 @@ def test_an_output_that_cannot_take_its_name_leaves_no_part_file(tiny_scenario, 
     assert list((out / taken).iterdir()) == []
 
 
+def test_a_metrics_csv_that_cannot_take_its_name_leaves_no_output(tmp_path, capsys):
+    # metrics.csv is renamed last, after trace.csv and positions.csv took their names
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    assert main(["five-node", "--out", str(out)]) == EXIT_IO
+    assert "i/o error:" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["metrics.csv"]
+    assert list((out / "metrics.csv").iterdir()) == []
+
+
 def test_missing_scenario_file_exits_3(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "out")]) == EXIT_IO

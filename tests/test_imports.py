@@ -29,10 +29,10 @@ UNREFERENCED = {
     # overrides that refuse the API NamedTuple would otherwise give a packet
     ("names", "_Packet._make"): "refuses NamedTuple._make",
     ("names", "_Packet._replace"): "refuses NamedTuple._replace",
-    # ROADMAP item 4: `sim check` reads a written trace back with these, or
+    # ROADMAP item 3: `sim check` reads a written trace back with these, or
     # they move into the tests
-    ("trace", "read_trace_csv"): "ROADMAP item 4, sim check",
-    ("trace", "detail_fields"): "ROADMAP item 4, sim check",
+    ("trace", "read_trace_csv"): "ROADMAP item 3, sim check",
+    ("trace", "detail_fields"): "ROADMAP item 3, sim check",
 }
 
 

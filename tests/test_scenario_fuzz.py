@@ -1,15 +1,22 @@
 """Fuzzing the scenario loader: any JSON in, a config or a ScenarioError out."""
 import copy
+import json
 import os
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ntorrent_sim.scenario import (
+    MAX_PIECES,
+    MobilityKind,
+    NodeKind,
+    NodeSpec,
     ScenarioConfig,
     ScenarioError,
+    TorrentSpec,
     ValidationError,
     scenario_from_json,
     validate,
@@ -194,3 +201,66 @@ def test_a_replace_copy_of_a_loaded_config_is_a_checked_config(doc, change):
         world = World(replace(varied, duration_us=horizon), 0)
         world.run()
         assert world.loop.now_us == horizon
+
+
+# -- every field of every object reads back -------------------------------------------
+
+# values every config field of the type may hold: positive, and at most 1 for a
+# float (a probability); positions are drawn inside the least grid side
+_VALID = {"int": st.integers(1, 2 ** 53), "float": st.floats(1e-3, 1.0), "bool": st.booleans(),
+          "int | None": st.none() | st.integers(0, 2 ** 53)}
+ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\0\r"),
+              min_size=1, max_size=6)
+
+
+@st.composite
+def configs(draw):
+    """A valid ScenarioConfig with every field of every section drawn, and among
+    its nodes every NodeKind, every MobilityKind and both position forms."""
+    torrents = [TorrentSpec(torrent_id, draw(st.integers(1, MAX_PIECES)), draw(st.integers(0)))
+                for torrent_id in draw(st.lists(ids.filter(lambda text: text != "beacon"),
+                                                min_size=1, max_size=3, unique=True))]
+    nodes = []
+    for i, node_id in enumerate(draw(st.lists(ids, min_size=4, max_size=8, unique=True))):
+        kind = list(NodeKind)[i % len(NodeKind)]
+        torrent = (None if kind is NodeKind.PURE_FORWARDER
+                   else draw(st.sampled_from(torrents)).torrent_id)
+        position = None if i & 2 else draw(st.tuples(st.floats(0.0, 1e-3), st.floats(0.0, 1e-3)))
+        nodes.append(NodeSpec(node_id, kind, torrent, position, list(MobilityKind)[i & 1]))
+    drawn = {}
+    for f in fields(ScenarioConfig):
+        default = getattr(ScenarioConfig, f.name, None)
+        if is_dataclass(default):
+            drawn[f.name] = type(default)(**{g.name: draw(_VALID[g.type]) for g in fields(default)})
+        elif f.type in _VALID:
+            drawn[f.name] = draw(_VALID[f.type])
+    strategy = drawn["strategy"]
+    low, high = sorted((strategy.jitter_min_us, strategy.jitter_max_us))
+    drawn["strategy"] = replace(strategy, jitter_min_us=low, jitter_max_us=high)
+    return ScenarioConfig(nodes=nodes, torrents=torrents, **drawn)
+
+
+def written(item):
+    """A config dataclass as a scenario file writes it: one key per field, ids
+    under "id", enums by value and a position of None as "random"."""
+    obj = {}
+    for f in fields(item):
+        value = getattr(item, f.name)
+        if is_dataclass(value):
+            value = written(value)
+        elif isinstance(value, tuple):  # the nodes, the torrents or a position
+            value = [written(v) if is_dataclass(v) else v for v in value]
+        elif isinstance(value, Enum):
+            value = value.value
+        elif value is None and f.name == "position":
+            value = "random"
+        obj["id" if f.name in ("node_id", "torrent_id") else f.name] = value
+    return obj
+
+
+@given(configs())
+@settings(max_examples=100, deadline=None)
+def test_every_field_of_every_object_reads_back(cfg):
+    doc = written(cfg)
+    doc["max_hops"] = doc["forwarding"].pop("max_hops")  # the one section key at the top
+    assert scenario_from_json(json.loads(json.dumps(doc))) == cfg

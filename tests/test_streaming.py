@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntorrent_sim import trace as tc
-from ntorrent_sim.scenario import build_five_node, build_random_field, scenario_from_json
+from ntorrent_sim.scenario import (
+    MobilityKind,
+    NodeKind,
+    NodeSpec,
+    ScenarioConfig,
+    build_five_node,
+    build_random_field,
+    scenario_from_json,
+)
 from ntorrent_sim.trace import (
     CompletionsFold,
     MetricsFold,
@@ -18,7 +26,7 @@ from ntorrent_sim.trace import (
     write_positions_csv,
     write_trace_csv,
 )
-from ntorrent_sim.world import GC_INTERVAL_US, World
+from ntorrent_sim.world import HAND_OFF_ROWS, World
 
 from test_golden import csv_hostile_document
 
@@ -26,6 +34,13 @@ SEED = 4
 SCENARIOS = {
     "five-node": build_five_node,
     "random-field-12": lambda: build_random_field(12, SEED),
+    # 195,014 rows, so a sink World hands rows on several times before the END row
+    "random-field-30": lambda: build_random_field(30, SEED),
+    # 126,401 rows and no delivery: only position samples hand rows on
+    "forwarders-only": lambda: ScenarioConfig(
+        nodes=[NodeSpec(f"f{i}", NodeKind.PURE_FORWARDER, mobility=MobilityKind.RANDOM_WALK)
+               for i in range(200)],
+        torrents=[], duration_us=600_000_000),
     # long enough for several 1,024-row chunks
     "csv-hostile-ids": lambda: scenario_from_json(
         dict(csv_hostile_document(), duration_us=120_000_000)),
@@ -102,8 +117,10 @@ def test_a_sink_world_hands_on_the_trace_a_plain_world_keeps(name):
     batches = []
     world = World(cfg, SEED, batches.append)
     assert world.run() == report
-    # one hand-off per GC tick, and one after the END row
-    assert len(batches) == cfg.duration_us // GC_INTERVAL_US + 1
+    # a hand-off once a delivery leaves HAND_OFF_ROWS rows or more, and one
+    # after the END row
+    assert all(len(batch) >= HAND_OFF_ROWS for batch in batches[:-1])
+    assert len(batches) > len(trace) // (2 * HAND_OFF_ROWS)
     assert batches[-1][-1].event == tc.END
     assert [row for batch in batches for row in batch] == trace
     assert world.trace == []
