@@ -21,8 +21,12 @@ Handlers change only the given node's state, call its app directly, and act
 on the world through `out`, the World: they note trace rows, send packets and
 schedule emissions. Interests and data leave through `out.send`. Relay coins,
 jitter and data response delays draw from the node's strategy stream, which
-it derives on first use, as its store makes a torrent's bitmap; pit_gc also
-expires the node's overheard-name table.
+it derives on first use, as its store makes a torrent's bitmap.
+
+Every lookup of a PIT entry, dead-nonce record or overheard name checks its
+expiry, so pit_gc, which removes the expired ones, changes nothing a node does
+and only bounds what it holds. The World's 1 s GC tick calls it on a node once
+its PIT and dead-nonce records have doubled since its last sweep.
 """
 from __future__ import annotations
 
@@ -252,8 +256,8 @@ def on_data_emission(node: NodeState, name: Name, now_us: int, out: World) -> No
 
 def pit_gc(node: NodeState, now_us: int) -> int:
     """Remove PIT entries, dead-nonce records and overheard-name table entries
-    with expiry <= now; returns how many PIT entries were removed. Most ticks
-    find most of these tables empty and pass over them."""
+    with expiry <= now; returns how many PIT entries were removed. An empty
+    table is passed over without building a list."""
     removed = 0
     pit = node.pit
     if pit:

@@ -7,6 +7,10 @@ them and keep none of it; the one-call forms (write_trace_csv,
 metrics_from_trace, ...) are the one-batch case. Files are UTF-8 with LF line
 endings and stable column order, so equal runs produce byte-identical output.
 
+A row is any 5-tuple in TRACE_COLUMNS order, and writers and folds read rows by
+position only: a World with a sink hands them plain tuples, and TraceRecord
+names the fields of the rows a World without a sink keeps.
+
 trace.csv and positions.csv hold one row per record, so their writer skips
 csv.writer's per-row cost: it formats each row as one f-string line and
 writes them a chunk at a time, and hands a chunk to csv.writer only when

@@ -27,12 +27,18 @@ and the trace plus the metrics reduced from it are the run's result. A World
 given a sink streams its trace to a caller's folds (trace.MetricsFold, the CSV
 row writers): it hands the rows on once a delivery or a position sample leaves
 HAND_OFF_ROWS of them, and at the end, so a run holds not many more at once.
+Those rows are plain tuples in trace.TRACE_COLUMNS order, since folds and
+writers take rows apart by position; a World without a sink keeps TraceRecords.
+Every PIT, dead-nonce and overheard-name lookup checks expiry itself, so the
+1 s GC tick only bounds memory: it sweeps a node's tables once they have
+doubled since its last sweep (see `_on_gc`).
 """
 from __future__ import annotations
 
 import gc
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 from typing import Callable
 
 from . import forwarding as fw
@@ -53,6 +59,9 @@ from .scenario import MobilityKind, NodeKind, ScenarioConfig
 from .trace import MetricsSummary, TraceRecord, metrics_from_trace
 
 GC_INTERVAL_US = 1_000_000
+# the GC tick sweeps a node once its PIT and dead-nonce records reach twice
+# what its last sweep left plus this many
+GC_SLACK = 8
 HAND_OFF_ROWS = 32_768
 
 EV_DELIVERY = "PacketDelivery"
@@ -119,22 +128,27 @@ def _position_detail(pos: Position) -> str:
 class World:
     """One run of cfg from master_seed.
 
-    Without a sink, `trace` holds every row of the run. With one, the World
-    hands `trace` to sink(rows) once a delivery or a position sample leaves
-    HAND_OFF_ROWS rows or more, and after the END row, and starts a new list,
-    so `trace` holds only the rows noted since the last hand-off, the World
-    keeps no row it has handed on, and `metrics()` raises.
+    Without a sink, `trace` holds every row of the run as a TraceRecord. With
+    one, the World hands `trace` to sink(rows) once a delivery or a position
+    sample leaves HAND_OFF_ROWS rows or more, and after the END row, and starts
+    a new list, so `trace` holds only the rows noted since the last hand-off,
+    the World keeps no row it has handed on, and `metrics()` raises. A sink's
+    rows are plain tuples in trace.TRACE_COLUMNS order.
     """
 
     def __init__(self, cfg: ScenarioConfig, master_seed: int,
-                 sink: Callable[[list[TraceRecord]], None] | None = None) -> None:
+                 sink: Callable[[list[tuple]], None] | None = None) -> None:
         if not 0 <= master_seed < 1 << 64:  # derive_stream would wrap it onto another run
             raise ValueError(f"master seed {master_seed} does not fit in 64 bits")
         self.cfg = cfg
         self.loop = EventLoop()
         self.master_seed = master_seed
-        self.trace: list[TraceRecord] = []
+        self.trace: list[tuple] = []
         self._sink = sink
+        # every row is built through this: a sink's folds and writers take rows
+        # apart by position, and an exact tuple is the cheapest row to build,
+        # unpack and free
+        self._row = tuple if sink is not None else partial(tuple.__new__, TraceRecord)
         self.nodes: dict[str, fw.NodeState] = {}
         self._stations: dict[str, _Station] = {}
         self._senders: dict[str, _Sender] = {}  # filled as each node first transmits
@@ -145,6 +159,8 @@ class World:
         self._margin_m = 1e-9 * (cfg.grid.width + cfg.grid.height + cfg.radio.range_m
                                  + SPEED_MAX_MS * EPOCH_INTERVAL_US / 1e6)
         self._build_nodes()
+        # per node, how many PIT and dead-nonce records the GC tick sweeps at
+        self._sweep_at = dict.fromkeys(self.nodes, GC_SLACK)
         self._schedule_initial()
 
     # -- construction -------------------------------------------------------
@@ -204,9 +220,7 @@ class World:
 
     def note(self, node_id: str, code: str, name_text: str, detail: str = "") -> None:
         """Append a trace row at the current time."""
-        # tuple.__new__ skips the NamedTuple's Python-level __new__; same row type
-        self.trace.append(tuple.__new__(TraceRecord, (self.loop.now_us, node_id, code,
-                                                      name_text, detail)))
+        self.trace.append(self._row((self.loop.now_us, node_id, code, name_text, detail)))
 
     def send(self, node_id: str, pkt: Interest | Data, delay_us: int) -> None:
         """Broadcast pkt after delay_us; a delay-0 send goes out before this returns."""
@@ -364,13 +378,14 @@ class World:
             code, detail = tc.DATA_RX, f"hop={pkt.hop_count};origin={pkt.origin}"
             handle = fw.on_incoming_data
         append = self.trace.append
+        row = self._row
         nodes = self.nodes
         for node_id in receivers:
             if collided and node_id in collided:
                 self.note(node_id, tc.DROP, key, tc.REASON_COLLISION)
                 continue
             # the row note would append
-            append(tuple.__new__(TraceRecord, (now, node_id, code, key, detail)))
+            append(row((now, node_id, code, key, detail)))
             handle(nodes[node_id], pkt, now, self)
         # past the loop, no local holds the bound append of the list handed on
         self._hand_off(HAND_OFF_ROWS)
@@ -380,6 +395,7 @@ class World:
         now = self.loop.now_us
         if tag == "sample":
             append = self.trace.append
+            row = self._row
             for node_id, station in self._stations.items():
                 if station.leg is None:
                     detail = station.fixed_detail
@@ -387,7 +403,7 @@ class World:
                     x, y = self.position_of(node_id, now)
                     detail = f"x={x!r};y={y!r}"  # _position_detail, inlined
                 # the row note would append
-                append(tuple.__new__(TraceRecord, (now, node_id, tc.POSITION, "", detail)))
+                append(row((now, node_id, tc.POSITION, "", detail)))
             nxt = now + self.cfg.position_sample_interval_us
             if nxt <= self.cfg.duration_us:
                 self.loop.schedule(nxt, EV_TIMER, None, ("sample",))
@@ -412,9 +428,17 @@ class World:
             self.loop.schedule(nxt, EV_MOBILITY)
 
     def _on_gc(self) -> None:
+        """Sweep each node whose PIT and dead-nonce records have reached its
+        sweep threshold, then set that to twice what is left plus GC_SLACK. A
+        node then holds at every tick less than twice what its last sweep left,
+        plus GC_SLACK, and its overheard-name table is swept with them; it holds
+        at most one name per torrent."""
         now = self.loop.now_us
-        for node in self.nodes.values():
-            fw.pit_gc(node, now)
+        sweep_at = self._sweep_at
+        for node_id, node in self.nodes.items():
+            if len(node.pit) + len(node.dead_nonces) >= sweep_at[node_id]:
+                fw.pit_gc(node, now)
+                sweep_at[node_id] = 2 * (len(node.pit) + len(node.dead_nonces)) + GC_SLACK
         nxt = now + GC_INTERVAL_US
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EV_GC)

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from ntorrent_sim import cli, forwarding
+from ntorrent_sim import cli
 from ntorrent_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from ntorrent_sim.scenario import MAX_PIECES, build_five_node, with_p_forward
+from ntorrent_sim.trace import TraceWriter
 from ntorrent_sim.world import World, run_scenario
 
 TINY_SCENARIO = {
@@ -296,19 +297,30 @@ def test_a_value_error_inside_a_run_is_no_configuration_error(tiny_scenario, tmp
 
 def test_a_run_that_raises_after_writing_rows_leaves_no_output(tiny_scenario, tmp_path,
                                                                monkeypatch):
-    # the first GC tick at 1 s hands its rows to the writers; the fault strikes
-    # at the second, with rows already in the partial files
-    real_gc = forwarding.pit_gc
+    # rows are handed to the writers after every delivery, so by the GC tick at
+    # 2 s, where the fault strikes, the partial files have taken rows
+    monkeypatch.setattr("ntorrent_sim.world.HAND_OFF_ROWS", 1)
+    written = []
 
-    def faulty_gc(node, now_us):
-        if now_us >= 2_000_000:
-            raise ValueError("fault inside the run")
-        real_gc(node, now_us)
+    class CountingWriter(TraceWriter):
+        def add(self, rows):
+            written.extend(rows)
+            super().add(rows)
 
-    monkeypatch.setattr(forwarding, "pit_gc", faulty_gc)
+    monkeypatch.setattr(cli, "TraceWriter", CountingWriter)
     out = tmp_path / "out"
+    real_on_gc = World._on_gc
+
+    def faulty_on_gc(self):
+        if self.loop.now_us >= 2_000_000:
+            assert (out / "trace.csv.part").is_file()
+            raise ValueError("fault inside the run")
+        real_on_gc(self)
+
+    monkeypatch.setattr(World, "_on_gc", faulty_on_gc)
     with pytest.raises(ValueError, match="fault inside the run"):
         main(["run", "--scenario", tiny_scenario, "--out", str(out)])
+    assert any(row[2] == "DATA_RX" for row in written)
     assert list(out.iterdir()) == []
 
 

@@ -121,8 +121,12 @@ def test_a_sink_world_hands_on_the_trace_a_plain_world_keeps(name):
     # after the END row
     assert all(len(batch) >= HAND_OFF_ROWS for batch in batches[:-1])
     assert len(batches) > len(trace) // (2 * HAND_OFF_ROWS)
-    assert batches[-1][-1].event == tc.END
-    assert [row for batch in batches for row in batch] == trace
+    assert batches[-1][-1][2] == tc.END
+    handed_on = [row for batch in batches for row in batch]
+    assert handed_on == trace
+    # a sink gets exact tuples; a World without one keeps TraceRecords
+    assert all(type(row) is tuple for row in handed_on)
+    assert all(type(row) is TraceRecord for row in trace)
     assert world.trace == []
     with pytest.raises(RuntimeError, match="sink"):
         world.metrics()

@@ -475,6 +475,61 @@ def test_a_run_restores_the_callers_collector_setting(enabled):
         gc.enable()
 
 
+# -- the GC tick ------------------------------------------------------------------
+
+class SweepEveryTick(World):
+    """A reference GC tick: every node's tables swept at every tick."""
+
+    def _on_gc(self):
+        now = self.loop.now_us
+        for node in self.nodes.values():
+            fw.pit_gc(node, now)
+        nxt = now + world_module.GC_INTERVAL_US
+        if nxt <= self.cfg.duration_us:
+            self.loop.schedule(nxt, world_module.EV_GC)
+
+
+GC_RUNS = {
+    "five-node": build_five_node,
+    "five-node-lossy": _lossy_five_node,
+    "random-field-12": lambda: build_random_field(12, 4),
+    "random-field-30": lambda: build_random_field(30, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GC_RUNS))
+def test_a_sweep_is_unobservable_and_bounds_what_a_node_holds(case, monkeypatch):
+    cfg = GC_RUNS[case]()
+    reference = SweepEveryTick(cfg, master_seed=4)
+    expected = reference.run()
+
+    # what each node's last sweep left of its PIT and dead-nonce records
+    left = {}
+    real_gc = fw.pit_gc
+
+    def recording_gc(node, now_us):
+        removed = real_gc(node, now_us)
+        left[node.node_id] = len(node.pit) + len(node.dead_nonces)
+        return removed
+
+    monkeypatch.setattr(fw, "pit_gc", recording_gc)
+    ticks = []
+
+    class Watched(World):
+        def _on_gc(self):
+            super()._on_gc()
+            ticks.append(self.loop.now_us)
+            for node_id, node in self.nodes.items():
+                held = len(node.pit) + len(node.dead_nonces)
+                assert held < 2 * left.get(node_id, 0) + world_module.GC_SLACK
+
+    world = Watched(cfg, master_seed=4)
+    assert world.run() == expected
+    assert world.trace == reference.trace
+    assert len(ticks) == cfg.duration_us // world_module.GC_INTERVAL_US
+    assert left, "no node was ever swept"
+
+
 # -- collision mode ------------------------------------------------------------
 
 def forwarder_field(collision_mode):
