@@ -39,11 +39,17 @@ EXIT_IO = 3
 _csv_file = partial(open, mode="w", encoding="utf-8", newline="")  # opens a path for csv.writer
 
 
+# argparse reports a type function's ValueError under the function's name, so
+# these raise ArgumentTypeError, whose message names the bad text instead
 def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+    try:
+        value = int(text)
+        if 0 <= value < 1 << 64:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"invalid seed {text!r}: expected an integer from 0 to 2**64 - 1")
 
 
 def _nonempty(values: list) -> list:
@@ -52,8 +58,15 @@ def _nonempty(values: list) -> list:
     return values
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: expected a number") from None
+
+
 def _float_list(text: str) -> list[float]:
-    return _nonempty([float(part) for part in text.split(",") if part])
+    return _nonempty([_float(part) for part in text.split(",") if part])
 
 
 def _seed_list(text: str) -> list[int]:

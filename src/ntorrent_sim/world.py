@@ -9,6 +9,9 @@ the sender records refer to station records, and no station refers to
 another, so a run makes no reference cycle: `run` pauses automatic garbage
 collection, which would only walk the run's live objects (a kept trace
 among them) again and again, and reference counting frees all a run drops.
+On the way out, unless some objects are already frozen, it moves all that
+the run left alive to the oldest generation, so no young collection after
+the run walks it either; a full collection still does.
 The World only creates these records from the node specs: each derives the
 streams it draws on first use, the station its mobility and medium streams,
 the forwarding state its strategy stream and the app its app stream, and the
@@ -452,6 +455,14 @@ class World:
     # -- run -------------------------------------------------------------------------
 
     def run(self) -> RunReport:
+        """Run to the horizon, with automatic collection off until it returns.
+
+        On the way out, unless some objects are already frozen, every object
+        the collector tracks, the run's survivors (a kept trace among them) and
+        the caller's own young objects alike, moves to the oldest generation,
+        so no young collection walks them; a full collection still does. A run
+        makes no reference cycles, so only a caller's own cyclic garbage is
+        held, until the next full collection."""
         # A run makes no reference cycles, so reference counting frees all it
         # drops, and automatic collection would only walk its live objects
         enabled = gc.isenabled()
@@ -463,6 +474,14 @@ class World:
             self.note("", tc.END, "", "")
             self._hand_off()
         finally:
+            # freeze then unfreeze splices every generation into the oldest and
+            # zeroes gen-0's count, so the first allocation after the run starts
+            # no collection over it. unfreeze releases every frozen object, so
+            # skip it when some already are: CPython 3.12 starts with frozen
+            # tuples, and a caller may freeze objects before a fork
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             if enabled:
                 gc.enable()
         return report

@@ -387,3 +387,22 @@ def test_bad_seed_rejected_by_the_parser(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["five-node", "--seed", "-1", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["five-node", "--seed", "abc"], "abc"),
+    (["five-node", "--seed", "18446744073709551616"], "18446744073709551616"),
+    (["sweep", "--scenario", "x.json", "--p", "x", "--seeds", "1"], "x"),
+    (["sweep", "--scenario", "x.json", "--p", "0.5,y", "--seeds", "1"], "y"),
+    (["sweep", "--scenario", "x.json", "--p", "1", "--seeds", "a"], "a"),
+    (["sweep", "--scenario", "x.json", "--p", "1", "--seeds", "1,-2"], "-2"),
+], ids=["seed", "seed-past-64-bits", "p", "p-in-list", "seeds", "seeds-negative"])
+def test_a_bad_option_value_exits_2_naming_the_text(tmp_path, capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert repr(bad) in err
+    # the parser's own helpers are no part of the message, and nothing crashed
+    for private in ("_u64", "_float", "_seed_list", "Traceback"):
+        assert private not in err
