@@ -29,7 +29,14 @@ from .scenario import (
     load_scenario,
     with_p_forward,
 )
-from .trace import CompletionsFold, MetricsFold, PositionsWriter, TraceWriter, write_metrics
+from .trace import (
+    COMPLETED,
+    CompletionsFold,
+    MetricsFold,
+    PositionsWriter,
+    TraceWriter,
+    write_metrics,
+)
 from .world import World
 
 EXIT_OK = 0
@@ -157,9 +164,10 @@ def sweep(cfg: ScenarioConfig, p_values: list[float], seeds: list[int]):
     for p_value, varied in varied_by_p:
         leechers = varied.leechers()
         for seed in seeds:
-            # the table reports completions only, so that is all each run folds
+            # the table reports completions only, so each run builds only its
+            # COMPLETED rows and hands them to the one fold that reads them
             completions = CompletionsFold(leechers)
-            World(varied, seed, completions.add).run()
+            World(varied, seed, completions.add, keep=frozenset({COMPLETED})).run()
             for node_id, lm in completions.per_leecher.items():
                 rows.append((p_value, seed, node_id, lm.torrent, int(lm.completed),
                              "" if lm.completion_time_us is None else lm.completion_time_us))

@@ -7,10 +7,11 @@ peer's piece inventory encoded into name components, and piece interests
 request one piece by index.
 
 A packet object is shared by every receiver of its transmission, so Interest
-and Data are immutable tuples whose constructors validate their fields; an
-Interest formats its wire text, the trace detail of its transmission and
-receptions, when it is made. Each peer app builds each distinct name once per
-run and reuses the `Name` object (see app.py).
+and Data are immutable tuples whose constructors validate their fields. A
+packet holds no trace text: the World formats the details of its
+transmission and receptions, and only when it keeps their rows. Each peer app
+builds each distinct name once per run and reuses the `Name` object (see
+app.py).
 """
 from __future__ import annotations
 
@@ -252,10 +253,6 @@ class _InterestFields(NamedTuple):
     nonce: int
     origin: str
     hop_count: int
-    # nonce, hop count and origin as the trace detail of this packet's
-    # transmission and of each of its receptions, which share the one string;
-    # a relayed copy is a new Interest with its own
-    wire: str
 
 
 class Interest(_Packet, _InterestFields):
@@ -268,8 +265,7 @@ class Interest(_Packet, _InterestFields):
             raise ValueError("nonce must fit in 64 bits")
         if hop_count < 0:
             raise ValueError("hop_count must be non-negative")
-        return tuple.__new__(cls, (name, nonce, origin, hop_count,
-                                   f"nonce={nonce:016x};hop={hop_count};origin={origin}"))
+        return tuple.__new__(cls, (name, nonce, origin, hop_count))
 
 
 class _DataFields(NamedTuple):

@@ -1,21 +1,24 @@
 """Closed-form reachability verdicts for static, lossless scenarios.
 
-With fixed positions, no loss, and the forwarding probability pinned to 0 or
-1, whether a leecher can ever finish is a graph question: there must be a
-unit-disk path to a seeder of its torrent whose interior vertices relay.
-Always-on pure forwarders relay; p=0 pure forwarders never do; peers of any
-torrent relay eventually (foreign names unlock after repeated interests, and
-same-torrent peers fetch then serve).
+With fixed positions, no loss, no collisions, and the forwarding probability
+pinned to 0 or 1, whether a leecher can ever finish is a graph question: there
+must be a unit-disk path to a seeder of its torrent whose interior vertices
+relay. Always-on pure forwarders relay; p=0 pure forwarders never do; peers of
+any torrent relay eventually (foreign names unlock after repeated interests,
+and same-torrent peers fetch then serve).
 
 The verdict matches the simulator only when the interest stream the graph
 argument relies on actually persists.  Peers must keep beaconing after they
 complete (app.keep_seeding true), and the oracle refuses scenarios where they
 do not: a finished leecher falls silent, and a neighbour that depended on its
-beacons for bitmap discovery can strand even though a relay path exists.  The
-run must also outlast the convergence horizon: with default timing (2 s
-beacons, 30 s name memory) a 10-node field converges in a few seconds, and
-240 s leaves two orders of margin.  No threshold is defined for it, so this
-one is not checked.
+beacons for bitmap discovery can strand even though a relay path exists.  In
+collision mode, overlapping frames are lost, so a path in the graph may carry
+nothing, and the oracle refuses it.  The hop cap must not cut a path either:
+every copy of a flood travels a simple path, so forwarding.max_hops of n-1 for
+n nodes always suffices, and the oracle refuses a smaller cap.  The run must
+also outlast the convergence horizon: with default timing (2 s beacons, 30 s
+name memory) a 10-node field converges in a few seconds, and 240 s leaves two
+orders of margin.  No threshold is defined for it, so this one is not checked.
 """
 from __future__ import annotations
 
@@ -37,6 +40,11 @@ def reachability_oracle(cfg: ScenarioConfig) -> dict[str, bool]:
         raise OracleUnsupported("oracle requires p_forward 0 or 1")
     if not cfg.app.keep_seeding:
         raise OracleUnsupported("oracle requires app.keep_seeding true")
+    if cfg.collision_mode:
+        raise OracleUnsupported("oracle requires collision_mode false")
+    if cfg.forwarding.max_hops < len(cfg.nodes) - 1:
+        raise OracleUnsupported(f"oracle requires max_hops of at least {len(cfg.nodes) - 1} "
+                                f"(nodes - 1), got {cfg.forwarding.max_hops}")
     for node in cfg.nodes:
         if node.mobility is not MobilityKind.STATIC or node.position is None:
             raise OracleUnsupported(f"node {node.node_id} is not statically placed")

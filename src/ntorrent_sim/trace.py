@@ -45,6 +45,9 @@ WALK_EPOCH = "WALK_EPOCH"
 END = "END"
 
 APP_EVENTS = frozenset({BEACON_TX, BITMAP_TX, PIECE_REQ, PIECE_RX, COMPLETED})
+# every event code a trace row can hold
+EVENTS = frozenset({INTEREST_TX, INTEREST_RX, DATA_TX, DATA_RX, DECISION, DROP, SATISFY,
+                    *APP_EVENTS, POSITION, WALK_EPOCH, END})
 
 # strategy reason codes
 REASON_PROB_FWD = "PROB_FWD"

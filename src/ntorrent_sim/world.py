@@ -32,6 +32,11 @@ row writers): it hands the rows on once a delivery or a position sample leaves
 HAND_OFF_ROWS of them, and at the end, so a run holds not many more at once.
 Those rows are plain tuples in trace.TRACE_COLUMNS order, since folds and
 writers take rows apart by position; a World without a sink keeps TraceRecords.
+A World given a sink may also be told which event codes the sink reads
+(`keep`); it then builds no other row, and formats no detail that only such a
+row would hold. The World is the one module that knows the text of the
+wire-level details: it formats an interest's nonce, hop and origin once per
+transmission, and the TX row and every RX row of it share that string.
 Every PIT, dead-nonce and overheard-name lookup checks expiry itself, so the
 1 s GC tick only bounds memory: it sweeps a node's tables once they have
 doubled since its last sweep (see `_on_gc`).
@@ -137,17 +142,40 @@ class World:
     a new list, so `trace` holds only the rows noted since the last hand-off,
     the World keeps no row it has handed on, and `metrics()` raises. A sink's
     rows are plain tuples in trace.TRACE_COLUMNS order.
+
+    keep, given with a sink, is the set of event codes the sink reads: the
+    World builds only rows of those codes, in the order a full run notes them,
+    and formats no detail that only another row would hold. The run itself,
+    its events and RNG draws, is the same whatever keep is. A code outside
+    trace.EVENTS, or a keep without a sink, raises ValueError: a sinkless World
+    reduces its own trace, which must be whole.
     """
 
     def __init__(self, cfg: ScenarioConfig, master_seed: int,
-                 sink: Callable[[list[tuple]], None] | None = None) -> None:
+                 sink: Callable[[list[tuple]], None] | None = None,
+                 keep: frozenset[str] | None = None) -> None:
         if not 0 <= master_seed < 1 << 64:  # derive_stream would wrap it onto another run
             raise ValueError(f"master seed {master_seed} does not fit in 64 bits")
+        if keep is not None:
+            if sink is None:
+                raise ValueError("keep needs a sink: a World without one keeps its "
+                                 "whole trace for metrics()")
+            unknown = sorted(keep - tc.EVENTS)
+            if unknown:
+                raise ValueError(f"keep names {', '.join(map(repr, unknown))}, "
+                                 "not trace event codes")
         self.cfg = cfg
         self.loop = EventLoop()
         self.master_seed = master_seed
         self.trace: list[tuple] = []
         self._sink = sink
+        # None keeps every row. The rows whose details the World formats itself
+        # are decided here, once
+        self._keep = keep
+        self._interest_rx = self._keeps(tc.INTEREST_RX)
+        self._interest_details = self._interest_rx or self._keeps(tc.INTEREST_TX)
+        self._data_tx = self._keeps(tc.DATA_TX)
+        self._data_rx = self._keeps(tc.DATA_RX)
         # every row is built through this: a sink's folds and writers take rows
         # apart by position, and an exact tuple is the cheapest row to build,
         # unpack and free
@@ -202,13 +230,18 @@ class World:
 
     # -- helpers --------------------------------------------------------------
 
+    def _keeps(self, code: str) -> bool:
+        """Whether rows of code are built."""
+        return self._keep is None or code in self._keep
+
     def _new_leg(self, node_id: str, station: _Station, start: Position) -> None:
         """Start the station's next walk leg from start now, drawn from its
         mobility stream, and note it."""
         walk = walk_epoch(station.mobility)
         station.leg = Leg(start, walk, self.loop.now_us, self.cfg.grid)
-        self.note(node_id, tc.WALK_EPOCH, "",
-                  f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
+        if self._keeps(tc.WALK_EPOCH):
+            self.note(node_id, tc.WALK_EPOCH, "",
+                      f"heading={walk.heading_rad!r};speed={walk.speed_ms!r}")
 
     def position_of(self, node_id: str, t_us: int) -> Position:
         station = self._stations[node_id]
@@ -222,8 +255,10 @@ class World:
     # -- what the handlers call ---------------------------------------------------
 
     def note(self, node_id: str, code: str, name_text: str, detail: str = "") -> None:
-        """Append a trace row at the current time."""
-        self.trace.append(self._row((self.loop.now_us, node_id, code, name_text, detail)))
+        """Append a trace row at the current time, if rows of code are kept."""
+        keep = self._keep
+        if keep is None or code in keep:
+            self.trace.append(self._row((self.loop.now_us, node_id, code, name_text, detail)))
 
     def send(self, node_id: str, pkt: Interest | Data, delay_us: int) -> None:
         """Broadcast pkt after delay_us; a delay-0 send goes out before this returns."""
@@ -248,12 +283,18 @@ class World:
     # -- radio ---------------------------------------------------------------------
 
     def _transmit(self, node_id: str, pkt: Interest | Data) -> None:
+        """Note pkt's transmission and broadcast it. An interest's detail is
+        formatted here, once, and its receptions share the string."""
+        detail = None
         if isinstance(pkt, Interest):
-            self.note(node_id, tc.INTEREST_TX, pkt.name.key, pkt.wire)
-        else:
+            if self._interest_details:
+                name, nonce, origin, hop = pkt
+                detail = f"nonce={nonce:016x};hop={hop};origin={origin}"
+                self.note(node_id, tc.INTEREST_TX, name.key, detail)
+        elif self._data_tx:
             self.note(node_id, tc.DATA_TX, pkt.name.key,
                       f"hop={pkt.hop_count};origin={pkt.origin};bytes={pkt.payload_bytes}")
-        self._broadcast(node_id, pkt)
+        self._broadcast(node_id, pkt, detail)
 
     def _reach(self, sender: str) -> _Sender:
         """The sender's record, made before its first transmission: its
@@ -328,7 +369,9 @@ class World:
             hearers.append(station.node_id)
         return hearers
 
-    def _broadcast(self, sender: str, pkt: Interest | Data) -> None:
+    def _broadcast(self, sender: str, pkt: Interest | Data, detail: str | None) -> None:
+        """Schedule pkt's delivery to each node that hears it; detail is an
+        interest's trace detail, None for data or when no interest row is kept."""
         now = self.loop.now_us
         record = self._senders.get(sender)
         if record is None:
@@ -354,7 +397,7 @@ class World:
                     collided.add(receiver)
                 station.on_air = (arrival, collided)
         # one event per receiver, in order; receivers may be record.hearers itself
-        self.loop.schedule_batch(arrival, EV_DELIVERY, receivers, (pkt, collided))
+        self.loop.schedule_batch(arrival, EV_DELIVERY, receivers, (pkt, detail, collided))
 
     # -- event dispatch ---------------------------------------------------------------
 
@@ -372,14 +415,15 @@ class World:
         """Deliver one transmission to each receiver in order, as its events would
         dispatch one by one: each receiver's handler runs before the next one
         hears the frame."""
-        pkt, collided = payload
+        pkt, detail, collided = payload
         now = self.loop.now_us
         key = pkt.name.key
         if isinstance(pkt, Interest):
-            code, detail, handle = tc.INTEREST_RX, pkt.wire, fw.on_incoming_interest
+            code, handle, noted = tc.INTEREST_RX, fw.on_incoming_interest, self._interest_rx
         else:
-            code, detail = tc.DATA_RX, f"hop={pkt.hop_count};origin={pkt.origin}"
-            handle = fw.on_incoming_data
+            code, handle, noted = tc.DATA_RX, fw.on_incoming_data, self._data_rx
+            if noted:
+                detail = f"hop={pkt.hop_count};origin={pkt.origin}"
         append = self.trace.append
         row = self._row
         nodes = self.nodes
@@ -387,8 +431,8 @@ class World:
             if collided and node_id in collided:
                 self.note(node_id, tc.DROP, key, tc.REASON_COLLISION)
                 continue
-            # the row note would append
-            append(row((now, node_id, code, key, detail)))
+            if noted:  # the row note would append
+                append(row((now, node_id, code, key, detail)))
             handle(nodes[node_id], pkt, now, self)
         # past the loop, no local holds the bound append of the list handed on
         self._hand_off(HAND_OFF_ROWS)
@@ -397,16 +441,19 @@ class World:
         tag = payload[0]
         now = self.loop.now_us
         if tag == "sample":
-            append = self.trace.append
-            row = self._row
-            for node_id, station in self._stations.items():
-                if station.leg is None:
-                    detail = station.fixed_detail
-                else:
-                    x, y = self.position_of(node_id, now)
-                    detail = f"x={x!r};y={y!r}"  # _position_detail, inlined
-                # the row note would append
-                append(row((now, node_id, tc.POSITION, "", detail)))
+            # a sample that builds no row reads no position either: a walker's
+            # last exact position only bounds where it can be (_hearers_near)
+            if self._keeps(tc.POSITION):
+                append = self.trace.append
+                row = self._row
+                for node_id, station in self._stations.items():
+                    if station.leg is None:
+                        detail = station.fixed_detail
+                    else:
+                        x, y = self.position_of(node_id, now)
+                        detail = f"x={x!r};y={y!r}"  # _position_detail, inlined
+                    # the row note would append
+                    append(row((now, node_id, tc.POSITION, "", detail)))
             nxt = now + self.cfg.position_sample_interval_us
             if nxt <= self.cfg.duration_us:
                 self.loop.schedule(nxt, EV_TIMER, None, ("sample",))

@@ -126,6 +126,40 @@ def test_sweep_rows_are_those_of_each_runs_full_metrics():
     assert {row[4] for row in rows} == {0, 1}
 
 
+WALKING_SCENARIO = {
+    "grid": {"width": 300.0, "height": 300.0},
+    "duration_us": 60_000_000,
+    "torrents": [{"id": "movie1", "n_pieces": 16}],
+    "nodes": [{"id": f"n{i}", "kind": kind, "position": "random", "mobility": "random_walk",
+               **({} if kind == "pure_forwarder" else {"torrent": "movie1"})}
+              for i, kind in enumerate(["seeder", "leecher", "leecher", "pure_forwarder",
+                                        "pure_forwarder", "leecher"])],
+}
+
+
+def test_a_walking_sweep_is_the_completions_of_full_runs(tmp_path, capsys):
+    # a sweep's runs build only their COMPLETED rows, so their samplers read no
+    # walker positions; the radio must hear the same frames all the same
+    path = tmp_path / "walking.json"
+    path.write_text(json.dumps(WALKING_SCENARIO), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(path), "--p", "0.5,1.0", "--seeds", "1,2,3",
+                 "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        _, *body = list(csv.reader(fh))
+    cfg = cli.load_scenario(str(path))
+    expected = []
+    for p_value in (0.5, 1.0):
+        for seed in (1, 2, 3):
+            _, metrics = run_scenario(with_p_forward(cfg, p_value), seed)
+            expected += [[str(p_value), str(seed), node_id, lm.torrent, str(int(lm.completed)),
+                          "" if lm.completion_time_us is None else str(lm.completion_time_us)]
+                         for node_id, lm in metrics.per_leecher.items()]
+    assert body == expected
+    assert {row[4] for row in body} == {"0", "1"}
+
+
 @pytest.mark.parametrize("p_list, seed_list", [("", "1"), (",", "1"), ("1.0", ""), ("1.0", ",")])
 def test_empty_sweep_list_exits_2(tiny_scenario, tmp_path, capsys, p_list, seed_list):
     out = tmp_path / "sweep"
@@ -170,6 +204,25 @@ def test_oracle_rejects_mobile_scenarios(tmp_path, capsys):
     path.write_text(json.dumps(mobile), encoding="utf-8")
     assert main(["oracle", "--scenario", str(path)]) == EXIT_CONFIG
     assert "not statically placed" in capsys.readouterr().err
+
+
+THREE_NODE_LINE = [
+    {"id": "s", "kind": "seeder", "torrent": "movie1", "position": [50, 50]},
+    {"id": "f", "kind": "pure_forwarder", "position": [90, 50]},
+    {"id": "l", "kind": "leecher", "torrent": "movie1", "position": [130, 50]},
+]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"collision_mode": True}, "collision_mode"),
+    ({"nodes": THREE_NODE_LINE, "max_hops": 1}, "max_hops"),
+], ids=["collision-mode", "max-hops"])
+def test_oracle_refuses_what_it_cannot_back(tmp_path, capsys, overrides, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(ORACLE_SCENARIO, **overrides)), encoding="utf-8")
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_oracle_refuses_peers_that_stop_seeding(tiny_scenario, capsys):

@@ -186,11 +186,8 @@ def test_cached_attributes_are_computed_once_per_object(monkeypatch):
     # the value belongs to the object, not to its equal twin
     assert twin.key == name.key and twin.cls == name.cls
     assert calls == {"render_name": 2, "classify": 2}
-    # Interest.wire calls neither; every read returns the one stored object
-    pkt = Interest(name, nonce=7, origin="n0", hop_count=1)
-    wire = pkt.wire
-    assert wire == "nonce=0000000000000007;hop=1;origin=n0"
-    assert all(pkt.wire is wire for _ in range(3))
+    # building an Interest calls neither
+    Interest(name, nonce=7, origin="n0", hop_count=1)
     assert calls == {"render_name": 2, "classify": 2}
 
 
@@ -238,7 +235,7 @@ def test_packets_stay_immutable_and_validated():
     interest = Interest(name, nonce=9, origin="n0", hop_count=1)
     data = Data(name, payload_bytes=1024, origin="n0", hop_count=1)
     # every receiver of a transmission shares the one packet object
-    for pkt, fields in ((interest, ("name", "nonce", "origin", "hop_count", "wire")),
+    for pkt, fields in ((interest, ("name", "nonce", "origin", "hop_count")),
                         (data, ("name", "payload_bytes", "origin", "hop_count"))):
         assert not hasattr(pkt, "__dict__")
         for field in fields + ("extra",):
@@ -246,7 +243,7 @@ def test_packets_stay_immutable_and_validated():
                 setattr(pkt, field, getattr(pkt, field, 0))
     # no path builds a packet that its constructor would refuse
     bad_builds = [
-        lambda: Interest._make((name, 1 << 64, "n0", 0, "nonce=;hop=0;origin=n0")),
+        lambda: Interest._make((name, 1 << 64, "n0", 0)),
         lambda: interest._replace(nonce=-1),
         lambda: interest._replace(hop_count=-1),
         lambda: Data._make((beacon_name("n0"), 1024, "n0", 0)),
@@ -257,16 +254,9 @@ def test_packets_stay_immutable_and_validated():
     for build in bad_builds:
         with pytest.raises((TypeError, ValueError)):
             build()
-    # nor one whose wire is stale
-    try:
-        relayed = interest._replace(hop_count=2)
-    except TypeError:
-        pass
-    else:
-        assert relayed.wire == "nonce=0000000000000009;hop=2;origin=n0"
-    # a relayed copy's wire names its own hop
-    assert Interest(name, 9, "n0", 2).wire == "nonce=0000000000000009;hop=2;origin=n0"
-    assert interest.wire == "nonce=0000000000000009;hop=1;origin=n0"
+    # a packet is its fields and nothing else; the World formats trace details
+    assert tuple(interest) == (name, 9, "n0", 1)
+    assert tuple(data) == (name, 1024, "n0", 1)
 
 
 def test_packets_equal_only_packets_of_their_type():

@@ -2,6 +2,7 @@
 from dataclasses import replace
 
 import pytest
+from test_acceptance import random_static_layout
 
 from ntorrent_sim.app import AppConfig
 from ntorrent_sim.mobility import RadioConfig
@@ -15,6 +16,7 @@ from ntorrent_sim.scenario import (
     TorrentSpec,
     validate,
 )
+from ntorrent_sim.world import run_scenario
 
 
 def line_cfg(kinds, p_forward=1.0, spacing=50.0, loss=0.0, keep_seeding=True):
@@ -105,3 +107,33 @@ def test_peers_that_stop_seeding_are_refused():
     # a finished leecher would fall silent, so the graph verdict could not hold
     with pytest.raises(OracleUnsupported, match="keep_seeding"):
         reachability_oracle(line_cfg([S1, PF, L1], keep_seeding=False))
+
+
+def test_collision_mode_is_refused():
+    # overlapping frames are lost, so a path in the graph may carry nothing
+    with pytest.raises(OracleUnsupported, match="collision_mode"):
+        reachability_oracle(replace(line_cfg([S1, PF, L1]), collision_mode=True))
+
+
+def with_max_hops(cfg, max_hops):
+    return replace(cfg, forwarding=replace(cfg.forwarding, max_hops=max_hops))
+
+
+def test_a_hop_cap_below_nodes_minus_one_is_refused():
+    # every copy of a flood travels a simple path, of at most n-1 hops
+    line = line_cfg([S1, PF, PF, L1])
+    with pytest.raises(OracleUnsupported, match="max_hops"):
+        reachability_oracle(with_max_hops(line, 2))
+    assert reachability_oracle(with_max_hops(line, 3)) == {"n3": True}
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_verdicts_at_the_smallest_hop_cap_agree_with_the_simulator(index):
+    cfg = random_static_layout(index)
+    n = len(cfg.nodes)
+    with pytest.raises(OracleUnsupported, match="max_hops"):
+        reachability_oracle(with_max_hops(cfg, n - 2))
+    capped = with_max_hops(cfg, n - 1)
+    expected = reachability_oracle(capped)
+    _, metrics = run_scenario(capped, master_seed=index)
+    assert {nid: metrics.per_leecher[nid].completed for nid in expected} == expected

@@ -1,6 +1,7 @@
 """Whole-simulation behaviour: wiring, determinism, radio pruning, collisions,
 bookkeeping."""
 import copy
+import functools
 import gc
 import inspect
 import itertools
@@ -285,7 +286,7 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
                "accepted_until_sure": 0, "heard_unseen": 0, "again_in_the_same_us": 0}
     last_tx = {}
 
-    def checked_broadcast(sender, pkt):
+    def checked_broadcast(sender, pkt, detail):
         now = world.loop.now_us
         # the sender's medium stream; the first read derives it
         own = world._stations[sender]
@@ -306,7 +307,7 @@ def test_pruned_broadcast_matches_a_scan_of_every_exact_position(case, monkeypat
                          if due_us <= now < sure_us}
         delivered.clear()
         exact_calls.clear()
-        pruned_broadcast(sender, pkt)
+        pruned_broadcast(sender, pkt, detail)
         arrival = now + cfg.radio.one_hop_delay_us
         assert delivered == [(arrival, node_id) for node_id in expected], (case, now, sender)
         assert own.medium.getstate() == scan_rng.getstate(), (case, now, sender)
@@ -638,8 +639,8 @@ def packet(origin, piece):
 
 def test_overlapping_receptions_collide():
     world = World(forwarder_field(collision_mode=True), master_seed=1)
-    world._broadcast("fa", packet("fa", 0))
-    world._broadcast("fb", packet("fb", 1))
+    world._transmit("fa", packet("fa", 0))
+    world._transmit("fb", packet("fb", 1))
     world.run()
     fc_events = [(rec.event, rec.detail) for rec in world.trace if rec.node == "fc"]
     drops = [d for e, d in fc_events if e == tc.DROP]
@@ -652,7 +653,7 @@ def test_overlapping_receptions_collide():
 
 def test_single_transmission_is_clean_in_collision_mode():
     world = World(forwarder_field(collision_mode=True), master_seed=1)
-    world._broadcast("fa", packet("fa", 0))
+    world._transmit("fa", packet("fa", 0))
     world.run()
     fc_events = [rec.event for rec in world.trace if rec.node == "fc"]
     assert tc.INTEREST_RX in fc_events
@@ -704,8 +705,8 @@ def test_a_frame_collides_iff_another_to_its_receiver_is_sent_within_one_hop_del
 
 def test_collisions_ignored_when_mode_off():
     world = World(forwarder_field(collision_mode=False), master_seed=1)
-    world._broadcast("fa", packet("fa", 0))
-    world._broadcast("fb", packet("fb", 1))
+    world._transmit("fa", packet("fa", 0))
+    world._transmit("fb", packet("fb", 1))
     world.run()
     fc_rx = [rec for rec in world.trace
              if rec.node == "fc" and rec.event == tc.INTEREST_RX]
@@ -737,6 +738,11 @@ def test_duplicate_reception_notes_the_drop_and_leaves_the_pit_alone(record):
 
 # -- the World only carries packets -------------------------------------------
 
+def interest_detail(pkt):
+    """The trace detail of an interest's transmission and receptions."""
+    return f"nonce={pkt.nonce:016x};hop={pkt.hop_count};origin={pkt.origin}"
+
+
 @pytest.mark.parametrize("cfg,seed", [
     (build_five_node(), 1),
     (build_random_field(12, 4), 4),
@@ -749,7 +755,7 @@ def test_every_interest_reception_reaches_the_forwarding_plane(cfg, seed, monkey
     plane = fw.on_incoming_interest
 
     def recording(node, pkt, now_us, out):
-        handed.append((now_us, node.node_id, pkt.wire))
+        handed.append((now_us, node.node_id, interest_detail(pkt)))
         plane(node, pkt, now_us, out)
 
     monkeypatch.setattr(fw, "on_incoming_interest", recording)
@@ -919,7 +925,8 @@ def test_own_interest_is_sent_at_once_without_a_strategy_coin():
     world.originate("l", pkt)
     assert strategy_rng.getstate() == before
     [tx] = [rec for rec in world.trace if rec.node == "l" and rec.event != tc.POSITION]
-    assert (tx.event, tx.time_us, tx.detail) == (tc.INTEREST_TX, 0, pkt.wire)
+    assert (tx.event, tx.time_us, tx.detail) == (
+        tc.INTEREST_TX, 0, "nonce=000000000000004d;hop=0;origin=l")
     entry = world.nodes["l"].pit[pkt.name.key]
     assert entry.nonces == {77}
     assert not entry.from_radio
@@ -938,3 +945,102 @@ def test_echo_of_an_own_interest_is_a_pit_dup_and_its_data_is_not_relayed():
     assert metrics.per_leecher["l"].completed
     assert sum(rec.node == "l" and rec.event == tc.PIECE_RX for rec in trace) == 8
     assert not any(rec.node == "l" and rec.event == tc.DATA_TX for rec in trace)
+
+
+# -- kept rows --------------------------------------------------------------------
+
+KEEP_CASES = {
+    "five-node": (build_five_node, 1),
+    "five-node-lossy": (_lossy_five_node, 1),
+    # walkers: a World that keeps no POSITION row reads no position to sample
+    "random-field-12": (lambda: build_random_field(12, 4), 4),
+    "five-node-collision": (lambda: replace(build_five_node(), collision_mode=True), 1),
+}
+
+KEEPS = {
+    "completed": {tc.COMPLETED},
+    "interest-rx": {tc.INTEREST_RX},
+    "interest-tx": {tc.INTEREST_TX},
+    "data-rx": {tc.DATA_RX},
+    "position": {tc.POSITION},
+    "drop-decision": {tc.DROP, tc.DECISION},
+    "none": set(),
+}
+
+
+@functools.cache
+def full_run(case):
+    """The report and every row of a case's run, as a sink receives them."""
+    build, seed = KEEP_CASES[case]
+    rows = []
+    report = World(build(), seed, rows.extend).run()
+    return report, rows
+
+
+@pytest.mark.parametrize("keep", sorted(KEEPS))
+@pytest.mark.parametrize("case", sorted(KEEP_CASES))
+def test_a_world_hands_on_only_the_rows_it_keeps(case, keep):
+    report, full = full_run(case)
+    build, seed = KEEP_CASES[case]
+    codes = KEEPS[keep]
+    rows = []
+    assert World(build(), seed, rows.extend, keep=frozenset(codes)).run() == report
+    assert rows == [row for row in full if row[2] in codes]
+
+
+def test_the_keep_cases_note_every_kept_code():
+    codes = {row[2] for case in KEEP_CASES for row in full_run(case)[1]}
+    # a code noted but missing from trace.EVENTS would be refused as a keep
+    assert codes <= tc.EVENTS
+    assert set().union(*KEEPS.values()) <= codes
+
+
+def test_a_keep_naming_an_unknown_code_is_refused():
+    with pytest.raises(ValueError, match="'COMPLETE'"):
+        World(build_five_node(), 1, [].extend, keep=frozenset({tc.COMPLETED, "COMPLETE"}))
+
+
+def test_a_keep_without_a_sink_is_refused():
+    # a sinkless World reduces its own trace in metrics(), so it must keep it whole
+    with pytest.raises(ValueError, match="sink"):
+        World(build_five_node(), 1, keep=frozenset({tc.COMPLETED}))
+
+
+def test_an_interests_rows_share_one_detail_that_names_its_own_hop():
+    cfg = three_node_relay()
+    world = World(cfg, master_seed=1)
+    broadcast = world._broadcast
+    sent = []  # each interest transmission's detail, kept alive so ids stay unique
+
+    def recording_broadcast(sender, pkt, detail):
+        if isinstance(pkt, Interest):
+            # the TX row noted just before holds the string its receptions get
+            tx = world.trace[-1]
+            assert (tx.event, tx.node, tx.detail) == (tc.INTEREST_TX, sender, detail)
+            assert tx.detail is detail and detail == interest_detail(pkt)
+            sent.append(detail)
+        broadcast(sender, pkt, detail)
+
+    heard = []  # (arrival, receiver, detail) for every interest reception
+    schedule_batch = world.loop.schedule_batch
+
+    def recording_schedule_batch(time_us, kind, targets, payload=None):
+        if kind == world_module.EV_DELIVERY and isinstance(payload[0], Interest):
+            heard.extend((time_us, target, payload[1]) for target in targets
+                         if time_us <= cfg.duration_us)
+        schedule_batch(time_us, kind, targets, payload)
+
+    world._broadcast = recording_broadcast
+    world.loop.schedule_batch = recording_schedule_batch
+    world.run()
+    assert len(set(map(id, sent))) == len(sent)
+    rx = [rec for rec in world.trace if rec.event == tc.INTEREST_RX]
+    assert len(rx) == len(heard) > 0
+    for rec, (time_us, receiver, detail) in zip(rx, heard):
+        assert (rec.time_us, rec.node) == (time_us, receiver)
+        assert rec.detail is detail
+    # the forwarder only relays what the peers send, each copy one hop further
+    relayed = [rec.detail for rec in world.trace
+               if rec.event == tc.INTEREST_TX and rec.node == "p"]
+    assert relayed and all(";hop=1;origin=" in detail for detail in relayed)
+    assert {detail.rsplit("=", 1)[1] for detail in relayed} == {"l", "s"}
